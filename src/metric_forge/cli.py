@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .core import random_metric, cantor_approx, validate_metric
-from .nebula import (
-    cover,
-    margin,
-    nebula_contains,
-    range_of_metric,
-    validate_nebula,
-)
+from .nebula import _covering_intervals, cover, margin, validate_nebula
 from .quantize import approximate
 from .universal import (
     build_funiv_approx,
@@ -59,7 +53,7 @@ def render_range_svg(space, nebula=None) -> str:
     Pixel coordinates use fixed two-decimal formatting; the exact rational
     behind every mark is kept in a data-exact attribute.
     """
-    vals = range_of_metric(space)
+    vals = space.values()
     top = vals[-1]
     if nebula is not None:
         top = max(top, nebula.tail_start)
@@ -229,9 +223,7 @@ def _cmd_plot_range(args) -> int:
     nebula = None
     if args.nebula:
         nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
-        for v in range_of_metric(space):
-            if not nebula_contains(nebula, v):
-                raise ValueError(f"metric value {v} lies outside the nebula")
+        _covering_intervals(nebula, space.values())
     svg = render_range_svg(space, nebula)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)

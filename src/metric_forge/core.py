@@ -36,6 +36,13 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__!s}")
 
 
+def _as_int(value, what: str) -> int:
+    """Return value if it is an int (bools excluded); raise ValueError otherwise."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Ordered point labels plus a square matrix of exact distances.
@@ -130,22 +137,22 @@ class PartitionPlan:
 # scaled-integer helpers
 
 
-def _scaled_int_rows(rows) -> tuple[list[list[int]], int]:
-    """Multiply all entries by the lcm of denominators; returns (ints, lcm)."""
-    denom = 1
-    for row in rows:
-        for v in row:
-            denom = lcm(denom, v.denominator)
-    scaled = [[int(v * denom) for v in row] for row in rows]
-    return scaled, denom
+def _int_matrix(rows) -> tuple[np.ndarray, int]:
+    """Entries times the lcm of their denominators, plus that lcm.
 
-
-def _as_array(scaled):
-    """numpy int64 array when safe, object array of Python ints otherwise."""
+    The array is int64 when every scaled entry stays below 2^62, and an
+    object array of Python ints otherwise.
+    """
+    denom = lcm(*{v.denominator for row in rows for v in row})
+    scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
     peak = max((abs(v) for row in scaled for v in row), default=0)
-    if peak < _INT64_SAFE:
-        return np.array(scaled, dtype=np.int64)
-    return np.array(scaled, dtype=object)
+    return np.array(scaled, dtype=np.int64 if peak < _INT64_SAFE else object), denom
+
+
+def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
+    """Inverse of ``_int_matrix``: exact Fraction rows over the given points."""
+    rows = tuple(tuple(Fraction(v, denom) for v in row) for row in arr.tolist())
+    return FiniteMetricSpace(points, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +186,7 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
             if dist[j][i] <= 0 and dist[j][i] != dist[i][j]:
                 violations.append(Violation("positivity", (j, i), dist[j][i], zero))
 
-    scaled, _ = _scaled_int_rows(dist)
-    arr = _as_array(scaled)
+    arr, _ = _int_matrix(dist)
     # lhs[i,k,j] = d(i,j), rhs[i,k,j] = d(i,k) + d(k,j)
     bad = arr[:, None, :] > arr[:, :, None] + arr[None, :, :]
     for i, k, j in np.argwhere(bad):
@@ -356,27 +362,18 @@ def metric_repair(candidate: FiniteMetricSpace) -> FiniteMetricSpace:
                 raise ValueError(
                     f"off-diagonal entry ({i}, {j}) must be positive"
                 )
-    scaled, denom = _scaled_int_rows(dist)
-    arr = _as_array(scaled)
+    arr, denom = _int_matrix(dist)
     for k in range(n):
         np.minimum(arr, arr[:, k, None] + arr[None, k, :], out=arr)
-    rows = tuple(
-        tuple(Fraction(int(arr[i, j]), denom) for j in range(n)) for i in range(n)
-    )
-    return FiniteMetricSpace(candidate.points, rows)
+    return _from_int_matrix(candidate.points, arr, denom)
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Largest ultrametric below the metric (single-linkage / minimax paths)."""
-    n = space.n
-    scaled, denom = _scaled_int_rows(space.dist)
-    arr = _as_array(scaled)
-    for k in range(n):
+    arr, denom = _int_matrix(space.dist)
+    for k in range(space.n):
         np.minimum(arr, np.maximum(arr[:, k, None], arr[None, k, :]), out=arr)
-    rows = tuple(
-        tuple(Fraction(int(arr[i, j]), denom) for j in range(n)) for i in range(n)
-    )
-    return FiniteMetricSpace(space.points, rows)
+    return _from_int_matrix(space.points, arr, denom)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """JSON codecs: rationals ride the wire as "p/q" or integer strings.
 
-Readers are strict: decimals, negatives and asymmetric distance matrices
-are rejected at parse time so exactness survives round-trips.
+Readers are strict: decimals, negatives, non-integer counts and indices,
+and asymmetric distance matrices are rejected at parse time so exactness
+survives round-trips.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import FiniteMetricSpace, PartitionPlan, ValidationReport
+from .core import FiniteMetricSpace, PartitionPlan, ValidationReport, _as_int
 from .nebula import Nebula, NebulaValidation
 from .quantize import ApproximationResult, RangeCertificate
 from .universal import Embedding, FragilityReport
@@ -89,8 +90,10 @@ def plan_to_obj(plan: PartitionPlan) -> dict:
 
 def plan_from_obj(obj) -> PartitionPlan:
     return PartitionPlan(
-        clusters=tuple(tuple(int(i) for i in c) for c in obj["clusters"]),
-        reps=tuple(int(i) for i in obj["reps"]),
+        clusters=tuple(
+            tuple(_as_int(i, "cluster index") for i in c) for c in obj["clusters"]
+        ),
+        reps=tuple(_as_int(i, "representative index") for i in obj["reps"]),
         radius=parse_scalar(obj["radius"]),
     )
 
@@ -125,12 +128,10 @@ def nebula_to_obj(nebula: Nebula) -> dict:
 def nebula_from_obj(obj) -> Nebula:
     if not isinstance(obj, dict) or "q" not in obj:
         raise ValueError("nebula JSON needs 'q', 'bounded' and 'tail_start'")
-    return Nebula(
-        q=int(obj["q"]),
-        bounded=tuple(
-            (parse_scalar(a), parse_scalar(b)) for a, b in obj["bounded"]
-        ),
-        tail_start=parse_scalar(obj["tail_start"]),
+    return Nebula.make(
+        obj["q"],
+        [(parse_scalar(a), parse_scalar(b)) for a, b in obj["bounded"]],
+        parse_scalar(obj["tail_start"]),
     )
 
 

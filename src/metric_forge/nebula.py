@@ -11,11 +11,12 @@ reconstruct the value set to resolution 2^-q.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .core import FiniteMetricSpace, as_scalar
+from .core import FiniteMetricSpace, _as_int, as_scalar
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class Nebula:
     @classmethod
     def make(cls, q, bounded, tail_start) -> "Nebula":
         ivs = tuple((as_scalar(a), as_scalar(b)) for a, b in bounded)
-        return cls(int(q), ivs, as_scalar(tail_start))
+        return cls(_as_int(q, "q"), ivs, as_scalar(tail_start))
 
 
 @dataclass(frozen=True)
@@ -74,20 +75,34 @@ def validate_nebula(candidate: Nebula) -> NebulaValidation:
     return NebulaValidation(not problems, tuple(problems))
 
 
+def _interval_index(bounded, t) -> int:
+    """Position of the interval in sorted disjoint ``bounded`` holding t, or -1."""
+    i = bisect_right(bounded, t, key=itemgetter(0)) - 1
+    return i if i >= 0 and t <= bounded[i][1] else -1
+
+
 def nebula_contains(nebula: Nebula, t) -> bool:
     t = as_scalar(t)
     if t < 0:
         raise ValueError("values live in [0, oo)")
-    if t >= nebula.tail_start:
-        return True
-    idx = bisect_left(nebula.bounded, (t, t))
-    if idx < len(nebula.bounded) and nebula.bounded[idx][0] == t:
-        return True
-    if idx > 0:
-        a, b = nebula.bounded[idx - 1]
-        if a <= t <= b:
-            return True
-    return False
+    return t >= nebula.tail_start or _interval_index(nebula.bounded, t) >= 0
+
+
+def _covering_intervals(nebula: Nebula, values) -> list[int]:
+    """Sorted positions of the bounded intervals that hold some value.
+
+    Raises ValueError at the first value (in the given order) that the
+    nebula does not contain.
+    """
+    used = set()
+    for v in values:
+        if v >= nebula.tail_start:
+            continue
+        i = _interval_index(nebula.bounded, v)
+        if i < 0:
+            raise ValueError(f"metric value {v} lies outside the nebula")
+        used.add(i)
+    return sorted(used)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +143,10 @@ def cover(values, q: int) -> Nebula:
     if not isinstance(q, int) or q < 0:
         raise ValueError("q must be a nonnegative integer")
     svals = sorted({as_scalar(v) for v in values})
+    if svals and svals[0] < 0:
+        raise ValueError("values live in [0, oo)")
     if not svals or svals[0] != 0:
         raise ValueError("the value set must contain 0")
-    if svals[0] < 0:
-        raise ValueError("values live in [0, oo)")
 
     step = Fraction(1, 2 ** (q + 1))
     eta = Fraction(1, 2 ** (q + 3))
@@ -216,10 +231,7 @@ class IntervalSet:
         t = as_scalar(t)
         if self.tail_start is not None and t >= self.tail_start:
             return True
-        for a, b in self.bounded:
-            if a <= t <= b:
-                return True
-        return False
+        return _interval_index(self.bounded, t) >= 0
 
     def restrict(self, lo, hi) -> "IntervalSet":
         """Intersection with the closed interval [lo, hi]; tail becomes bounded."""
@@ -290,12 +302,15 @@ class MarginResult:
 
 
 def range_of_metric(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
-    """Sorted distinct distance values, 0 included."""
+    """Alias of ``space.values()``: sorted distinct distance values, 0 included."""
     return space.values()
 
 
 def gap_near_zero(space: FiniteMetricSpace) -> Fraction | None:
-    """Length of the value-free gap just above 0; None for a single point."""
+    """Alias of ``space.min_positive()``: the value-free gap just above 0.
+
+    None for a single point.
+    """
     return space.min_positive()
 
 
@@ -315,16 +330,7 @@ def margin(space: FiniteMetricSpace, nebula: Nebula) -> MarginResult:
     check = validate_nebula(nebula)
     if not check.is_valid:
         raise ValueError(f"margin needs a valid nebula: {check.violations}")
-    vals = range_of_metric(space)
-    for v in vals:
-        if not nebula_contains(nebula, v):
-            raise ValueError(f"metric value {v} lies outside the nebula")
-
-    kept = [
-        (a, b)
-        for a, b in nebula.bounded
-        if any(a <= v <= b for v in vals)
-    ]
+    kept = [nebula.bounded[i] for i in _covering_intervals(nebula, space.values())]
     # 0 is always a value and lives in the first interval
     gaps = [a2 - b1 for (_, b1), (a2, _) in zip(kept, kept[1:])]
     gaps.append(nebula.tail_start - kept[-1][1])

@@ -9,7 +9,6 @@ a machine-checkable certificate per pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,13 +29,13 @@ class UnsupportedTransformError(TypeError):
 
 
 def ceil_ratio(x, eta) -> int:
-    """Smallest integer k with x <= k * eta, by exact comparison."""
+    """Smallest integer k with x <= k * eta, by exact integer division."""
     x, eta = as_scalar(x), as_scalar(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return math.ceil(x / eta)
+    return -(-(x.numerator * eta.denominator) // (x.denominator * eta.numerator))
 
 
 def quantize_discrete(space: FiniteMetricSpace, eta) -> FiniteMetricSpace:
@@ -46,17 +45,7 @@ def quantize_discrete(space: FiniteMetricSpace, eta) -> FiniteMetricSpace:
     least eta, and metricity is preserved because the scaled ceiling is
     increasing and subadditive.
     """
-    eta = as_scalar(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    rows = tuple(
-        tuple(
-            Fraction(0) if i == j else eta * ceil_ratio(space.dist[i][j], eta)
-            for j in range(space.n)
-        )
-        for i in range(space.n)
-    )
-    return FiniteMetricSpace(space.points, rows)
+    return transform_metric(space, ScaledCeil(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +325,25 @@ class RangeCertificate:
         return params.eta * total
 
 
-def _exponent_bound(residue_den: int, u: Fraction, cap: int) -> int:
-    # any representable residue needs u^k's reduced denominator (a power of
-    # den(u)) to divide ~2 * den(residue); beyond that the search is hopeless
+def _exponent_bound(residue_den: int, u: Fraction) -> int:
+    # the residue u^n (+ u^m) shares the denominator of t / eta, and its
+    # reduced denominator is at least den(u)^max(n, m) / 2, so no exponent
+    # k with den(u)^k > 2 * residue_den can occur
     q = u.denominator
     k = 0
     power = 1
     while power <= 2 * residue_den:
         power *= q
         k += 1
-    return min(k + 1, cap)
+    return k + 1
 
 
-def range_membership(
-    t, params: RangeParams, max_exponent: int = 64
-) -> RangeCertificate | None:
+def range_membership(t, params: RangeParams) -> RangeCertificate | None:
     """Find (l, n, m) with t = eta * (l + u^n + u^m), or None.
 
-    The exponent search is finite: a geometric summand u^k can only
-    contribute to an exact rational identity while den(u)^k stays within
-    the residue's denominator, and max_exponent caps the scan.
+    The exponent search is finite and exact: a geometric summand u^k can
+    only contribute to a rational identity while den(u)^k stays within
+    twice the residue's denominator.
     """
     t = as_scalar(t)
     if t < 0:
@@ -363,7 +351,7 @@ def range_membership(
     s = t / params.eta
     if s.denominator == 1:
         return RangeCertificate(int(s), None, None)
-    bound = _exponent_bound(s.denominator, params.u, max_exponent)
+    bound = _exponent_bound(s.denominator, params.u)
     powers = [params.u**e for e in range(bound + 1)]
     # powers shrink as the exponent grows, so the residue only increases;
     # a negative residue just means "try a larger exponent"

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .core import (
     FiniteMetricSpace,
     PartitionPlan,
@@ -22,11 +24,9 @@ from .core import (
     as_scalar,
     amalgamate,
     pair_points,
-    subdominant_ultrametric,
     sup_distance,
 )
 from .quantize import ApproximationResult, approximate
-from .nebula import range_of_metric
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,8 @@ def make_net(n: int, delta, max_points: int = 1000) -> NetSpace:
     ratio = Fraction(n) / delta
     if ratio.denominator != 1 or ratio.numerator & (ratio.numerator - 1):
         raise ValueError("delta must equal n / 2^t for some t >= 0")
+    # axis[k] = k * delta is also the l-infinity distance of two points whose
+    # largest coordinate gap is k grid steps
     axis = [k * delta for k in range(int(ratio) + 1)]
     if (len(axis)) ** n > max_points:
         raise ValueError(
@@ -208,13 +210,9 @@ def make_net(n: int, delta, max_points: int = 1000) -> NetSpace:
         )
     pts = tuple(product(axis, repeat=n))
     labels = tuple(_coord_label(p) for p in pts)
-    rows = tuple(
-        tuple(
-            Fraction(0) if i == j else linf_distance(pts[i], pts[j])
-            for j in range(len(pts))
-        )
-        for i in range(len(pts))
-    )
+    steps = np.array(list(product(range(len(axis)), repeat=n)), dtype=np.int64)
+    gaps = np.abs(steps[:, None, :] - steps[None, :, :]).max(axis=2)
+    rows = tuple(tuple(map(axis.__getitem__, row)) for row in gaps.tolist())
     return NetSpace(n, delta, pts, FiniteMetricSpace(labels, rows))
 
 
@@ -231,26 +229,28 @@ class FUnivApprox:
 
 
 def build_funiv_approx(n: int, delta, copies: int = 1, max_points: int = 1000) -> FUnivApprox:
-    """Amalgamate ``copies`` pullback nets with hub distance 1 + n.
+    """Amalgamate ``copies`` plain l-infinity nets with hub distance 1 + n.
 
-    Each piece carries max(min(u, 1/n), l-infinity) where u is the
-    subdominant ultrametric of the net; separated patterns see the pure
-    l-infinity metric, so members of the card/diameter/separation class
-    with delta-grid values embed exactly and everything else lands within
+    Each piece is the delta-net of [0, n]^n under its own l-infinity
+    metric, so members of the card/diameter/separation class with
+    delta-grid values embed exactly and everything else lands within
     additive distortion delta.
+
+    This equals the pullback max(min(u, 1/n), l-infinity) of the net's
+    subdominant ultrametric u: neighbouring grid points are delta apart,
+    so u is delta off the diagonal, and there l-infinity >= delta >=
+    min(delta, 1/n).
     """
     if copies < 1:
         raise ValueError("need at least one copy")
     net = make_net(n, delta, max_points)
-    proxy = subdominant_ultrametric(net.space)
-    rho = pullback_universal(
-        proxy, net.space, {p: p for p in net.space.points}, Fraction(1, n)
-    )
     m = len(net.points)
-    pieces = []
-    for c in range(copies):
-        labels = tuple(f"K{c}:{label}" for label in rho.points)
-        pieces.append(FiniteMetricSpace(labels, rho.dist))
+    pieces = [
+        FiniteMetricSpace(
+            tuple(f"K{c}:{label}" for label in net.space.points), net.space.dist
+        )
+        for c in range(copies)
+    ]
     plan = PartitionPlan(
         clusters=tuple(tuple(range(c * m, (c + 1) * m)) for c in range(copies)),
         reps=tuple(c * m for c in range(copies)),
@@ -323,7 +323,7 @@ def range_density_gap(space: FiniteMetricSpace, T) -> Fraction:
     T = as_scalar(T)
     if T <= 0:
         raise ValueError("T must be positive")
-    vals = sorted({Fraction(0), T, *(v for v in range_of_metric(space) if v <= T)})
+    vals = sorted({Fraction(0), T, *(v for v in space.values() if v <= T)})
     return max(b - a for a, b in zip(vals, vals[1:]))
 
 
@@ -370,7 +370,7 @@ def fragility_experiment(values, epsilon) -> FragilityReport:
     if moved > epsilon:
         raise RuntimeError("internal: approximation exceeded its budget")
 
-    rng = range_of_metric(after)
+    rng = after.values()
     top = rng[-1]
     gap_lo, gap_hi = Fraction(0), Fraction(0)
     for a, b in zip(rng, rng[1:]):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from metric_forge import FiniteMetricSpace, cli, jsonio
+from metric_forge import FiniteMetricSpace, Nebula, cli, jsonio
 
 EQUILATERAL = {
     "points": ["a", "b", "c"],
@@ -58,6 +58,37 @@ def test_nebula_and_plan_roundtrip():
     assert jsonio.nebula_from_obj(jsonio.nebula_to_obj(neb)) == neb
     plan = greedy_clopen_partition(random_metric(6, 10, seed=3), F(1, 2))
     assert jsonio.plan_from_obj(jsonio.plan_to_obj(plan)) == plan
+
+
+def test_nebula_reader_rejects_non_integer_q():
+    rest = {"bounded": [["0", "0"]], "tail_start": "2"}
+    assert jsonio.nebula_from_obj({"q": 1, **rest}).q == 1
+    for bad in (2.9, True, "1", None):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            jsonio.nebula_from_obj({"q": bad, **rest})
+        with pytest.raises(ValueError, match="q must be an integer"):
+            Nebula.make(bad, [(0, 0)], 2)
+
+
+def test_plan_reader_rejects_non_integer_indices():
+    good = {"clusters": [[0, 1], [2]], "reps": [0, 2], "radius": "1/2"}
+    plan = jsonio.plan_from_obj(good)
+    assert plan.clusters == ((0, 1), (2,)) and plan.reps == (0, 2)
+    for bad in (0.7, True, "0"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            jsonio.plan_from_obj({**good, "clusters": [[bad, 1], [2]]})
+        with pytest.raises(ValueError, match="must be an integer"):
+            jsonio.plan_from_obj({**good, "reps": [bad, 2]})
+
+
+def test_nebula_check_float_q_exit_two(tmp_path, capsys):
+    path = write_json(
+        tmp_path / "neb.json",
+        {"q": 2.9, "bounded": [["0", "0"]], "tail_start": "3"},
+    )
+    code, out, err = run(capsys, "nebula", "check", path)
+    assert code == 2 and out == ""
+    assert "q must be an integer" in err
 
 
 # --- validate -----------------------------------------------------------------

@@ -69,6 +69,41 @@ def test_contains_examples():
     assert not nebula_contains(EXAMPLE, F(17, 10) + F(1, 64))
 
 
+def scan_contains(bounded, tail, t):
+    """Linear-scan oracle for interval membership."""
+    return (tail is not None and t >= tail) or any(a <= t <= b for a, b in bounded)
+
+
+def probes(bounded, tail):
+    """Endpoints, midpoints and points just beside every boundary."""
+    tiny = F(1, 1024)
+    pts = {F(0)}
+    for a, b in bounded:
+        pts.update((a, b, (a + b) / 2, a - tiny, b + tiny))
+    if tail is not None:
+        pts.update((tail, tail - tiny, tail + tiny))
+    return sorted(p for p in pts if p >= 0)
+
+
+def test_containment_matches_linear_scan():
+    rng = random.Random(31)
+    for trial in range(60):
+        pieces = []
+        for _ in range(rng.randint(0, 12)):
+            a = F(rng.randint(0, 200), rng.randint(1, 16))
+            pieces.append((a, a + F(rng.randint(0, 30), rng.randint(1, 16))))
+        tail = F(rng.randint(0, 300), rng.randint(1, 8)) if trial % 3 else None
+        iset = IntervalSet.make(pieces, tail)
+        for t in probes(iset.bounded, iset.tail_start):
+            want = scan_contains(iset.bounded, iset.tail_start, t)
+            assert iset.contains(t) == want
+
+        nebula = cover({F(0), *random_fractions(rng, rng.randint(1, 40))}, trial % 7)
+        for t in probes(nebula.bounded, nebula.tail_start):
+            want = scan_contains(nebula.bounded, nebula.tail_start, t)
+            assert nebula_contains(nebula, t) == want
+
+
 # --- covers ----------------------------------------------------------------------
 
 
@@ -101,6 +136,12 @@ def test_cover_tie_rule_walks_off_the_set():
 def test_cover_rejects_missing_zero():
     with pytest.raises(ValueError, match="contain 0"):
         cover([F(1, 2)], 1)
+
+
+def test_cover_rejects_negative_values():
+    for values in ([-1, 0, 1], [-1, 1]):
+        with pytest.raises(ValueError, match="values live in"):
+            cover(values, 2)
 
 
 def test_cover_random_contract():
@@ -225,6 +266,24 @@ def test_margin_prunes_empty_intervals():
     got = margin(m, noisy)
     assert got.epsilon == F(3, 80)  # same as without the far interval
     assert len(got.fattened.bounded) == 2
+
+
+def test_margin_keeps_exactly_the_occupied_intervals():
+    rng = random.Random(41)
+    for trial in range(20):
+        m = random_metric(rng.randint(2, 12), rng.randint(1, 6), seed=trial)
+        vals = range_of_metric(m)
+        # cover extra values too, so some intervals carry no value of m
+        extra = random_fractions(rng, rng.randint(0, 20), max_num=4)
+        nebula = cover([*vals, *extra], trial % 6)
+        got = margin(m, nebula)
+        kept = [
+            (a, b) for a, b in nebula.bounded if any(a <= v <= b for v in vals)
+        ]
+        eps = got.epsilon
+        want = [(kept[0][0], kept[0][1] + eps)]
+        want.extend((a - eps, b + eps) for a, b in kept[1:])
+        assert got.fattened.bounded == tuple(want)
 
 
 def test_margin_requires_containment():

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metric_forge import (
@@ -33,6 +34,8 @@ from support import brute_range_member, triple_loop_is_ultrametric
 
 nonneg_fractions = st.fractions(min_value=0, max_value=50)
 pos_fractions = st.fractions(min_value=F(1, 100), max_value=50)
+# numerators and denominators well past int64, as on the object-array path
+wide_fractions = st.builds(F, st.integers(0, 2**90), st.integers(1, 2**90))
 
 
 def two_point(v):
@@ -67,6 +70,35 @@ def test_ceil_ratio_is_smallest(x, eta):
     assert x <= k * eta
     if k > 0:
         assert x > (k - 1) * eta
+
+
+@given(
+    st.one_of(nonneg_fractions, wide_fractions),
+    st.one_of(pos_fractions, wide_fractions.filter(lambda f: f > 0)),
+)
+@example(F(2**63 + 1, 2**63 - 1), F(1, 2**64 + 3))
+@example(F(3 * 2**70, 2**70 + 1), F(3, 2**70 + 1))
+def test_ceil_ratio_matches_math_ceil(x, eta):
+    assert ceil_ratio(x, eta) == math.ceil(x / eta)
+
+
+def test_quantize_discrete_matches_entrywise_ceiling():
+    rng = random.Random(8)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        # entries in [1, 2) close every triangle; denominators pass 2^62
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                den = rng.randint(1, 2**70)
+                rows[i][j] = rows[j][i] = 1 + F(rng.randint(0, den - 1), den)
+        m = FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows)
+        eta = F(rng.randint(1, 2**66), rng.randint(1, 2**66))
+        got = quantize_discrete(m, eta)
+        for i in range(n):
+            for j in range(n):
+                want = 0 if i == j else eta * math.ceil(m.dist[i][j] / eta)
+                assert got.dist[i][j] == want
 
 
 def test_quantize_discrete_examples():
@@ -229,6 +261,23 @@ def test_range_membership_examples():
 
     assert range_membership(F(3, 10), p) is None
     assert not brute_range_member(F(3, 10), F(1), F(1, 2))
+
+
+def test_range_membership_finds_what_approximate_certifies():
+    # the pair at 2^-80 is certified at exponent 80, past the old scan cap
+    tiny = F(1, 2**80)
+    m = FiniteMetricSpace.from_rows(
+        "abc", [[0, tiny, 1], [tiny, 0, 1], [1, 1, 0]]
+    )
+    res = approximate(m, 5)
+    assert (res.eta, res.r) == (1, F(1, 2))
+    cert = res.certificate(0, 1)
+    assert (cert.l, cert.n, cert.m) == (0, 80, None)
+    p = RangeParams(1, F(1, 2))
+    found = range_membership(tiny, p)
+    assert found is not None
+    assert (found.l, found.n, found.m) == (0, 80, None)
+    assert found.value(p) == tiny
 
 
 def test_range_membership_matches_brute_force():

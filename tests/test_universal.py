@@ -21,6 +21,7 @@ from metric_forge import (
     range_density_gap,
     range_membership,
     range_of_metric,
+    subdominant_ultrametric,
     validate_metric,
 )
 
@@ -222,6 +223,40 @@ def test_net_rejects_non_dyadic_delta():
 def test_net_cap():
     with pytest.raises(ValueError, match="cap"):
         make_net(3, F(3, 8), max_points=100)
+
+
+def small_nets():
+    """Every (n, delta) with n <= 3 whose net has at most 125 points."""
+    out = []
+    for n in (1, 2, 3):
+        t = 0
+        while (2**t + 1) ** n <= 125:
+            out.append(pytest.param(n, F(n, 2**t), id=f"n{n}-delta{n}_{2**t}"))
+            t += 1
+    return out
+
+
+@pytest.mark.parametrize("n, delta", small_nets())
+def test_net_matches_linf_distance(n, delta):
+    net = make_net(n, delta)
+    for i, p in enumerate(net.points):
+        for j, p2 in enumerate(net.points):
+            assert net.space.dist[i][j] == linf_distance(p, p2)
+
+
+@pytest.mark.parametrize("n, delta", small_nets())
+def test_funiv_pieces_equal_pullback_of_subdominant(n, delta):
+    net = make_net(n, delta)
+    identity = {p: p for p in net.space.points}
+    want = pullback_universal(
+        subdominant_ultrametric(net.space), net.space, identity, F(1, n)
+    )
+    result = build_funiv_approx(n, delta, copies=2)
+    m = len(net.points)
+    for c in range(2):
+        piece = result.space.restrict(range(c * m, (c + 1) * m))
+        assert piece.points == tuple(f"K{c}:{label}" for label in want.points)
+        assert piece.dist == want.dist
 
 
 def test_funiv_two_point_exact():
