@@ -1,8 +1,9 @@
 """metric-forge command line: deterministic JSON pipelines over exact rationals.
 
 Exit codes: 0 success or valid, 1 validation failure (JSON report on
-stdout), 2 usage or domain errors.  Outputs carry no timestamps, so a
-rerun with the same inputs is byte-identical.
+stdout), 2 usage or domain errors, 3 internal errors (a failed self-check
+or running out of memory).  Outputs carry no timestamps, so a rerun with
+the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -358,6 +359,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as exc:  # "internal: ..." self-checks
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

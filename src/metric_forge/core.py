@@ -137,13 +137,16 @@ class PartitionPlan:
 # scaled-integer helpers
 
 
-def _int_matrix(rows) -> tuple[np.ndarray, int]:
-    """Entries times the lcm of their denominators, plus that lcm.
+def _int_matrix(rows, denom: int | None = None) -> tuple[np.ndarray, int]:
+    """Entries times a common denominator, plus that denominator.
 
-    The array is int64 when every scaled entry stays below 2^62, and an
-    object array of Python ints otherwise.
+    The denominator defaults to the lcm of the entries' denominators; a
+    given one must be a multiple of each of them.  The array is int64 when
+    every scaled entry stays below 2^62, and an object array of Python ints
+    otherwise.
     """
-    denom = lcm(*{v.denominator for row in rows for v in row})
+    if denom is None:
+        denom = lcm(*{v.denominator for row in rows for v in row})
     scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
     peak = max((abs(v) for row in scaled for v in row), default=0)
     return np.array(scaled, dtype=np.int64 if peak < _INT64_SAFE else object), denom

@@ -15,7 +15,8 @@ from .nebula import Nebula, NebulaValidation
 from .quantize import ApproximationResult, RangeCertificate
 from .universal import Embedding, FragilityReport
 
-_SCALAR_RE = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
+# ASCII digits only, matched against the whole string (no trailing newline)
+_SCALAR_RE = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_scalar(text) -> Fraction:
@@ -26,7 +27,7 @@ def parse_scalar(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    m = _SCALAR_RE.match(text)
+    m = _SCALAR_RE.fullmatch(text)
     if not m:
         raise ValueError(f"malformed rational {text!r} (want \"p/q\" or \"n\")")
     return Fraction(int(m.group(1)), int(m.group(2) or 1))
@@ -47,17 +48,31 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
+    """Strict reader for a space; equal entry strings share one Fraction.
+
+    Each distinct string is parsed once per call.  Other entries go through
+    ``parse_scalar`` one by one, so bools and floats are still rejected.
+    """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError("space JSON needs 'points' and 'dist'")
     points = obj["points"]
-    rows = [[parse_scalar(v) for v in row] for row in obj["dist"]]
+    parsed: dict[str, Fraction] = {}
+
+    def parse(v) -> Fraction:
+        if not isinstance(v, str):
+            return parse_scalar(v)
+        if v not in parsed:
+            parsed[v] = parse_scalar(v)
+        return parsed[v]
+
+    rows = [[parse(v) for v in row] for row in obj["dist"]]
     space = FiniteMetricSpace.from_rows(points, rows)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if space.dist[i][j] != space.dist[j][i]:
-                raise ValueError(
-                    f"matrix not symmetric at ({points[i]}, {points[j]})"
-                )
+    # a row equals its column unless some pair (i, j) differs; the first row
+    # that differs has its first difference at some j > i
+    for i, (row, col) in enumerate(zip(space.dist, zip(*space.dist))):
+        if row != col:
+            j = next(j for j in range(i + 1, space.n) if row[j] != col[j])
+            raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
     return space
 
 

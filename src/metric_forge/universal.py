@@ -14,13 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 
 from .core import (
+    _INT64_SAFE,
     FiniteMetricSpace,
     PartitionPlan,
     SearchCapExceeded,
+    _int_matrix,
     as_scalar,
     amalgamate,
     pair_points,
@@ -193,21 +196,36 @@ def _coord_label(coords) -> str:
     return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-def make_net(n: int, delta, max_points: int = 1000) -> NetSpace:
-    """Build the delta-net of [0, n]^n; delta must be n / 2^t."""
+def _net_side(n: int, delta: Fraction, max_points: int, copies: int = 1) -> int:
+    """Grid points along one axis of the delta-net of [0, n]; delta = n / 2^t.
+
+    Raises before anything is built when ``copies`` nets would hold more
+    than ``max_points`` points in all.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    delta = as_scalar(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     ratio = Fraction(n) / delta
     if ratio.denominator != 1 or ratio.numerator & (ratio.numerator - 1):
         raise ValueError("delta must equal n / 2^t for some t >= 0")
+    side = ratio.numerator + 1
+    # side >= 2, so a net of dimension n has at least 2^n points; this test
+    # comes first so that side**n is never a huge integer
+    if n >= max_points.bit_length() or copies * side**n > max_points:
+        raise ValueError(
+            f"{copies} x {side}^{n} net points exceed the cap of {max_points}"
+        )
+    return side
+
+
+def make_net(n: int, delta, max_points: int = 1000) -> NetSpace:
+    """Build the delta-net of [0, n]^n; delta must be n / 2^t."""
+    delta = as_scalar(delta)
+    side = _net_side(n, delta, max_points)
     # axis[k] = k * delta is also the l-infinity distance of two points whose
     # largest coordinate gap is k grid steps
-    axis = [k * delta for k in range(int(ratio) + 1)]
-    if (len(axis)) ** n > max_points:
-        raise ValueError(
-            f"net would have {(len(axis))**n} points, above the cap {max_points}"
-        )
+    axis = [k * delta for k in range(side)]
     pts = tuple(product(axis, repeat=n))
     labels = tuple(_coord_label(p) for p in pts)
     steps = np.array(list(product(range(len(axis)), repeat=n)), dtype=np.int64)
@@ -240,9 +258,13 @@ def build_funiv_approx(n: int, delta, copies: int = 1, max_points: int = 1000) -
     subdominant ultrametric u: neighbouring grid points are delta apart,
     so u is delta off the diagonal, and there l-infinity >= delta >=
     min(delta, 1/n).
+
+    The glued space may hold at most ``max_points`` points; larger requests
+    are refused before anything is built.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
+    _net_side(n, as_scalar(delta), max_points, copies)
     net = make_net(n, delta, max_points)
     m = len(net.points)
     pieces = [
@@ -280,7 +302,12 @@ def find_isometric_embedding(
 
     distortion 0 demands exact distance equality.  None means the search
     space was exhausted; patterns above the cap raise instead, so None
-    stays a genuine non-existence verdict.
+    stays a genuine non-existence verdict.  Candidates are tried in index
+    order, so the result is the lexicographically smallest feasible map.
+
+    Host, pattern and distortion are scaled to one common denominator; the
+    host is int64 when every scaled value fits below 2^62, and an object
+    array of Python ints otherwise.
     """
     distortion = as_scalar(distortion)
     if distortion < 0:
@@ -289,32 +316,37 @@ def find_isometric_embedding(
         raise SearchCapExceeded(
             f"pattern has {pattern.n} points, above the search cap {cap}"
         )
-    k, h = pattern.n, host.n
-    assigned: list[int] = []
-    used = [False] * h
-
-    def feasible(idx: int, cand: int) -> bool:
-        for prev in range(idx):
-            gap = abs(host.dist[cand][assigned[prev]] - pattern.dist[idx][prev])
-            if gap > distortion:
-                return False
-        return True
+    denom = lcm(
+        distortion.denominator,
+        *{v.denominator for s in (pattern, host) for row in s.dist for v in row},
+    )
+    H, _ = _int_matrix(host.dist, denom)
+    P, _ = _int_matrix(pattern.dist, denom)
+    tol = distortion.numerator * (denom // distortion.denominator)
+    if H.dtype != object and (P.dtype == object or tol >= _INT64_SAFE):
+        H = H.astype(object)
+    P = P.tolist()
+    k = pattern.n
+    mapping: list[int] = []
+    free = np.ones(host.n, dtype=bool)
 
     def search(idx: int) -> bool:
         if idx == k:
             return True
-        for cand in range(h):
-            if not used[cand] and feasible(idx, cand):
-                used[cand] = True
-                assigned.append(cand)
-                if search(idx + 1):
-                    return True
-                assigned.pop()
-                used[cand] = False
+        fits = free.copy()
+        for prev in range(idx):
+            fits &= np.abs(H[:, mapping[prev]] - P[idx][prev]) <= tol
+        for cand in np.flatnonzero(fits).tolist():
+            free[cand] = False
+            mapping.append(cand)
+            if search(idx + 1):
+                return True
+            mapping.pop()
+            free[cand] = True
         return False
 
     if search(0):
-        return Embedding(tuple(assigned), distortion == 0)
+        return Embedding(tuple(mapping), distortion == 0)
     return None
 
 

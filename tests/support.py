@@ -92,24 +92,22 @@ def brute_minimax_paths(space) -> list[list[Fraction]]:
     return out
 
 
-def brute_embedding_exists(pattern, host, distortion=Fraction(0)) -> bool:
-    """Enumerate every injective assignment; patterns <= 4, hosts <= 10."""
-    k, h = pattern.n, host.n
-    if k > h:
-        return False
-    for assign in permutations(range(h), k):
-        ok = True
-        for a in range(k):
-            for b in range(a + 1, k):
-                gap = abs(host.dist[assign[a]][assign[b]] - pattern.dist[a][b])
-                if gap > distortion:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+def brute_first_embedding(pattern, host, distortion=Fraction(0)):
+    """The first injection in permutations order that fits, or None.
+
+    permutations(range(h), k) runs in lexicographic order, so this is the
+    lexicographically smallest map within the distortion on every pair.
+    Each pair b < a compares pattern[a][b] with host[map a][map b].
+    """
+    k = pattern.n
+    for assign in permutations(range(host.n), k):
+        if all(
+            abs(host.dist[assign[a]][assign[b]] - pattern.dist[a][b]) <= distortion
+            for a in range(k)
+            for b in range(a)
+        ):
+            return assign
+    return None
 
 
 def brute_range_member(t, eta, u, l_max=None, exp_max=40) -> bool:

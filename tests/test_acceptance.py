@@ -47,7 +47,7 @@ from metric_forge import (
 )
 
 from support import (
-    brute_embedding_exists,
+    brute_first_embedding,
     point_set_hausdorff,
     random_cn_space,
     random_fractions,
@@ -282,8 +282,8 @@ def test_criterion_7_oracle():
         host = random_metric(rng.randint(4, 8), 4, seed=5000 + trial)
         for distortion in (F(0), F(1, 8)):
             got = find_isometric_embedding(pattern, host, distortion)
-            expect = brute_embedding_exists(pattern, host, distortion)
-            assert (got is not None) == expect
+            expect = brute_first_embedding(pattern, host, distortion)
+            assert (got and got.mapping) == expect
             if got is None:
                 nones += 1
             else:

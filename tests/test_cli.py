@@ -33,7 +33,8 @@ def run(capsys, *argv):
 def test_parse_scalar_strictness():
     assert jsonio.parse_scalar("13/10") == F(13, 10)
     assert jsonio.parse_scalar("2") == 2
-    for bad in ("1.5", "-3", "3/-2", "1/0", " 2", "2/4 "):
+    # "2\n" passed a $-anchored match and "\u0663" (Arabic-Indic three) passed \d
+    for bad in ("1.5", "-3", "3/-2", "1/0", " 2", "2/4 ", "2\n", "\u0663", "1/1\u0663"):
         with pytest.raises(ValueError):
             jsonio.parse_scalar(bad)
 
@@ -42,6 +43,34 @@ def test_space_reader_rejects_asymmetry():
     obj = {"points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]]}
     with pytest.raises(ValueError, match="symmetric"):
         jsonio.space_from_obj(obj)
+
+
+def test_space_reader_names_first_asymmetric_pair():
+    obj = {
+        "points": ["a", "b", "c"],
+        "dist": [["0", "1", "1"], ["1", "0", "1/2"], ["1", "1/3", "0"]],
+    }
+    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(b, c\)$"):
+        jsonio.space_from_obj(obj)
+    obj["dist"][2][1] = "2/4"  # equal to "1/2" as a rational
+    assert jsonio.space_from_obj(obj).dist[2][1] == F(1, 2)
+
+
+@pytest.mark.parametrize("odd", [True, 1.0])
+def test_space_reader_rejects_bool_and_float_equal_to_an_int(odd):
+    obj = {"points": ["a", "b"], "dist": [["0", 1], [odd, "0"]]}
+    with pytest.raises(ValueError, match="expected a rational string"):
+        jsonio.space_from_obj(obj)
+
+
+def test_space_reader_shares_equal_strings():
+    obj = {
+        "points": ["a", "b", "c"],
+        "dist": [["0", "3/2", "1"], ["3/2", "0", "1"], ["1", "1", "0"]],
+    }
+    space = jsonio.space_from_obj(obj)
+    assert space.dist[0][1] is space.dist[1][0]
+    assert space.dist[0][2] is space.dist[2][1]
 
 
 def test_space_roundtrip():
@@ -250,6 +279,44 @@ def test_universal_funiv(capsys):
     got = json.loads(out)
     assert got["net_points"] == [["0"], ["1/2"], ["1"]]
     assert len(got["space"]["points"]) == 6
+
+
+def test_universal_funiv_copies_over_cap_exit_two(capsys):
+    code, out, err = run(
+        capsys, "universal", "funiv", "--n", "1", "--delta", "1/2",
+        "--copies", "1000000000",
+    )
+    assert code == 2
+    assert out == ""
+    assert "1000000000 x 3^1 net points exceed the cap of 1000" in err
+
+
+def test_universal_funiv_huge_dimension_exit_two(capsys):
+    n = "100000000"  # 2^n points: refused without computing 2^n
+    code, _, err = run(capsys, "universal", "funiv", "--n", n, "--delta", n)
+    assert code == 2
+    assert f"1 x 2^{n} net points exceed the cap of 1000" in err
+
+
+def test_universal_funiv_zero_delta_exit_two(capsys):
+    code, _, err = run(capsys, "universal", "funiv", "--n", "1", "--delta", "0")
+    assert code == 2
+    assert "delta must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("internal: approximation lost metricity"), MemoryError()]
+)
+def test_internal_error_exit_three(tmp_path, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "approximate", broken)
+    sp = write_json(tmp_path / "s.json", EQUILATERAL)
+    code, out, err = run(capsys, "approximate", sp, "--epsilon", "1/2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
 
 
 def test_fragility_command(capsys):

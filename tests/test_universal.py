@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metric_forge import (
     FiniteMetricSpace,
@@ -25,7 +27,7 @@ from metric_forge import (
     validate_metric,
 )
 
-from support import brute_embedding_exists, random_cn_space
+from support import brute_first_embedding, random_cn_space
 
 
 def space(labels, rows):
@@ -328,7 +330,7 @@ def test_search_pair_in_pair_universal():
 def test_search_none_is_exhaustive():
     D = build_pair_universal([F(1, 2), 3])
     assert find_isometric_embedding(EQUILATERAL, D) is None
-    assert not brute_embedding_exists(EQUILATERAL, D)
+    assert brute_first_embedding(EQUILATERAL, D) is None
 
 
 def test_search_cap_refusal():
@@ -345,19 +347,102 @@ def test_search_agrees_with_brute_force():
         host = random_metric(rng.randint(4, 8), 4, seed=1000 + trial)
         for distortion in (F(0), F(1, 4)):
             got = find_isometric_embedding(pat, host, distortion)
-            assert (got is not None) == brute_embedding_exists(
-                pat, host, distortion
-            )
-            if got is not None:
-                for a in range(pat.n):
-                    for b in range(pat.n):
-                        gap = abs(
-                            host.dist[got.mapping[a]][got.mapping[b]]
-                            - pat.dist[a][b]
-                        )
-                        assert gap <= distortion
+            assert (got and got.mapping) == brute_first_embedding(pat, host, distortion)
             cases += 1
     assert cases >= 100
+
+
+# Each kind picks values and distortions for one arithmetic path of the search:
+#   int64:     small denominators, every scaled value below 2^62;
+#   object:    denominators 2^61 - 1 and 2^89 - 1, so the lcm is above 2^62;
+#   tolerance: integers below 2^62 in magnitude (negatives make gaps up to
+#              2^63 - 2) and a distortion of at least 2^62, so only the
+#              scaled tolerance is above 2^62.
+SEARCH_KINDS = {
+    "int64": (
+        st.builds(F, st.integers(0, 40), st.integers(1, 8)),
+        # denominators 9 to 12 are often not in the values' lcm
+        st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 12), st.integers(1, 12))),
+    ),
+    "object": (
+        st.builds(
+            lambda a, b, p: F(a, 4) + F(b, p),
+            st.integers(0, 40),
+            st.integers(1, 3),
+            st.sampled_from([2**61 - 1, 2**89 - 1]),
+        ),
+        st.sampled_from([F(0), F(1, 4), F(1, 2**61 - 1), F(1, 4) + F(1, 2**89 - 1)]),
+    ),
+    "tolerance": (
+        st.sampled_from([-(2**62 - 1), -(2**60), 0, 2**61, 2**62 - 1]).map(F),
+        st.sampled_from([2**62, 2**62 + 2**61, 2**63 - 3, 2**63 - 2]).map(F),
+    ),
+}
+
+
+def symmetric_space(labels, upper):
+    k = len(labels)
+    rows = [[F(0)] * k for _ in range(k)]
+    for (i, j), v in zip(((i, j) for i in range(k) for j in range(i + 1, k)), upper):
+        rows[i][j] = rows[j][i] = v
+    return FiniteMetricSpace(tuple(labels), tuple(map(tuple, rows)))
+
+
+@st.composite
+def search_cases(draw, kind):
+    values, distortions = SEARCH_KINDS[kind]
+    h = draw(st.integers(1, 7))
+    host = symmetric_space(
+        [f"h{i}" for i in range(h)],
+        draw(st.lists(values, min_size=h * (h - 1) // 2, max_size=h * (h - 1) // 2)),
+    )
+    # a host subspace with some entries redrawn, so maps exist and fail
+    picked = draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=4, unique=True))
+    upper = [
+        draw(st.one_of(st.just(host.dist[a][b]), values))
+        for i, a in enumerate(picked)
+        for b in picked[i + 1:]
+    ]
+    pattern = symmetric_space([f"p{i}" for i in range(len(picked))], upper)
+    return pattern, host, draw(distortions)
+
+
+@pytest.mark.parametrize("kind", sorted(SEARCH_KINDS))
+@given(data=st.data())
+def test_search_returns_first_brute_force_map(kind, data):
+    pattern, host, distortion = data.draw(search_cases(kind))
+    found = find_isometric_embedding(pattern, host, distortion)
+    want = brute_first_embedding(pattern, host, distortion)
+    assert (found and found.mapping) == want
+    if found is not None:
+        assert found.exact == (distortion == 0)
+
+
+def pair(v):
+    return FiniteMetricSpace(("a", "b"), ((F(0), F(v)), (F(v), F(0))))
+
+
+def test_search_leaves_int64_for_large_pattern_or_tolerance():
+    # host values fit int64; only the pattern or only the tolerance does not
+    assert find_isometric_embedding(pair(2**63), pair(1)) is None
+    assert find_isometric_embedding(pair(2**63), pair(1), 2**63 - 1).mapping == (0, 1)
+    # the scaled gap is 2^63 - 2
+    assert find_isometric_embedding(pair(2**62 - 1), pair(1 - 2**62), 2**63 - 2)
+    assert find_isometric_embedding(pair(2**62 - 1), pair(1 - 2**62), 2**63 - 3) is None
+
+
+def test_search_scale_includes_the_distortion_denominator():
+    # the gap 1/3 is within 2/5; neither host nor pattern has a 5 below
+    assert find_isometric_embedding(pair(F(4, 3)), pair(1), F(2, 5)).mapping == (0, 1)
+    assert find_isometric_embedding(pair(F(4, 3)), pair(1), F(1, 5)) is None
+
+
+def test_search_reads_host_row_of_the_new_point():
+    # like the pattern's dist[idx][prev], the host entry read is
+    # dist[candidate][earlier image]; the two differ on an asymmetric host
+    host = FiniteMetricSpace(("a", "b"), ((F(0), F(1)), (F(2), F(0))))
+    assert find_isometric_embedding(pair(2), host).mapping == (0, 1)
+    assert find_isometric_embedding(pair(1), host).mapping == (1, 0)
 
 
 # --- range density and fragility ------------------------------------------------------
