@@ -22,16 +22,19 @@ Scalar = Fraction
 # one addition of two scaled entries must not overflow int64
 _INT64_SAFE = 2**62
 
+# a row holding nothing but exact Fractions needs no per-entry coercion
+_FRACTIONS_ONLY = {Fraction}
+
 
 class SearchCapExceeded(ValueError):
     """Raised when a combinatorial search refuses to run (cap exceeded)."""
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce an int or Fraction to an exact scalar; floats are rejected."""
+    """Coerce an int or Fraction to an exact scalar; floats and bools are rejected."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__!s}")
 
@@ -70,7 +73,10 @@ class FiniteMetricSpace:
         for row in rows:
             if len(row) != len(points):
                 raise ValueError("shape error: distance matrix must be square")
-            dist.append(tuple(as_scalar(v) for v in row))
+            if set(map(type, row)) == _FRACTIONS_ONLY:
+                dist.append(tuple(row))
+            else:
+                dist.append(tuple(as_scalar(v) for v in row))
         return cls(points, tuple(dist))
 
     @property
@@ -147,19 +153,91 @@ def _int_matrix(rows, denom: int | None = None) -> tuple[np.ndarray, int]:
     """
     if denom is None:
         denom = lcm(*{v.denominator for row in rows for v in row})
-    scaled = [[v.numerator * (denom // v.denominator) for v in row] for row in rows]
-    peak = max((abs(v) for row in scaled for v in row), default=0)
-    return np.array(scaled, dtype=np.int64 if peak < _INT64_SAFE else object), denom
+
+    def scaled(row):
+        return [v.numerator * (denom // v.denominator) for v in row]
+
+    # filled row by row, so only one row of Python ints is alive at a time
+    arr = np.empty((len(rows), len(rows)), dtype=np.int64)
+    try:
+        for i, row in enumerate(rows):
+            arr[i] = scaled(row)
+        if _peak(arr) < _INT64_SAFE:
+            return arr, denom
+    except OverflowError:  # an entry at or above 2^63
+        pass
+    return np.array([scaled(row) for row in rows], dtype=object), denom
 
 
 def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
-    """Inverse of ``_int_matrix``: exact Fraction rows over the given points."""
-    rows = tuple(tuple(Fraction(v, denom) for v in row) for row in arr.tolist())
-    return FiniteMetricSpace(points, rows)
+    """Inverse of ``_int_matrix``: exact Fraction rows over the given points.
+
+    One Fraction is built per distinct value and shared by its entries.
+    """
+    rows = arr.tolist()
+    table = {v: Fraction(v, denom) for v in set().union(*rows)}
+    return FiniteMetricSpace(
+        points, tuple(tuple(map(table.__getitem__, row)) for row in rows)
+    )
+
+
+def _peak(arr: np.ndarray) -> int:
+    """Largest magnitude in a scaled-integer array (0 when it is empty)."""
+    return int(np.abs(arr).max()) if arr.size else 0
+
+
+def _widen(arr: np.ndarray, bound: int) -> np.ndarray:
+    """``arr`` as Python ints when ``bound`` reaches 2^62, else unchanged.
+
+    ``bound`` is the largest magnitude the caller's arithmetic on ``arr``
+    can reach, so int64 is kept exactly where it cannot overflow.
+    """
+    return arr.astype(object) if bound >= _INT64_SAFE else arr
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def _witnesses(arr: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+    """Every axiom violation of a scaled-integer matrix, in report order.
+
+    Each item is ``(kind, witness)``; see ``validate_metric`` for the kinds
+    and witnesses.  The order is by kind, then by witness.  An empty list
+    means the matrix is a metric.
+    """
+    n = len(arr)
+    iu, ju = np.triu_indices(n, 1)
+    upper, lower = arr[iu, ju], arr[ju, iu]
+    asym = upper != lower
+    found = [("diagonal", (i,)) for i in np.flatnonzero(np.diagonal(arr) != 0).tolist()]
+    found += [("symmetry", w) for w in zip(iu[asym].tolist(), ju[asym].tolist())]
+    low = (lower <= 0) & asym
+    nonpositive = list(zip(iu[upper <= 0].tolist(), ju[upper <= 0].tolist()))
+    nonpositive += zip(ju[low].tolist(), iu[low].tolist())
+    found += [("positivity", w) for w in sorted(nonpositive)]
+    # lhs[i,k,j] = d(i,j), rhs[i,k,j] = d(i,k) + d(k,j)
+    bad = arr[:, None, :] > arr[:, :, None] + arr[None, :, :]
+    if not bad.any():  # the common case; any() is cheaper than argwhere
+        return found
+    ikj = np.argwhere(bad)
+    i, k, j = ikj.T
+    keep = (i < j) & (k != i) & (k != j)
+    found += [("triangle", w) for w in map(tuple, ikj[keep].tolist())]
+    return found
+
+
+def _violation(dist, kind: str, witness: tuple[int, ...]) -> Violation:
+    """The report entry for one witness, with its exact sides."""
+    i, j = witness[0], witness[-1]
+    if kind == "triangle":
+        k = witness[1]
+        rhs = dist[i][k] + dist[k][j]
+    elif kind == "symmetry":
+        rhs = dist[j][i]
+    else:
+        rhs = Fraction(0)
+    return Violation(kind, witness, dist[i][j], rhs)
 
 
 def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
@@ -170,63 +248,66 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     ``is_ultrametric`` (the max-triangle inequality) is only evaluated
     when all four axioms hold.
     """
-    n = space.n
-    dist = space.dist
-    zero = Fraction(0)
-    violations: list[Violation] = []
-
-    for i in range(n):
-        if dist[i][i] != 0:
-            violations.append(Violation("diagonal", (i,), dist[i][i], zero))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
-                violations.append(
-                    Violation("symmetry", (i, j), dist[i][j], dist[j][i])
-                )
-            if dist[i][j] <= 0:
-                violations.append(Violation("positivity", (i, j), dist[i][j], zero))
-            if dist[j][i] <= 0 and dist[j][i] != dist[i][j]:
-                violations.append(Violation("positivity", (j, i), dist[j][i], zero))
-
-    arr, _ = _int_matrix(dist)
-    # lhs[i,k,j] = d(i,j), rhs[i,k,j] = d(i,k) + d(k,j)
-    bad = arr[:, None, :] > arr[:, :, None] + arr[None, :, :]
-    for i, k, j in np.argwhere(bad):
-        i, k, j = int(i), int(k), int(j)
-        if i < j and k != i and k != j:
-            violations.append(
-                Violation(
-                    "triangle", (i, k, j), dist[i][j], dist[i][k] + dist[k][j]
-                )
-            )
-
-    is_metric = not violations
+    arr, _ = _int_matrix(space.dist)
+    violations = tuple(_violation(space.dist, *v) for v in _witnesses(arr))
     is_ultrametric = False
-    if is_metric:
+    if not violations:
         peak = np.maximum(arr[:, :, None], arr[None, :, :])
         is_ultrametric = not bool((arr[:, None, :] > peak).any())
-    order = {"diagonal": 0, "symmetry": 1, "positivity": 2, "triangle": 3}
-    violations.sort(key=lambda v: (order[v.kind], v.witness))
-    return ValidationReport(is_metric, is_ultrametric, tuple(violations))
+    return ValidationReport(not violations, is_ultrametric, violations)
+
+
+def _sup_gap(x: np.ndarray, dx: int, y: np.ndarray, dy: int) -> Fraction:
+    """Max over pairs i < j of |x[i,j]/dx - y[i,j]/dy|, exact."""
+    scale = lcm(dx, dy)
+    fx, fy = scale // dx, scale // dy
+    iu, ju = np.triu_indices(len(x), 1)
+    a, b = x[iu, ju], y[iu, ju]
+    bound = max(_peak(a) * fx, _peak(b) * fy, fx, fy)
+    gap = np.abs(_widen(a, bound) * fx - _widen(b, bound) * fy)
+    return Fraction(int(gap.max()) if gap.size else 0, scale)
 
 
 def sup_distance(d: FiniteMetricSpace, e: FiniteMetricSpace) -> Fraction:
     """Maximum of |d(x,y) - e(x,y)| over all pairs, exact."""
     if d.points != e.points:
         raise ValueError("sup_distance needs identical point lists")
-    best = Fraction(0)
-    for i in range(d.n):
-        row_d, row_e = d.dist[i], e.dist[i]
-        for j in range(i + 1, d.n):
-            gap = abs(row_d[j] - row_e[j])
-            if gap > best:
-                best = gap
-    return best
+    return _sup_gap(*_int_matrix(d.dist), *_int_matrix(e.dist))
 
 
 # ---------------------------------------------------------------------------
 # gluing and partitioning
+
+
+def _check_hub(hub: np.ndarray) -> None:
+    """Refuse a hub with a nonpositive off-diagonal entry (first row-major)."""
+    bad = hub <= 0
+    np.fill_diagonal(bad, False)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"hub must be discrete: nonpositive entry at ({i}, {j})")
+
+
+def _glue(
+    home: np.ndarray, reps: np.ndarray, inner: np.ndarray, hub: np.ndarray
+) -> np.ndarray:
+    """Amalgamation on one integer scale.
+
+    ``home[s]`` is the cluster of point s, ``reps[c]`` the point that
+    represents cluster c, ``inner`` holds every cluster metric in its
+    block, and ``hub`` is indexed by cluster.  For s < t in different
+    clusters the result is ``inner[s, rep] + hub[c_s, c_t] + inner[rep', t]``,
+    mirrored below the diagonal.  The caller picks a dtype wide enough for
+    that sum.
+    """
+    points = np.arange(len(home))
+    rep = reps[home]
+    glued = hub[np.ix_(home, home)]
+    glued += inner[points, rep][:, None]
+    glued += inner[rep, points][None, :]
+    np.copyto(glued, inner, where=home[:, None] == home[None, :])
+    upper = np.triu(glued, 1)
+    return upper + upper.T
 
 
 def amalgamate(
@@ -246,19 +327,18 @@ def amalgamate(
         raise ValueError("one cluster metric per cluster required")
     if hub.n != k:
         raise ValueError("hub must have one point per cluster")
-    for i in range(k):
-        for j in range(k):
-            if i != j and hub.dist[i][j] <= 0:
-                raise ValueError(
-                    f"hub must be discrete: nonpositive entry at ({i}, {j})"
-                )
+    denom = lcm(
+        *{v.denominator for m in (hub, *cluster_metrics) for row in m.dist for v in row}
+    )
+    hub_arr, _ = _int_matrix(hub.dist, denom)
+    _check_hub(hub_arr)
 
     total = sum(len(c) for c in plan.clusters)
     flat = sorted(idx for c in plan.clusters for idx in c)
     if flat != list(range(total)):
         raise ValueError("clusters must partition the point indices")
 
-    home = [(-1, -1)] * total  # ambient index -> (cluster, position)
+    home = np.empty(total, dtype=np.intp)
     labels = [""] * total
     for ci, cluster in enumerate(plan.clusters):
         if len(cluster_metrics[ci].points) != len(cluster):
@@ -266,30 +346,39 @@ def amalgamate(
         if plan.reps[ci] not in cluster:
             raise ValueError(f"representative of cluster {ci} is not a member")
         for pos, idx in enumerate(cluster):
-            home[idx] = (ci, pos)
+            home[idx] = ci
             labels[idx] = cluster_metrics[ci].points[pos]
         rep_pos = cluster.index(plan.reps[ci])
         if hub.points[ci] != cluster_metrics[ci].points[rep_pos]:
             raise ValueError(f"hub label {ci} does not match its representative")
 
-    rep_pos = [plan.clusters[ci].index(plan.reps[ci]) for ci in range(k)]
-    rows = [[Fraction(0)] * total for _ in range(total)]
-    for s in range(total):
-        ci, pi = home[s]
-        e_i = cluster_metrics[ci].dist
-        for t in range(s + 1, total):
-            cj, pj = home[t]
-            if ci == cj:
-                v = e_i[pi][pj]
-            else:
-                v = (
-                    e_i[pi][rep_pos[ci]]
-                    + hub.dist[ci][cj]
-                    + cluster_metrics[cj].dist[rep_pos[cj]][pj]
-                )
-            rows[s][t] = v
-            rows[t][s] = v
-    return FiniteMetricSpace(tuple(labels), tuple(tuple(r) for r in rows))
+    blocks = [_int_matrix(m.dist, denom)[0] for m in cluster_metrics]
+    peak = 2 * max((_peak(b) for b in blocks), default=0) + _peak(hub_arr)
+    dtype = object if peak >= _INT64_SAFE else np.int64
+    inner = np.zeros((total, total), dtype=dtype)
+    for cluster, block in zip(plan.clusters, blocks):
+        inner[np.ix_(cluster, cluster)] = block
+    glued = _glue(home, np.array(plan.reps), inner, hub_arr.astype(dtype))
+    return _from_int_matrix(tuple(labels), glued, denom)
+
+
+def _partition(arr: np.ndarray, denom: int, r: Fraction) -> PartitionPlan:
+    """``greedy_clopen_partition`` on a scaled-integer matrix."""
+    # x / denom <= r iff x <= floor(r * denom) for an integer x; int64
+    # entries stay below 2^62, so clamping there keeps every verdict
+    bound = r.numerator * denom // r.denominator
+    if arr.dtype != object:
+        bound = min(bound, _INT64_SAFE)
+    free = np.ones(len(arr), dtype=bool)
+    clusters: list[tuple[int, ...]] = []
+    reps: list[int] = []
+    for center in range(len(arr)):
+        if free[center]:
+            members = np.flatnonzero(free & (arr[center] <= bound))
+            free[members] = False
+            clusters.append(tuple(members.tolist()))
+            reps.append(center)
+    return PartitionPlan(tuple(clusters), tuple(reps), r)
 
 
 def greedy_clopen_partition(space: FiniteMetricSpace, r: Fraction) -> PartitionPlan:
@@ -301,21 +390,7 @@ def greedy_clopen_partition(space: FiniteMetricSpace, r: Fraction) -> PartitionP
     r = as_scalar(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    n = space.n
-    assigned = [False] * n
-    clusters: list[tuple[int, ...]] = []
-    reps: list[int] = []
-    for center in range(n):
-        if assigned[center]:
-            continue
-        members = [
-            j for j in range(n) if not assigned[j] and space.dist[center][j] <= r
-        ]
-        for j in members:
-            assigned[j] = True
-        clusters.append(tuple(members))
-        reps.append(center)
-    return PartitionPlan(tuple(clusters), tuple(reps), r)
+    return _partition(*_int_matrix(space.dist), r)
 
 
 def extend_metric(d: FiniteMetricSpace, points) -> FiniteMetricSpace:
@@ -374,9 +449,14 @@ def metric_repair(candidate: FiniteMetricSpace) -> FiniteMetricSpace:
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Largest ultrametric below the metric (single-linkage / minimax paths)."""
     arr, denom = _int_matrix(space.dist)
-    for k in range(space.n):
+    return _from_int_matrix(space.points, _minimax_closure(arr), denom)
+
+
+def _minimax_closure(arr: np.ndarray) -> np.ndarray:
+    """Minimax path closure of a scaled-integer matrix, in place."""
+    for k in range(len(arr)):
         np.minimum(arr, np.maximum(arr[:, k, None], arr[None, k, :]), out=arr)
-    return _from_int_matrix(space.points, arr, denom)
+    return arr
 
 
 # ---------------------------------------------------------------------------

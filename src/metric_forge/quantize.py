@@ -12,15 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
+    _INT64_SAFE,
     FiniteMetricSpace,
     PartitionPlan,
+    _check_hub,
+    _from_int_matrix,
+    _glue,
+    _int_matrix,
+    _minimax_closure,
+    _partition,
+    _peak,
+    _sup_gap,
+    _violation,
+    _witnesses,
+    _widen,
     as_scalar,
-    amalgamate,
-    greedy_clopen_partition,
-    subdominant_ultrametric,
-    sup_distance,
-    validate_metric,
 )
 
 
@@ -45,7 +54,25 @@ def quantize_discrete(space: FiniteMetricSpace, eta) -> FiniteMetricSpace:
     least eta, and metricity is preserved because the scaled ceiling is
     increasing and subadditive.
     """
-    return transform_metric(space, ScaledCeil(eta))
+    eta = ScaledCeil(eta).eta
+    steps = _grid_steps(*_int_matrix(space.dist), eta)
+    scaled = _widen(steps, _peak(steps) * eta.numerator) * eta.numerator
+    return _from_int_matrix(space.points, scaled, eta.denominator)
+
+
+def _grid_steps(arr: np.ndarray, denom: int, eta: Fraction) -> np.ndarray:
+    """ceil(x / eta) for each off-diagonal x = arr / denom; zero diagonal.
+
+    The same integer division as ``ceil_ratio``, over a whole matrix.
+    """
+    off = ~np.eye(len(arr), dtype=bool)
+    if (arr[off] < 0).any():
+        raise ValueError("transforms are defined on nonnegative values")
+    num, div = eta.denominator, denom * eta.numerator
+    arr = _widen(arr, max(_peak(arr) * num, div))
+    steps = -(-(arr * num) // div)
+    np.fill_diagonal(steps, 0)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +403,8 @@ class ApproximationResult:
     """Quantized metric D plus the plan and per-pair certificates.
 
     ``certificates`` maps each off-diagonal pair (i, j) with i < j to a
-    RangeCertificate valid for RangeParams(eta, r).
+    RangeCertificate valid for RangeParams(eta, r), in row-major order,
+    which lets ``certificate`` find a pair by its index.
     """
 
     D: FiniteMetricSpace
@@ -387,7 +415,10 @@ class ApproximationResult:
 
     def certificate(self, i: int, j: int) -> RangeCertificate:
         i, j = min(i, j), max(i, j)
-        for a, b, cert in self.certificates:
+        n = self.D.n
+        if 0 <= i < j < n:
+            # pairs i < j are stored in row-major order
+            a, b, cert = self.certificates[i * (2 * n - i - 1) // 2 + j - i - 1]
             if (a, b) == (i, j):
                 return cert
         raise KeyError((i, j))
@@ -418,9 +449,15 @@ def approximate(
     subdominant ultrametric rounded up onto the geometric levels
     {eta * r^k}, and glues.  Every guarantee is checked before returning:
     the output validates, sits within epsilon of the input, and each pair
-    carries an exactly-reconstructing certificate.
+    carries an exactly-reconstructing certificate.  When a check fails on
+    an input that is not a metric, the ValueError names its first
+    violation.
 
     ``r`` may be overridden with any value in (0, 1) with 2r <= eta.
+
+    The whole construction runs on one scaled-integer matrix: with
+    r = a/b and E the deepest level exponent, D * den(eta) * b^E is an
+    integer matrix, so a level eta * r^k becomes num(eta) * a^k * b^(E-k).
     """
     epsilon = as_scalar(epsilon)
     if epsilon <= 0:
@@ -435,67 +472,102 @@ def approximate(
         if 2 * r > eta:
             raise ValueError("need 2r <= eta for the cluster diameter bound")
 
-    plan = greedy_clopen_partition(space, r)
-    hub = quantize_discrete(space.restrict(plan.reps), eta)
+    arr, den = _int_matrix(space.dist)
 
-    cluster_metrics: list[FiniteMetricSpace] = []
-    exponents: list[dict[tuple[int, int], int]] = []
-    for cluster in plan.clusters:
-        sub = subdominant_ultrametric(space.restrict(cluster))
-        exps: dict[tuple[int, int], int] = {}
-        positives = sorted({v for row in sub.dist for v in row if v > 0})
-        if positives:
-            level_map = geometric_levels(eta, r, positives[0])
-            rounded = transform_metric(
-                sub, RoundUpTo((Fraction(0), *level_map))
-            )
-            for a in range(sub.n):
-                for b in range(a + 1, sub.n):
-                    exps[(a, b)] = level_map[rounded.dist[a][b]]
-        else:
-            rounded = sub
-        cluster_metrics.append(rounded)
-        exponents.append(exps)
+    def failure(message: str) -> Exception:
+        found = _witnesses(arr)
+        if not found:
+            return RuntimeError(message)
+        v = _violation(space.dist, *found[0])
+        return ValueError(
+            f"input is not a metric: {v.kind} violation at {v.witness}"
+            f" ({v.lhs} against {v.rhs})"
+        )
 
-    D = amalgamate(plan, cluster_metrics, hub)
+    n = space.n
+    plan = _partition(arr, den, r)
+    for rep, cluster in zip(plan.reps, plan.clusters):
+        # a representative outside its own ball, or a singleton cluster whose
+        # self-distance is negative, which no level rounding clears from its
+        # legs; a metric has neither
+        if rep not in cluster or len(cluster) == 1 < n and arr[rep, rep] < 0:
+            raise failure("internal: a representative has a bad self-distance")
+    reps = np.array(plan.reps)
+    steps = _grid_steps(arr[np.ix_(reps, reps)], den, eta)
 
-    home = {}
+    home = np.empty(n, dtype=np.intp)
+    # level exponent of each pair inside a cluster, -1 everywhere else
+    expo = np.full((n, n), -1, dtype=np.intp)
     for ci, cluster in enumerate(plan.clusters):
-        for pos, idx in enumerate(cluster):
-            home[idx] = (ci, pos)
-    rep_pos = {ci: plan.clusters[ci].index(plan.reps[ci]) for ci in range(len(plan.clusters))}
+        home[list(cluster)] = ci
+        if len(cluster) == 1:
+            continue
+        block = np.ix_(cluster, cluster)
+        sub = _minimax_closure(arr[block])
+        off = ~np.eye(len(cluster), dtype=bool)
+        values, inverse = np.unique(sub[off], return_inverse=True)
+        values = values.tolist()
+        if values[0] < 0 or values[-1] == 0:
+            raise failure("internal: nonpositive distance inside a cluster")
+        floor = next(v for v in values if v > 0)
+        level_map = geometric_levels(eta, r, Fraction(floor, den))
+        up = RoundUpTo((Fraction(0), *level_map))
+        # a zero (not a metric) rounds to 0, which has no level: -1 reads as 0
+        level = [level_map.get(up.apply(Fraction(v, den)), -1) for v in values]
+        exps = np.full(sub.shape, -1, dtype=np.intp)
+        exps[off] = np.array(level, dtype=np.intp)[inverse.ravel()]
+        expo[block] = exps
+    _check_hub(steps)
 
-    def leg_exponent(ci: int, pos: int) -> int | None:
-        rp = rep_pos[ci]
-        if pos == rp:
-            return None
-        key = (min(pos, rp), max(pos, rp))
-        return exponents[ci][key]
+    a, b = r.numerator, r.denominator
+    top = max(int(expo.max()), 0)
+    denom = eta.denominator * b**top
+    unit = eta.numerator * b**top  # eta on this scale
+    dtype = object if unit * (_peak(steps) + 2) >= _INT64_SAFE else np.int64
+    levels = np.array(
+        [eta.numerator * a**k * b ** (top - k) for k in range(top + 1)] + [0],
+        dtype=dtype,
+    )
+    D = _glue(home, reps, levels[expo], steps.astype(dtype) * unit)
 
-    certs: list[tuple[int, int, RangeCertificate]] = []
-    for i in range(space.n):
-        ci, pi = home[i]
-        for j in range(i + 1, space.n):
-            cj, pj = home[j]
-            if ci == cj:
-                key = (min(pi, pj), max(pi, pj))
-                cert = RangeCertificate(0, exponents[ci][key], None)
-            else:
-                step = hub.dist[ci][cj] / eta
-                if step.denominator != 1:
-                    raise RuntimeError("internal: hub value off the eta grid")
-                cert = RangeCertificate(
-                    int(step), leg_exponent(ci, pi), leg_exponent(cj, pj)
-                )
-            certs.append((i, j, cert))
+    # certificates read each cluster's upper triangle; the legs of D read
+    # row then column, so an asymmetric input shows up as a mismatch below
+    points = np.arange(n)
+    rep = reps[home]
+    leg = expo[np.minimum(points, rep), np.maximum(points, rep)]
+    iu, ju = np.triu_indices(n, 1)
+    across = home[iu] != home[ju]
+    triples = zip(
+        np.where(across, steps[home[iu], home[ju]], 0).tolist(),
+        np.where(across, leg[iu], expo[iu, ju]).tolist(),
+        np.where(across, leg[ju], -1).tolist(),
+    )
+    shared: dict[tuple[int, int, int], int] = {}
+    which = [shared.setdefault(t, len(shared)) for t in triples]
+    distinct = [
+        RangeCertificate(l, None if e < 0 else e, None if f < 0 else f)
+        for l, e, f in shared
+    ]
+    certs = tuple(
+        zip(iu.tolist(), ju.tolist(), map(distinct.__getitem__, which))
+    )
 
     params = RangeParams(eta, r)
-    for i, j, cert in certs:
-        if cert.value(params) != D.dist[i][j]:
-            raise RuntimeError(f"internal: certificate mismatch at ({i}, {j})")
-    if not validate_metric(D).is_metric:
-        raise RuntimeError("internal: approximation lost metricity")
-    if sup_distance(space, D) > epsilon:
-        raise RuntimeError("internal: approximation moved too far")
+    # a value off this scale or beyond int64 matches no entry of D (all >= 0)
+    want = []
+    for cert in distinct:
+        v = cert.value(params) * denom
+        fits = v.denominator == 1 and (dtype is object or v < _INT64_SAFE)
+        want.append(int(v) if fits else -1)
+    wrong = np.flatnonzero(D[iu, ju] != np.array(want, dtype=dtype)[which])
+    if wrong.size:
+        i, j = int(iu[wrong[0]]), int(ju[wrong[0]])
+        raise failure(f"internal: certificate mismatch at ({i}, {j})")
+    if _witnesses(D):
+        raise failure("internal: approximation lost metricity")
+    if _sup_gap(arr, den, D, denom) > epsilon:
+        raise failure("internal: approximation moved too far")
 
-    return ApproximationResult(D, plan, tuple(certs), eta, r)
+    return ApproximationResult(
+        _from_int_matrix(space.points, D, denom), plan, certs, eta, r
+    )

@@ -12,7 +12,22 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from metric_forge import FiniteMetricSpace
+from metric_forge import (
+    ApproximationResult,
+    FiniteMetricSpace,
+    RangeCertificate,
+    RangeParams,
+    RoundUpTo,
+    amalgamate,
+    as_scalar,
+    geometric_levels,
+    greedy_clopen_partition,
+    quantize_discrete,
+    subdominant_ultrametric,
+    sup_distance,
+    transform_metric,
+    validate_metric,
+)
 
 
 def triple_loop_is_metric(space) -> bool:
@@ -45,6 +60,32 @@ def triple_loop_is_ultrametric(space) -> bool:
         for j in range(n)
         for k in range(n)
     )
+
+
+def brute_violations(space) -> list[tuple]:
+    """(kind, witness, lhs, rhs) of every axiom violation, by plain loops.
+
+    The order is the report's: diagonal, symmetry, positivity, triangle,
+    each by witness.  A pair below the diagonal is a positivity witness
+    only where it differs from its mirror, which is already reported.
+    """
+    n = space.n
+    d = space.dist
+    out = [("diagonal", (i,), d[i][i], 0) for i in range(n) if d[i][i] != 0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                out.append(("symmetry", (i, j), d[i][j], d[j][i]))
+    for i in range(n):
+        for j in range(n):
+            if i != j and d[i][j] <= 0 and (i < j or d[i][j] != d[j][i]):
+                out.append(("positivity", (i, j), d[i][j], 0))
+    for i in range(n):
+        for k in range(n):
+            for j in range(i + 1, n):
+                if k not in (i, j) and d[i][j] > d[i][k] + d[k][j]:
+                    out.append(("triangle", (i, k, j), d[i][j], d[i][k] + d[k][j]))
+    return out
 
 
 def brute_shortest_paths(space) -> list[list[Fraction]]:
@@ -181,3 +222,101 @@ def random_cn_space(rng: random.Random, n: int) -> FiniteMetricSpace:
             rows[j][i] = v
     labels = tuple(f"c{i}" for i in range(k))
     return FiniteMetricSpace(labels, tuple(tuple(r) for r in rows))
+
+
+# The Fraction implementation of ``quantize.approximate`` from before it ran
+# on scaled integers, kept verbatim as the oracle for the differential tests.
+
+
+def reference_approximate(
+    space: FiniteMetricSpace, epsilon, r=None
+) -> ApproximationResult:
+    """Move a metric by at most epsilon into the certified range.
+
+    With eta = epsilon/5 and r = min(1/2, epsilon/10) the construction
+    partitions the points into balls of radius r, rounds the hub metric on
+    the representatives up to the eta-grid, replaces each cluster by its
+    subdominant ultrametric rounded up onto the geometric levels
+    {eta * r^k}, and glues.  Every guarantee is checked before returning:
+    the output validates, sits within epsilon of the input, and each pair
+    carries an exactly-reconstructing certificate.
+
+    ``r`` may be overridden with any value in (0, 1) with 2r <= eta.
+    """
+    epsilon = as_scalar(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    eta = epsilon / 5
+    if r is None:
+        r = min(Fraction(1, 2), epsilon / 10)
+    else:
+        r = as_scalar(r)
+        if not 0 < r < 1:
+            raise ValueError("r must lie strictly between 0 and 1")
+        if 2 * r > eta:
+            raise ValueError("need 2r <= eta for the cluster diameter bound")
+
+    plan = greedy_clopen_partition(space, r)
+    hub = quantize_discrete(space.restrict(plan.reps), eta)
+
+    cluster_metrics: list[FiniteMetricSpace] = []
+    exponents: list[dict[tuple[int, int], int]] = []
+    for cluster in plan.clusters:
+        sub = subdominant_ultrametric(space.restrict(cluster))
+        exps: dict[tuple[int, int], int] = {}
+        positives = sorted({v for row in sub.dist for v in row if v > 0})
+        if positives:
+            level_map = geometric_levels(eta, r, positives[0])
+            rounded = transform_metric(
+                sub, RoundUpTo((Fraction(0), *level_map))
+            )
+            for a in range(sub.n):
+                for b in range(a + 1, sub.n):
+                    exps[(a, b)] = level_map[rounded.dist[a][b]]
+        else:
+            rounded = sub
+        cluster_metrics.append(rounded)
+        exponents.append(exps)
+
+    D = amalgamate(plan, cluster_metrics, hub)
+
+    home = {}
+    for ci, cluster in enumerate(plan.clusters):
+        for pos, idx in enumerate(cluster):
+            home[idx] = (ci, pos)
+    rep_pos = {ci: plan.clusters[ci].index(plan.reps[ci]) for ci in range(len(plan.clusters))}
+
+    def leg_exponent(ci: int, pos: int) -> int | None:
+        rp = rep_pos[ci]
+        if pos == rp:
+            return None
+        key = (min(pos, rp), max(pos, rp))
+        return exponents[ci][key]
+
+    certs: list[tuple[int, int, RangeCertificate]] = []
+    for i in range(space.n):
+        ci, pi = home[i]
+        for j in range(i + 1, space.n):
+            cj, pj = home[j]
+            if ci == cj:
+                key = (min(pi, pj), max(pi, pj))
+                cert = RangeCertificate(0, exponents[ci][key], None)
+            else:
+                step = hub.dist[ci][cj] / eta
+                if step.denominator != 1:
+                    raise RuntimeError("internal: hub value off the eta grid")
+                cert = RangeCertificate(
+                    int(step), leg_exponent(ci, pi), leg_exponent(cj, pj)
+                )
+            certs.append((i, j, cert))
+
+    params = RangeParams(eta, r)
+    for i, j, cert in certs:
+        if cert.value(params) != D.dist[i][j]:
+            raise RuntimeError(f"internal: certificate mismatch at ({i}, {j})")
+    if not validate_metric(D).is_metric:
+        raise RuntimeError("internal: approximation lost metricity")
+    if sup_distance(space, D) > epsilon:
+        raise RuntimeError("internal: approximation moved too far")
+
+    return ApproximationResult(D, plan, tuple(certs), eta, r)

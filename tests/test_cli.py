@@ -304,6 +304,22 @@ def test_universal_funiv_zero_delta_exit_two(capsys):
     assert "delta must be positive" in err
 
 
+@pytest.mark.parametrize("eps", ["1/2", "5"])
+def test_approximate_non_metric_input_exit_two(tmp_path, capsys, eps):
+    # d(a, c) = 5 > d(a, b) + d(b, c) = 2: once an internal error, exit 3
+    obj = {
+        "points": ["a", "b", "c"],
+        "dist": [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]],
+    }
+    sp = write_json(tmp_path / "s.json", obj)
+    code, out, err = run(capsys, "approximate", sp, "--epsilon", eps)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "error: input is not a metric: triangle violation at (0, 1, 2)"
+    )
+
+
 @pytest.mark.parametrize(
     "exc", [RuntimeError("internal: approximation lost metricity"), MemoryError()]
 )

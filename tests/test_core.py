@@ -23,6 +23,7 @@ from metric_forge import (
 from support import (
     brute_minimax_paths,
     brute_shortest_paths,
+    brute_violations,
     triple_loop_is_metric,
     triple_loop_is_ultrametric,
 )
@@ -72,6 +73,54 @@ def test_validate_reports_all_kinds():
 def test_validate_shape_error():
     with pytest.raises(ValueError, match="shape"):
         FiniteMetricSpace.from_rows("ab", [[F(0), F(1), F(2)], [F(1), F(0)]])
+
+
+def test_from_rows_converts_ints_and_keeps_fractions():
+    half = F(1, 2)
+    m = FiniteMetricSpace.from_rows("ab", [[0, half], [half, F(0)]])
+    assert m.dist == ((0, half), (half, 0))
+    assert all(type(v) is F for row in m.dist for v in row)
+    assert m.dist[0][1] is half and m.dist[1][0] is half
+
+
+@pytest.mark.parametrize("odd", [1.0, 0.5, True, False])
+def test_from_rows_rejects_floats_and_bools(odd):
+    with pytest.raises(TypeError):
+        FiniteMetricSpace.from_rows("ab", [[F(0), odd], [odd, F(0)]])
+
+
+ODD_ENTRIES = [F(-1), F(0), F(1, 3), F(1), F(5), F(7, 2**70), F(2**65 + 1, 3)]
+
+
+@st.composite
+def raw_matrices(draw, entries=ODD_ENTRIES):
+    n = draw(st.integers(1, 5))
+    rows = [[draw(st.sampled_from(entries)) for _ in range(n)] for _ in range(n)]
+    return FiniteMetricSpace.from_rows([f"v{i}" for i in range(n)], rows)
+
+
+@given(raw_matrices())
+def test_validate_reports_what_plain_loops_find(cand):
+    report = validate_metric(cand)
+    got = [(v.kind, v.witness, v.lhs, v.rhs) for v in report.violations]
+    assert got == brute_violations(cand)
+
+
+@given(
+    raw_matrices([F(k, den) for k in (0, 1, 2**40) for den in (1, 3, 2**61 - 1)]),
+    st.data(),
+)
+def test_sup_distance_matches_plain_loop(d, data):
+    # scales up to 2^122 force the gap itself off int64
+    dens = st.sampled_from([1, 7, 2**31 - 1, 2**61 - 1])
+    rows = [
+        [F(data.draw(st.integers(0, 2**40)), data.draw(dens)) for _ in range(d.n)]
+        for _ in range(d.n)
+    ]
+    e = FiniteMetricSpace.from_rows(d.points, rows)
+    pairs = [(i, j) for i in range(d.n) for j in range(i + 1, d.n)]
+    want = max((abs(d.dist[i][j] - e.dist[i][j]) for i, j in pairs), default=0)
+    assert sup_distance(d, e) == want
 
 
 def test_cantor_is_ultrametric_against_oracle():
@@ -170,6 +219,22 @@ def test_amalgamate_restriction_is_exact():
     D = amalgamate(plan, mets, hub)
     assert D.restrict([0, 1]).dist == mets[0].dist
     assert D.restrict([2, 3]).dist == mets[1].dist
+
+
+def test_amalgamate_reads_legs_row_then_column():
+    # D(x, y) = e_i(x, p_i) + h(p_i, p_j) + e_j(p_j, y) for x before y, so an
+    # asymmetric cluster metric shows which entry each leg reads
+    plan = PartitionPlan(clusters=((0, 1), (2, 3)), reps=(0, 2), radius=F(3))
+    e0 = space(["a0", "b0"], [[0, 1], [2, 0]])
+    e1 = space(["a1", "b1"], [[0, 3], [5, 0]])
+    hub = space(["a0", "a1"], [[0, 10], [20, 0]])
+    D = amalgamate(plan, [e0, e1], hub)
+    assert D.dist == (
+        (0, 1, 10, 13),
+        (1, 0, 12, 15),
+        (10, 12, 0, 3),
+        (13, 15, 3, 0),
+    )
 
 
 def test_amalgamate_rejects_zero_hub():

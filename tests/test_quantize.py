@@ -348,6 +348,23 @@ def test_approximate_single_point():
     assert res.D.n == 1
 
 
+def test_certificate_lookup_by_index():
+    m = random_metric(9, 10, seed=5)
+    res = approximate(m, 5)
+    for i in range(m.n):
+        for j in range(m.n):
+            if i == j:
+                with pytest.raises(KeyError):
+                    res.certificate(i, j)
+                continue
+            key = (min(i, j), max(i, j))
+            (want,) = [c for a, b, c in res.certificates if (a, b) == key]
+            assert res.certificate(i, j) is want
+    for i, j in ((-1, 2), (2, -1), (0, m.n), (m.n, m.n + 1), (-2, -1)):
+        with pytest.raises(KeyError):
+            res.certificate(i, j)
+
+
 def test_approximate_intra_cluster_certificates():
     # two tight points far from a third: the pair shares a cluster, so its
     # certificate must be a pure geometric level (l = 0)
