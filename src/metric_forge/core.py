@@ -2,16 +2,17 @@
 
 Every distance is a ``fractions.Fraction``; all comparisons are exact, so
 inequalities such as ``diameter <= 2 * radius`` are zero-tolerance
-assertions rather than floating-point approximations.  The heavy O(n^3)
-loops (axiom validation, shortest-path closure, minimax closure) run on a
-scaled-integer matrix via numpy when the values fit in int64, with an
-exact pure-Python fallback otherwise.
+assertions rather than floating-point approximations.  Every kernel
+reads one exact matrix representation, ``FiniteMetricSpace.scaled``: the
+distances over a common denominator, as int64 when the values fit and as
+an object array of Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -96,19 +97,42 @@ class FiniteMetricSpace:
         rows = tuple(tuple(self.dist[i][j] for j in indices) for i in indices)
         return FiniteMetricSpace(pts, rows)
 
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, int]:
+        """``(arr, denom)``: ``arr[i, j] / denom == dist[i][j]``, denom the lcm.
+
+        ``arr`` is int64 when every entry stays below 2^62, else an object
+        array of Python ints.  Built once per space; read-only, so a kernel
+        that writes works on a copy.
+        """
+        denom = lcm(*{v.denominator for row in self.dist for v in row})
+
+        def ints(row):
+            return [v.numerator * (denom // v.denominator) for v in row]
+
+        # filled row by row, so only one row of Python ints is alive at a time
+        arr = np.empty((self.n, self.n), dtype=np.int64)
+        try:
+            for i, row in enumerate(self.dist):
+                arr[i] = ints(row)
+        except OverflowError:  # an entry at or above 2^63
+            arr = np.array([ints(row) for row in self.dist], dtype=object)
+        arr = _widen(arr, _peak(arr))
+        arr.flags.writeable = False
+        return arr, denom
+
     def values(self) -> tuple[Fraction, ...]:
         """Sorted distinct distance values, always including 0."""
-        seen = {Fraction(0)}
-        for i in range(self.n):
-            seen.update(self.dist[i])
-        return tuple(sorted(seen))
+        arr, denom = self.scaled
+        distinct = sorted(set().union(*arr.tolist(), [0]))
+        return tuple(Fraction(v, denom) for v in distinct)
 
     def max_value(self) -> Fraction:
-        return max((v for row in self.dist for v in row), default=Fraction(0))
+        arr, denom = self.scaled
+        return Fraction(int(arr.max()) if arr.size else 0, denom)
 
     def min_positive(self) -> Fraction | None:
-        pos = [v for row in self.dist for v in row if v > 0]
-        return min(pos) if pos else None
+        return next((v for v in self.values() if v > 0), None)
 
 
 @dataclass(frozen=True)
@@ -143,34 +167,8 @@ class PartitionPlan:
 # scaled-integer helpers
 
 
-def _int_matrix(rows, denom: int | None = None) -> tuple[np.ndarray, int]:
-    """Entries times a common denominator, plus that denominator.
-
-    The denominator defaults to the lcm of the entries' denominators; a
-    given one must be a multiple of each of them.  The array is int64 when
-    every scaled entry stays below 2^62, and an object array of Python ints
-    otherwise.
-    """
-    if denom is None:
-        denom = lcm(*{v.denominator for row in rows for v in row})
-
-    def scaled(row):
-        return [v.numerator * (denom // v.denominator) for v in row]
-
-    # filled row by row, so only one row of Python ints is alive at a time
-    arr = np.empty((len(rows), len(rows)), dtype=np.int64)
-    try:
-        for i, row in enumerate(rows):
-            arr[i] = scaled(row)
-        if _peak(arr) < _INT64_SAFE:
-            return arr, denom
-    except OverflowError:  # an entry at or above 2^63
-        pass
-    return np.array([scaled(row) for row in rows], dtype=object), denom
-
-
 def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
-    """Inverse of ``_int_matrix``: exact Fraction rows over the given points.
+    """Inverse of ``FiniteMetricSpace.scaled``: exact Fraction rows.
 
     One Fraction is built per distinct value and shared by its entries.
     """
@@ -182,8 +180,8 @@ def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
 
 
 def _peak(arr: np.ndarray) -> int:
-    """Largest magnitude in a scaled-integer array (0 when it is empty)."""
-    return int(np.abs(arr).max()) if arr.size else 0
+    """Largest magnitude, 0 when empty (np.abs would keep an int64 -2^63)."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
 def _widen(arr: np.ndarray, bound: int) -> np.ndarray:
@@ -192,7 +190,15 @@ def _widen(arr: np.ndarray, bound: int) -> np.ndarray:
     ``bound`` is the largest magnitude the caller's arithmetic on ``arr``
     can reach, so int64 is kept exactly where it cannot overflow.
     """
-    return arr.astype(object) if bound >= _INT64_SAFE else arr
+    return arr.astype(object, copy=False) if bound >= _INT64_SAFE else arr
+
+
+def _rescale(arr: np.ndarray, factor: int) -> np.ndarray:
+    """``arr * factor``, widened to Python ints where int64 could overflow."""
+    if factor == 1:
+        return arr
+    # a peak of at least 1, so that zeros times a factor past 2^63 widen too
+    return _widen(arr, max(_peak(arr), 1) * factor) * factor
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +254,7 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     ``is_ultrametric`` (the max-triangle inequality) is only evaluated
     when all four axioms hold.
     """
-    arr, _ = _int_matrix(space.dist)
+    arr, _ = space.scaled
     violations = tuple(_violation(space.dist, *v) for v in _witnesses(arr))
     is_ultrametric = False
     if not violations:
@@ -260,11 +266,8 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
 def _sup_gap(x: np.ndarray, dx: int, y: np.ndarray, dy: int) -> Fraction:
     """Max over pairs i < j of |x[i,j]/dx - y[i,j]/dy|, exact."""
     scale = lcm(dx, dy)
-    fx, fy = scale // dx, scale // dy
     iu, ju = np.triu_indices(len(x), 1)
-    a, b = x[iu, ju], y[iu, ju]
-    bound = max(_peak(a) * fx, _peak(b) * fy, fx, fy)
-    gap = np.abs(_widen(a, bound) * fx - _widen(b, bound) * fy)
+    gap = np.abs(_rescale(x[iu, ju], scale // dx) - _rescale(y[iu, ju], scale // dy))
     return Fraction(int(gap.max()) if gap.size else 0, scale)
 
 
@@ -272,7 +275,7 @@ def sup_distance(d: FiniteMetricSpace, e: FiniteMetricSpace) -> Fraction:
     """Maximum of |d(x,y) - e(x,y)| over all pairs, exact."""
     if d.points != e.points:
         raise ValueError("sup_distance needs identical point lists")
-    return _sup_gap(*_int_matrix(d.dist), *_int_matrix(e.dist))
+    return _sup_gap(*d.scaled, *e.scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +330,8 @@ def amalgamate(
         raise ValueError("one cluster metric per cluster required")
     if hub.n != k:
         raise ValueError("hub must have one point per cluster")
-    denom = lcm(
-        *{v.denominator for m in (hub, *cluster_metrics) for row in m.dist for v in row}
-    )
-    hub_arr, _ = _int_matrix(hub.dist, denom)
+    denom = lcm(*(m.scaled[1] for m in (hub, *cluster_metrics)))
+    hub_arr = _rescale(hub.scaled[0], denom // hub.scaled[1])
     _check_hub(hub_arr)
 
     total = sum(len(c) for c in plan.clusters)
@@ -352,7 +353,7 @@ def amalgamate(
         if hub.points[ci] != cluster_metrics[ci].points[rep_pos]:
             raise ValueError(f"hub label {ci} does not match its representative")
 
-    blocks = [_int_matrix(m.dist, denom)[0] for m in cluster_metrics]
+    blocks = [_rescale(m.scaled[0], denom // m.scaled[1]) for m in cluster_metrics]
     peak = 2 * max((_peak(b) for b in blocks), default=0) + _peak(hub_arr)
     dtype = object if peak >= _INT64_SAFE else np.int64
     inner = np.zeros((total, total), dtype=dtype)
@@ -390,7 +391,7 @@ def greedy_clopen_partition(space: FiniteMetricSpace, r: Fraction) -> PartitionP
     r = as_scalar(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return _partition(*_int_matrix(space.dist), r)
+    return _partition(*space.scaled, r)
 
 
 def extend_metric(d: FiniteMetricSpace, points) -> FiniteMetricSpace:
@@ -428,28 +429,28 @@ def metric_repair(candidate: FiniteMetricSpace) -> FiniteMetricSpace:
     weights; the closure only ever lowers entries, and the result always
     satisfies the triangle inequality.
     """
-    n = candidate.n
-    dist = candidate.dist
-    for i in range(n):
-        if dist[i][i] != 0:
+    arr, denom = candidate.scaled
+    # reported in row-major order: a bad entry below the diagonal has a bad
+    # mirror in an earlier row, so the first one lies on or above it
+    bad = (arr != arr.T) | (arr <= 0)
+    np.fill_diagonal(bad, np.diagonal(arr) != 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        if i == j:
             raise ValueError(f"diagonal entry {i} must be zero")
-        for j in range(n):
-            if dist[i][j] != dist[j][i]:
-                raise ValueError(f"matrix must be symmetric at ({i}, {j})")
-            if i != j and dist[i][j] <= 0:
-                raise ValueError(
-                    f"off-diagonal entry ({i}, {j}) must be positive"
-                )
-    arr, denom = _int_matrix(dist)
-    for k in range(n):
+        if arr[i, j] != arr[j, i]:
+            raise ValueError(f"matrix must be symmetric at ({i}, {j})")
+        raise ValueError(f"off-diagonal entry ({i}, {j}) must be positive")
+    arr = arr.copy()
+    for k in range(len(arr)):
         np.minimum(arr, arr[:, k, None] + arr[None, k, :], out=arr)
     return _from_int_matrix(candidate.points, arr, denom)
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Largest ultrametric below the metric (single-linkage / minimax paths)."""
-    arr, denom = _int_matrix(space.dist)
-    return _from_int_matrix(space.points, _minimax_closure(arr), denom)
+    arr, denom = space.scaled
+    return _from_int_matrix(space.points, _minimax_closure(arr.copy()), denom)
 
 
 def _minimax_closure(arr: np.ndarray) -> np.ndarray:

@@ -55,7 +55,11 @@ def space_from_obj(obj) -> FiniteMetricSpace:
     """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError("space JSON needs 'points' and 'dist'")
-    points = obj["points"]
+    points, dist = obj["points"], obj["dist"]
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise ValueError("space JSON 'points' must be an array of strings")
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+        raise ValueError("space JSON 'dist' must be an array of arrays")
     parsed: dict[str, Fraction] = {}
 
     def parse(v) -> Fraction:
@@ -65,7 +69,7 @@ def space_from_obj(obj) -> FiniteMetricSpace:
             parsed[v] = parse_scalar(v)
         return parsed[v]
 
-    rows = [[parse(v) for v in row] for row in obj["dist"]]
+    rows = [[parse(v) for v in row] for row in dist]
     space = FiniteMetricSpace.from_rows(points, rows)
     # a row equals its column unless some pair (i, j) differs; the first row
     # that differs has its first difference at some j > i
@@ -141,11 +145,16 @@ def nebula_to_obj(nebula: Nebula) -> dict:
 
 
 def nebula_from_obj(obj) -> Nebula:
-    if not isinstance(obj, dict) or "q" not in obj:
+    if not isinstance(obj, dict) or not {"q", "bounded", "tail_start"} <= obj.keys():
         raise ValueError("nebula JSON needs 'q', 'bounded' and 'tail_start'")
+    bounded = obj["bounded"]
+    if not isinstance(bounded, list) or any(
+        not isinstance(item, list) or len(item) != 2 for item in bounded
+    ):
+        raise ValueError("nebula JSON 'bounded' must be an array of [lo, hi] arrays")
     return Nebula.make(
         obj["q"],
-        [(parse_scalar(a), parse_scalar(b)) for a, b in obj["bounded"]],
+        [(parse_scalar(a), parse_scalar(b)) for a, b in bounded],
         parse_scalar(obj["tail_start"]),
     )
 

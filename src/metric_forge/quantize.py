@@ -21,10 +21,10 @@ from .core import (
     _check_hub,
     _from_int_matrix,
     _glue,
-    _int_matrix,
     _minimax_closure,
     _partition,
     _peak,
+    _rescale,
     _sup_gap,
     _violation,
     _witnesses,
@@ -55,8 +55,7 @@ def quantize_discrete(space: FiniteMetricSpace, eta) -> FiniteMetricSpace:
     increasing and subadditive.
     """
     eta = ScaledCeil(eta).eta
-    steps = _grid_steps(*_int_matrix(space.dist), eta)
-    scaled = _widen(steps, _peak(steps) * eta.numerator) * eta.numerator
+    scaled = _rescale(_grid_steps(*space.scaled, eta), eta.numerator)
     return _from_int_matrix(space.points, scaled, eta.denominator)
 
 
@@ -68,9 +67,8 @@ def _grid_steps(arr: np.ndarray, denom: int, eta: Fraction) -> np.ndarray:
     off = ~np.eye(len(arr), dtype=bool)
     if (arr[off] < 0).any():
         raise ValueError("transforms are defined on nonnegative values")
-    num, div = eta.denominator, denom * eta.numerator
-    arr = _widen(arr, max(_peak(arr) * num, div))
-    steps = -(-(arr * num) // div)
+    div = denom * eta.numerator
+    steps = -(-_widen(_rescale(arr, eta.denominator), div) // div)
     np.fill_diagonal(steps, 0)
     return steps
 
@@ -472,7 +470,7 @@ def approximate(
         if 2 * r > eta:
             raise ValueError("need 2r <= eta for the cluster diameter bound")
 
-    arr, den = _int_matrix(space.dist)
+    arr, den = space.scaled
 
     def failure(message: str) -> Exception:
         found = _witnesses(arr)

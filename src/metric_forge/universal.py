@@ -23,7 +23,7 @@ from .core import (
     FiniteMetricSpace,
     PartitionPlan,
     SearchCapExceeded,
-    _int_matrix,
+    _rescale,
     as_scalar,
     amalgamate,
     pair_points,
@@ -304,10 +304,7 @@ def find_isometric_embedding(
     space was exhausted; patterns above the cap raise instead, so None
     stays a genuine non-existence verdict.  Candidates are tried in index
     order, so the result is the lexicographically smallest feasible map.
-
-    Host, pattern and distortion are scaled to one common denominator; the
-    host is int64 when every scaled value fits below 2^62, and an object
-    array of Python ints otherwise.
+    The search compares ``scaled`` matrices, put on one denominator.
     """
     distortion = as_scalar(distortion)
     if distortion < 0:
@@ -316,12 +313,9 @@ def find_isometric_embedding(
         raise SearchCapExceeded(
             f"pattern has {pattern.n} points, above the search cap {cap}"
         )
-    denom = lcm(
-        distortion.denominator,
-        *{v.denominator for s in (pattern, host) for row in s.dist for v in row},
-    )
-    H, _ = _int_matrix(host.dist, denom)
-    P, _ = _int_matrix(pattern.dist, denom)
+    (H, dh), (P, dp) = host.scaled, pattern.scaled
+    denom = lcm(distortion.denominator, dh, dp)
+    H, P = _rescale(H, denom // dh), _rescale(P, denom // dp)
     tol = distortion.numerator * (denom // distortion.denominator)
     if H.dtype != object and (P.dtype == object or tol >= _INT64_SAFE):
         H = H.astype(object)

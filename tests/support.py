@@ -88,6 +88,21 @@ def brute_violations(space) -> list[tuple]:
     return out
 
 
+def plain_repair_error(space) -> str | None:
+    """The message ``metric_repair`` refuses with, by a row-major scan."""
+    n = space.n
+    d = space.dist
+    for i in range(n):
+        if d[i][i] != 0:
+            return f"diagonal entry {i} must be zero"
+        for j in range(n):
+            if d[i][j] != d[j][i]:
+                return f"matrix must be symmetric at ({i}, {j})"
+            if i != j and d[i][j] <= 0:
+                return f"off-diagonal entry ({i}, {j}) must be positive"
+    return None
+
+
 def brute_shortest_paths(space) -> list[list[Fraction]]:
     """All-pairs minimum over every simple path; exponential, n <= 7 only."""
     n = space.n
@@ -196,6 +211,19 @@ def point_set_hausdorff(interval_set, points) -> Fraction:
                 candidates.append(mid)
         worst = max(worst, max(dist_to_pts(c) for c in candidates))
     return worst
+
+
+def plain_values(space) -> list[Fraction]:
+    """Sorted distinct entries with 0, straight from the Fraction rows."""
+    return sorted({Fraction(0), *(v for row in space.dist for v in row)})
+
+
+def plain_max_value(space) -> Fraction:
+    return max((v for row in space.dist for v in row), default=Fraction(0))
+
+
+def plain_min_positive(space) -> Fraction | None:
+    return min((v for row in space.dist for v in row if v > 0), default=None)
 
 
 def random_fractions(rng: random.Random, count, max_num=10, max_den=64):

@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metric_forge import FiniteMetricSpace, approximate, random_metric
-from metric_forge.core import _from_int_matrix, _int_matrix
+from metric_forge.core import _from_int_matrix
 
 from support import reference_approximate, triple_loop_is_metric
 
@@ -86,7 +86,7 @@ def wide_lcm_metrics(draw):
 
 @given(wide_lcm_metrics(), st.sampled_from(EPSILONS), st.sampled_from(RATIOS))
 def test_object_path_matches_reference(space, eps, r):
-    assert _int_matrix(space.dist)[0].dtype == object
+    assert space.scaled[0].dtype == object
     assert_same(space, eps, r)
 
 

@@ -120,6 +120,36 @@ def test_nebula_check_float_q_exit_two(tmp_path, capsys):
     assert "q must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        # a string is iterable, so "ab" read as the two labels a and b
+        ({"points": "ab", "dist": [["0", "1"], ["1", "0"]]}, "points"),
+        ({"points": [1, 2], "dist": [["0", "1"], ["1", "0"]]}, "points"),
+        ({"points": [True, "x"], "dist": [["0", "1"], ["1", "0"]]}, "points"),
+        # the row "01" read as the two distances 0 and 1
+        ({"points": ["a", "b"], "dist": ["01", ["1", "0"]]}, "dist"),
+    ],
+    ids=["points-string", "points-ints", "points-bool", "dist-string-row"],
+)
+def test_space_reader_rejects_non_array_containers(tmp_path, capsys, obj, field):
+    code, out, err = run(capsys, "validate", write_json(tmp_path / "sp.json", obj))
+    assert code == 2 and out == ""
+    assert f"'{field}' must be an array of" in err
+
+
+def test_nebula_reader_rejects_non_pair_intervals(tmp_path, capsys):
+    # "00" unpacked as the interval [0, 0], which nebula check called valid
+    for bounded in (["00"], [["0"]], [["0", "0", "0"]], "00", {"0": "0"}):
+        obj = {"q": 0, "bounded": bounded, "tail_start": "2"}
+        path = write_json(tmp_path / "n.json", obj)
+        code, out, err = run(capsys, "nebula", "check", path)
+        assert code == 2 and out == ""
+        assert "'bounded' must be an array of [lo, hi] arrays" in err
+    with pytest.raises(ValueError, match="needs 'q', 'bounded' and 'tail_start'"):
+        jsonio.nebula_from_obj({"q": 0, "bounded": [["0", "0"]]})
+
+
 # --- validate -----------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metric_forge import (
@@ -24,6 +24,7 @@ from support import (
     brute_minimax_paths,
     brute_shortest_paths,
     brute_violations,
+    plain_repair_error,
     triple_loop_is_metric,
     triple_loop_is_ultrametric,
 )
@@ -100,6 +101,8 @@ def raw_matrices(draw, entries=ODD_ENTRIES):
 
 
 @given(raw_matrices())
+# -2^63 fits int64, so the triangle sums below wrapped around to 0
+@example(space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]]))
 def test_validate_reports_what_plain_loops_find(cand):
     report = validate_metric(cand)
     got = [(v.kind, v.witness, v.lhs, v.rhs) for v in report.violations]
@@ -387,6 +390,17 @@ def test_repair_only_lowers_and_validates():
         assert [list(r) for r in out.dist] == brute_shortest_paths(w)
         # unchanged exactly when the input already was a metric
         assert (out.dist == w.dist) == triple_loop_is_metric(w)
+
+
+@given(raw_matrices())
+def test_repair_refuses_the_first_bad_entry(cand):
+    want = plain_repair_error(cand)
+    if want is None:
+        assert [list(r) for r in metric_repair(cand).dist] == brute_shortest_paths(cand)
+    else:
+        with pytest.raises(ValueError) as err:
+            metric_repair(cand)
+        assert str(err.value) == want
 
 
 def test_repair_rejects_zero_off_diagonal():
