@@ -29,16 +29,29 @@ from .universal import (
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # malformed input, not an internal error
+        raise ValueError(f"JSON in {path} is nested too deep") from None
+
+
+def _write(writer, value, path=None) -> None:
+    """Run ``writer(fh, value)`` on the output file, or on stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            writer(fh, value)
+    else:
+        writer(sys.stdout, value)
+
+
+def _dump(fh, obj) -> None:
+    fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _emit(obj, path=None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """The small outputs; the large ones have writers in ``jsonio``."""
+    _write(_dump, obj, path)
 
 
 def _values_list(text):
@@ -115,7 +128,7 @@ def render_range_svg(space, nebula=None) -> str:
 def _cmd_validate(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     report = validate_metric(space)
-    _emit(jsonio.validation_to_obj(report))
+    _write(jsonio.write_validation, report)
     return 0 if report.is_metric else 1
 
 
@@ -124,7 +137,7 @@ def _cmd_approximate(args) -> int:
     eps = jsonio.parse_scalar(args.epsilon)
     r = jsonio.parse_scalar(args.r) if args.r else None
     result = approximate(space, eps, r=r)
-    _emit(jsonio.approximation_to_obj(result), args.output)
+    _write(jsonio.write_approximation, result, args.output)
     return 0
 
 
@@ -190,7 +203,7 @@ def _cmd_embed_search(args) -> int:
 
 def _cmd_universal_pairs(args) -> int:
     space = build_pair_universal(_values_list(args.values))
-    _emit(jsonio.space_to_obj(space), args.output)
+    _write(jsonio.write_space, space, args.output)
     return 0
 
 
@@ -198,16 +211,7 @@ def _cmd_universal_funiv(args) -> int:
     result = build_funiv_approx(
         args.n, jsonio.parse_scalar(args.delta), args.copies
     )
-    _emit(
-        {
-            "space": jsonio.space_to_obj(result.space),
-            "net_points": [
-                [jsonio.scalar_str(c) for c in p] for p in result.net.points
-            ],
-            "copies": result.copies,
-        },
-        args.output,
-    )
+    _write(jsonio.write_funiv, result, args.output)
     return 0
 
 
@@ -215,7 +219,7 @@ def _cmd_fragility(args) -> int:
     report = fragility_experiment(
         _values_list(args.values), jsonio.parse_scalar(args.epsilon)
     )
-    _emit(jsonio.fragility_to_obj(report), args.output)
+    _write(jsonio.write_fragility, report, args.output)
     return 0
 
 
@@ -235,12 +239,12 @@ def _cmd_gen_random(args) -> int:
     space = random_metric(
         args.n, jsonio.parse_scalar(args.max_value), seed=args.seed
     )
-    _emit(jsonio.space_to_obj(space), args.output)
+    _write(jsonio.write_space, space, args.output)
     return 0
 
 
 def _cmd_gen_cantor(args) -> int:
-    _emit(jsonio.space_to_obj(cantor_approx(args.k)), args.output)
+    _write(jsonio.write_space, cantor_approx(args.k), args.output)
     return 0
 
 

@@ -488,22 +488,26 @@ def random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
     return metric_repair(raw)
 
 
-def cantor_approx(k: int) -> FiniteMetricSpace:
-    """Ultrametric on the 2^k binary strings: 2^-(first differing position)."""
+def cantor_approx(k: int, max_points: int = 1024) -> FiniteMetricSpace:
+    """Ultrametric on the 2^k binary strings: 2^-(first differing position).
+
+    The 2^k points may be at most ``max_points``; larger requests are
+    refused before anything is built.
+    """
     if k < 1:
         raise ValueError("depth must be at least 1")
+    # 2^k <= max_points exactly when k < max_points.bit_length(), so a huge
+    # k is refused without computing 2^k
+    if k >= max_points.bit_length():
+        raise ValueError(f"2^{k} points exceed the cap of {max_points}")
     labels = [format(i, f"0{k}b") for i in range(2**k)]
-    rows = []
-    for x in labels:
-        row = []
-        for y in labels:
-            if x == y:
-                row.append(Fraction(0))
-            else:
-                first = next(t for t in range(k) if x[t] != y[t])
-                row.append(Fraction(1, 2 ** (first + 1)))
-        rows.append(tuple(row))
-    return FiniteMetricSpace(tuple(labels), tuple(rows))
+    # strings i != j first differ at position k - b, b the bit length of
+    # i ^ j; one shared Fraction per b
+    level = [Fraction(0)] + [Fraction(1, 2 ** (k - b + 1)) for b in range(1, k + 1)]
+    rows = tuple(
+        tuple(level[(i ^ j).bit_length()] for j in range(2**k)) for i in range(2**k)
+    )
+    return FiniteMetricSpace(tuple(labels), rows)
 
 
 def pair_points(count: int) -> tuple[str, ...]:

@@ -3,17 +3,25 @@
 Readers are strict: decimals, negatives, non-integer counts and indices,
 and asymmetric distance matrices are rejected at parse time so exactness
 survives round-trips.
+
+The large outputs are written directly: ``write_space``,
+``write_approximation``, ``write_validation``, ``write_funiv`` and
+``write_fragility`` each produce exactly ``json.dumps(obj, indent=2,
+sort_keys=True) + "\n"`` of the matching ``*_to_obj`` builder, without
+building ``obj``.  The builders stay: they are the oracle the writers are
+tested against, and the names the benchmark's traced run binds.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import FiniteMetricSpace, PartitionPlan, ValidationReport, _as_int
 from .nebula import Nebula, NebulaValidation
 from .quantize import ApproximationResult, RangeCertificate
-from .universal import Embedding, FragilityReport
+from .universal import Embedding, FragilityReport, FUnivApprox
 
 # ASCII digits only, matched against the whole string (no trailing newline)
 _SCALAR_RE = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
@@ -195,3 +203,228 @@ def fragility_to_obj(report: FragilityReport) -> dict:
         "kept_values": [scalar_str(v) for v in report.kept_values],
         "D": space_to_obj(report.approximation.D),
     }
+
+
+def funiv_to_obj(result: FUnivApprox) -> dict:
+    return {
+        "space": space_to_obj(result.space),
+        "net_points": [[scalar_str(c) for c in p] for p in result.net.points],
+        "copies": result.copies,
+    }
+
+
+# --- direct writers -----------------------------------------------------------
+#
+# A value at depth k has its inner lines indented by k + 1 steps.  Chunks are
+# written in order; an encoded member value is a string or a list of chunks.
+# Members are listed as the builders list them and sorted on the way out,
+# as json.dumps(sort_keys=True) does.
+
+_NL = tuple("\n" + "  " * k for k in range(8))
+
+
+def _scalar(value: Fraction) -> str:
+    return f'"{scalar_str(value)}"'
+
+
+def _array(items: list[str], level: int) -> str:
+    """A JSON array of already encoded items, the array at depth ``level``."""
+    if not items:
+        return "[]"
+    nl = _NL[level + 1]
+    return "[" + nl + ("," + nl).join(items) + _NL[level] + "]"
+
+
+def _ints(values, level: int) -> str:
+    return _array(list(map(str, values)), level)
+
+
+def _scalars(values, level: int) -> str:
+    return _array(list(map(_scalar, values)), level)
+
+
+def _object(members: dict, level: int) -> list[str]:
+    """Chunks of a JSON object with sorted keys, the object at depth ``level``."""
+    nl = _NL[level + 1]
+    out = ["{"]
+    for k, key in enumerate(sorted(members)):
+        out.append(f"{',' if k else ''}{nl}{_quote(key)}: ")
+        value = members[key]
+        if isinstance(value, str):
+            out.append(value)
+        else:
+            out += value
+    out.append(_NL[level] + "}")
+    return out
+
+
+def _dist(rows, level: int) -> list[str]:
+    """Chunks of a distance matrix: one joined string per row.
+
+    Equal entries share one Fraction (the readers and the integer kernels
+    build one per distinct value), so each quoted cell is cached by the
+    object's id; hashing a Fraction would run in Python.  Every cached id
+    belongs to an entry of ``rows``, alive until the write ends.
+    """
+    if not rows:
+        return ["[]"]
+    row_nl, cell_nl = _NL[level + 1], _NL[level + 2]
+    sep = "," + cell_nl
+    cells: dict[int, str] = {}
+    out = ["["]
+    for row in rows:
+        try:
+            text = sep.join(map(cells.__getitem__, map(id, row)))
+        except KeyError:
+            for v in row:
+                if id(v) not in cells:
+                    cells[id(v)] = _scalar(v)
+            text = sep.join(map(cells.__getitem__, map(id, row)))
+        out += (",", row_nl, "[", cell_nl, text, row_nl, "]")
+    out[1] = ""  # no comma before the first row
+    out.append(_NL[level] + "]")
+    return out
+
+
+def _space(space: FiniteMetricSpace, level: int) -> list[str]:
+    return _object(
+        {
+            "points": _array(list(map(_quote, space.points)), level + 1),
+            "dist": _dist(space.dist, level + 1),
+        },
+        level,
+    )
+
+
+def _certificates(certs, level: int) -> list[str]:
+    """Each distinct certificate's "l"/"m"/"n" tail is encoded once."""
+    if not certs:
+        return ["[]"]
+    nl, inner = _NL[level + 1], _NL[level + 2]
+
+    def tail(c: RangeCertificate) -> str:
+        n = "null" if c.n is None else c.n
+        m = "null" if c.m is None else c.m
+        return f',{inner}"l": {c.l},{inner}"m": {m},{inner}"n": {n}{nl}}}'
+
+    tails = {key: tail(c) for key, c in {id(c): c for _, _, c in certs}.items()}
+    head, mid = f',{nl}{{{inner}"i": ', f',{inner}"j": '
+    out = ["["]
+    out += [f"{head}{i}{mid}{j}{tails[id(c)]}" for i, j, c in certs]
+    out[1] = out[1][1:]  # no comma before the first item
+    out.append(_NL[level] + "]")
+    return out
+
+
+def _violations(violations, level: int) -> list[str]:
+    """One %-template per kind and witness length fills each violation."""
+    if not violations:
+        return ["[]"]
+    nl, inner, deep = _NL[level + 1], _NL[level + 2], _NL[level + 3]
+    forms: dict[tuple[str, int], str] = {}
+    out = ["["]
+    for v in violations:
+        key = (v.kind, len(v.witness))
+        form = forms.get(key)
+        if form is None:
+            w = ("," + deep).join(["%d"] * key[1])
+            form = forms[key] = (
+                f',{nl}{{{inner}"kind": {_quote(v.kind)},{inner}"lhs": "%s",'
+                f'{inner}"rhs": "%s",{inner}"witness": '
+                f'{f"[{deep}{w}{inner}]" if w else "[]"}{nl}}}'
+            )
+        out.append(form % (v.lhs, v.rhs, *v.witness))
+    out[1] = out[1][1:]
+    out.append(_NL[level] + "]")
+    return out
+
+
+def _write_chunks(fh, chunks: list[str]) -> None:
+    chunks.append("\n")
+    fh.writelines(chunks)
+
+
+def write_space(fh, space: FiniteMetricSpace) -> None:
+    _write_chunks(fh, _space(space, 0))
+
+
+def write_validation(fh, report: ValidationReport) -> None:
+    _write_chunks(
+        fh,
+        _object(
+            {
+                "is_metric": "true" if report.is_metric else "false",
+                "is_ultrametric": "true" if report.is_ultrametric else "false",
+                "violations": _violations(report.violations, 1),
+            },
+            0,
+        ),
+    )
+
+
+def write_approximation(fh, result: ApproximationResult) -> None:
+    plan = result.plan
+    _write_chunks(
+        fh,
+        _object(
+            {
+                "eta": _scalar(result.eta),
+                "r": _scalar(result.r),
+                "plan": _object(
+                    {
+                        "clusters": _array([_ints(c, 3) for c in plan.clusters], 2),
+                        "reps": _ints(plan.reps, 2),
+                        "radius": _scalar(plan.radius),
+                    },
+                    1,
+                ),
+                "certificates": _certificates(result.certificates, 1),
+                "D": _space(result.D, 1),
+            },
+            0,
+        ),
+    )
+
+
+def write_funiv(fh, result: FUnivApprox) -> None:
+    _write_chunks(
+        fh,
+        _object(
+            {
+                "space": _space(result.space, 1),
+                "net_points": _array(
+                    [_scalars(p, 2) for p in result.net.points], 1
+                ),
+                "copies": str(result.copies),
+            },
+            0,
+        ),
+    )
+
+
+def write_fragility(fh, report: FragilityReport) -> None:
+    _write_chunks(
+        fh,
+        _object(
+            {
+                "values": _scalars(report.values, 1),
+                "epsilon": _scalar(report.epsilon),
+                "eta": _scalar(report.eta),
+                "r": _scalar(report.r),
+                "sup_distance": _scalar(report.sup_distance),
+                "max_value": _scalar(report.max_value),
+                "missed_interval": _object(
+                    {
+                        "lo": _scalar(report.gap_lo),
+                        "hi": _scalar(report.gap_hi),
+                        "length": _scalar(report.gap_length),
+                    },
+                    1,
+                ),
+                "lost_values": _scalars(report.lost_values, 1),
+                "kept_values": _scalars(report.kept_values, 1),
+                "D": _space(report.approximation.D, 1),
+            },
+            0,
+        ),
+    )

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from metric_forge import FiniteMetricSpace, Nebula, cli, jsonio
+from metric_forge import FiniteMetricSpace, Nebula, cantor_approx, cli, jsonio
 
 EQUILATERAL = {
     "points": ["a", "b", "c"],
@@ -179,6 +179,28 @@ def test_malformed_json_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["nebula", "check"]])
+def test_deeply_nested_json_exit_two(tmp_path, capsys, command):
+    # the decoder's RecursionError is a RuntimeError, once mapped to exit 3
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: JSON in {path} is nested too deep\n"
+
+
+def test_recursion_error_elsewhere_exit_three(tmp_path, capsys, monkeypatch):
+    def deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "validate_metric", deep)
+    sp = write_json(tmp_path / "s.json", EQUILATERAL)
+    code, _, err = run(capsys, "validate", sp)
+    assert code == 3
+    assert err.startswith("internal error:")
 
 
 def test_usage_error_exit_two(capsys):
@@ -390,6 +412,23 @@ def test_gen_commands(tmp_path, capsys):
     assert code == 0
     got = json.loads(out)
     assert got["dist"][0][1] == "1/4" or got["dist"][0][1] == "1/2"
+
+
+@pytest.mark.parametrize("k", [10**12, 11])
+def test_gen_cantor_over_cap_exit_two(capsys, k):
+    # refused before 2^k labels or a 4^k matrix exist; 2^k itself is never
+    # computed, so k = 10^12 returns at once too
+    code, out, err = run(capsys, "gen", "cantor", "--k", str(k))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: 2^{k} points exceed the cap of 1024\n"
+
+
+def test_cantor_cap_keyword():
+    with pytest.raises(ValueError, match=r"^2\^3 points exceed the cap of 7$"):
+        cantor_approx(3, max_points=7)
+    assert cantor_approx(3, max_points=8).n == 8
+    assert cantor_approx(10).n == 1024
 
 
 def test_plot_range_svg(tmp_path, capsys):

@@ -453,6 +453,16 @@ def test_cantor_small_values():
     assert offdiag == {F(1, 2), F(1, 4)}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_cantor_matches_first_differing_position(k):
+    c = cantor_approx(k)
+    assert c.points == tuple(format(i, f"0{k}b") for i in range(2**k))
+    for x, row in zip(c.points, c.dist):
+        for y, v in zip(c.points, row):
+            first = next((t for t in range(k) if x[t] != y[t]), None)
+            assert v == (0 if first is None else F(1, 2 ** (first + 1)))
+
+
 def test_random_metric_deterministic_and_valid():
     a = random_metric(9, 10, seed=42)
     b = random_metric(9, 10, seed=42)
