@@ -36,22 +36,18 @@ def _load_json(path):
         raise ValueError(f"JSON in {path} is nested too deep") from None
 
 
-def _write(writer, value, path=None) -> None:
-    """Run ``writer(fh, value)`` on the output file, or on stdout."""
+def _dumps(obj) -> list[str]:
+    """The small outputs; the large ones are encoded by ``jsonio``."""
+    return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
+
+
+def _emit(chunks: list[str], path=None) -> None:
+    """Write an output built in full to its file, or to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            writer(fh, value)
+            fh.writelines(chunks)
     else:
-        writer(sys.stdout, value)
-
-
-def _dump(fh, obj) -> None:
-    fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _emit(obj, path=None) -> None:
-    """The small outputs; the large ones have writers in ``jsonio``."""
-    _write(_dump, obj, path)
+        sys.stdout.writelines(chunks)
 
 
 def _values_list(text):
@@ -128,7 +124,7 @@ def render_range_svg(space, nebula=None) -> str:
 def _cmd_validate(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     report = validate_metric(space)
-    _write(jsonio.write_validation, report)
+    _emit(jsonio.validation_chunks(report))
     return 0 if report.is_metric else 1
 
 
@@ -137,7 +133,7 @@ def _cmd_approximate(args) -> int:
     eps = jsonio.parse_scalar(args.epsilon)
     r = jsonio.parse_scalar(args.r) if args.r else None
     result = approximate(space, eps, r=r)
-    _write(jsonio.write_approximation, result, args.output)
+    _emit(jsonio.approximation_chunks(result), args.output)
     return 0
 
 
@@ -147,14 +143,14 @@ def _cmd_nebula_cover(args) -> int:
         raise ValueError("values file must hold a JSON array of rationals")
     values = [jsonio.parse_scalar(v) for v in raw]
     result = cover(values, args.q)
-    _emit(jsonio.nebula_to_obj(result), args.output)
+    _emit(_dumps(jsonio.nebula_to_obj(result)), args.output)
     return 0
 
 
 def _cmd_nebula_check(args) -> int:
     nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
     check = validate_nebula(nebula)
-    _emit(jsonio.nebula_validation_to_obj(check))
+    _emit(_dumps(jsonio.nebula_validation_to_obj(check)))
     return 0 if check.is_valid else 1
 
 
@@ -163,10 +159,12 @@ def _cmd_nebula_margin(args) -> int:
     nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
     result = margin(space, nebula)
     _emit(
-        {
-            "epsilon": jsonio.scalar_str(result.epsilon),
-            "fattened": jsonio.nebula_to_obj(result.fattened),
-        },
+        _dumps(
+            {
+                "epsilon": jsonio.scalar_str(result.epsilon),
+                "fattened": jsonio.nebula_to_obj(result.fattened),
+            }
+        ),
         args.output,
     )
     return 0
@@ -176,11 +174,13 @@ def _cmd_embed_frechet(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     rows = frechet_embed(space, args.n)
     _emit(
-        {
-            "n": args.n,
-            "points": list(space.points),
-            "coords": [[jsonio.scalar_str(c) for c in row] for row in rows],
-        },
+        _dumps(
+            {
+                "n": args.n,
+                "points": list(space.points),
+                "coords": [[jsonio.scalar_str(c) for c in row] for row in rows],
+            }
+        ),
         args.output,
     )
     return 0
@@ -192,10 +192,10 @@ def _cmd_embed_search(args) -> int:
     distortion = jsonio.parse_scalar(args.distortion) if args.distortion else 0
     found = find_isometric_embedding(pattern, host, distortion)
     if found is None:
-        _emit({"found": False}, args.output)
+        _emit(_dumps({"found": False}), args.output)
     else:
         _emit(
-            {"found": True, **jsonio.embedding_to_obj(found, pattern, host)},
+            _dumps({"found": True, **jsonio.embedding_to_obj(found, pattern, host)}),
             args.output,
         )
     return 0
@@ -203,7 +203,7 @@ def _cmd_embed_search(args) -> int:
 
 def _cmd_universal_pairs(args) -> int:
     space = build_pair_universal(_values_list(args.values))
-    _write(jsonio.write_space, space, args.output)
+    _emit(jsonio.space_chunks(space), args.output)
     return 0
 
 
@@ -211,7 +211,7 @@ def _cmd_universal_funiv(args) -> int:
     result = build_funiv_approx(
         args.n, jsonio.parse_scalar(args.delta), args.copies
     )
-    _write(jsonio.write_funiv, result, args.output)
+    _emit(jsonio.funiv_chunks(result), args.output)
     return 0
 
 
@@ -219,7 +219,7 @@ def _cmd_fragility(args) -> int:
     report = fragility_experiment(
         _values_list(args.values), jsonio.parse_scalar(args.epsilon)
     )
-    _write(jsonio.write_fragility, report, args.output)
+    _emit(jsonio.fragility_chunks(report), args.output)
     return 0
 
 
@@ -239,12 +239,12 @@ def _cmd_gen_random(args) -> int:
     space = random_metric(
         args.n, jsonio.parse_scalar(args.max_value), seed=args.seed
     )
-    _write(jsonio.write_space, space, args.output)
+    _emit(jsonio.space_chunks(space), args.output)
     return 0
 
 
 def _cmd_gen_cantor(args) -> int:
-    _write(jsonio.write_space, cantor_approx(args.k), args.output)
+    _emit(jsonio.space_chunks(cantor_approx(args.k)), args.output)
     return 0
 
 

@@ -488,18 +488,22 @@ def random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
     return metric_repair(raw)
 
 
-def cantor_approx(k: int, max_points: int = 1024) -> FiniteMetricSpace:
+# the most points cantor_approx builds (2^10)
+_CANTOR_MAX_POINTS = 1024
+
+
+def cantor_approx(k: int) -> FiniteMetricSpace:
     """Ultrametric on the 2^k binary strings: 2^-(first differing position).
 
-    The 2^k points may be at most ``max_points``; larger requests are
-    refused before anything is built.
+    More than ``_CANTOR_MAX_POINTS`` points are refused before anything is
+    built.
     """
     if k < 1:
         raise ValueError("depth must be at least 1")
-    # 2^k <= max_points exactly when k < max_points.bit_length(), so a huge
-    # k is refused without computing 2^k
-    if k >= max_points.bit_length():
-        raise ValueError(f"2^{k} points exceed the cap of {max_points}")
+    # 2^k <= cap exactly when k < cap.bit_length(), so a huge k is refused
+    # without computing 2^k
+    if k >= _CANTOR_MAX_POINTS.bit_length():
+        raise ValueError(f"2^{k} points exceed the cap of {_CANTOR_MAX_POINTS}")
     labels = [format(i, f"0{k}b") for i in range(2**k)]
     # strings i != j first differ at position k - b, b the bit length of
     # i ^ j; one shared Fraction per b

@@ -4,11 +4,11 @@ Readers are strict: decimals, negatives, non-integer counts and indices,
 and asymmetric distance matrices are rejected at parse time so exactness
 survives round-trips.
 
-The large outputs are written directly: ``write_space``,
-``write_approximation``, ``write_validation``, ``write_funiv`` and
-``write_fragility`` each produce exactly ``json.dumps(obj, indent=2,
-sort_keys=True) + "\n"`` of the matching ``*_to_obj`` builder, without
-building ``obj``.  The builders stay: they are the oracle the writers are
+The large outputs are encoded directly: ``space_chunks``,
+``approximation_chunks``, ``validation_chunks``, ``funiv_chunks`` and
+``fragility_chunks`` each return a list of strings that joins to exactly
+``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` of the matching
+``*_to_obj`` builder, without building ``obj``.  The builders stay: they are the oracle the writers are
 tested against, and the names the benchmark's traced run binds.
 """
 
@@ -339,18 +339,17 @@ def _violations(violations, level: int) -> list[str]:
     return out
 
 
-def _write_chunks(fh, chunks: list[str]) -> None:
+def _document(chunks: list[str]) -> list[str]:
     chunks.append("\n")
-    fh.writelines(chunks)
+    return chunks
 
 
-def write_space(fh, space: FiniteMetricSpace) -> None:
-    _write_chunks(fh, _space(space, 0))
+def space_chunks(space: FiniteMetricSpace) -> list[str]:
+    return _document(_space(space, 0))
 
 
-def write_validation(fh, report: ValidationReport) -> None:
-    _write_chunks(
-        fh,
+def validation_chunks(report: ValidationReport) -> list[str]:
+    return _document(
         _object(
             {
                 "is_metric": "true" if report.is_metric else "false",
@@ -362,10 +361,9 @@ def write_validation(fh, report: ValidationReport) -> None:
     )
 
 
-def write_approximation(fh, result: ApproximationResult) -> None:
+def approximation_chunks(result: ApproximationResult) -> list[str]:
     plan = result.plan
-    _write_chunks(
-        fh,
+    return _document(
         _object(
             {
                 "eta": _scalar(result.eta),
@@ -386,9 +384,8 @@ def write_approximation(fh, result: ApproximationResult) -> None:
     )
 
 
-def write_funiv(fh, result: FUnivApprox) -> None:
-    _write_chunks(
-        fh,
+def funiv_chunks(result: FUnivApprox) -> list[str]:
+    return _document(
         _object(
             {
                 "space": _space(result.space, 1),
@@ -402,9 +399,8 @@ def write_funiv(fh, result: FUnivApprox) -> None:
     )
 
 
-def write_fragility(fh, report: FragilityReport) -> None:
-    _write_chunks(
-        fh,
+def fragility_chunks(report: FragilityReport) -> list[str]:
+    return _document(
         _object(
             {
                 "values": _scalars(report.values, 1),

@@ -387,6 +387,24 @@ def test_internal_error_exit_three(tmp_path, capsys, monkeypatch, exc):
     assert err.startswith("internal error:")
 
 
+def test_failed_encode_leaves_output_file(tmp_path, capsys, monkeypatch):
+    # the output is built in full before its file is opened, so a failure
+    # while encoding leaves an existing -o file as it was
+    def broken(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(jsonio, "approximation_chunks", broken)
+    sp = write_json(tmp_path / "s.json", EQUILATERAL)
+    out_path = tmp_path / "out.json"
+    out_path.write_text("previous\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "approximate", sp, "--epsilon", "1/2", "-o", str(out_path)
+    )
+    assert code == 3
+    assert err.startswith("internal error:")
+    assert out_path.read_text(encoding="utf-8") == "previous\n"
+
+
 def test_fragility_command(capsys):
     code, out, _ = run(
         capsys, "fragility", "--values", "1/8,1/4,3/8,1/2", "--epsilon", "1/2"
@@ -424,10 +442,7 @@ def test_gen_cantor_over_cap_exit_two(capsys, k):
     assert err == f"error: 2^{k} points exceed the cap of 1024\n"
 
 
-def test_cantor_cap_keyword():
-    with pytest.raises(ValueError, match=r"^2\^3 points exceed the cap of 7$"):
-        cantor_approx(3, max_points=7)
-    assert cantor_approx(3, max_points=8).n == 8
+def test_cantor_cap_is_inclusive():
     assert cantor_approx(10).n == 1024
 
 

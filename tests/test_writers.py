@@ -1,7 +1,7 @@
-"""The direct JSON writers against ``json.dumps`` of the dict builders.
+"""The direct JSON encoders against ``json.dumps`` of the dict builders.
 
-Each writer must produce exactly ``json.dumps(obj, indent=2,
-sort_keys=True) + "\\n"`` of the matching ``jsonio.*_to_obj`` builder,
+The chunks of each encoder must join to exactly ``json.dumps(obj,
+indent=2, sort_keys=True) + "\\n"`` of the matching ``jsonio.*_to_obj`` builder,
 and the CLI's outputs must keep the digests they had before the writers
 existed.
 """
@@ -126,9 +126,7 @@ def oracle(obj) -> str:
 
 
 def written(writer, value) -> str:
-    fh = io.StringIO()
-    writer(fh, value)
-    return fh.getvalue()
+    return "".join(writer(value))
 
 
 # quotes, backslashes, control characters, non-ASCII and lone surrogates
@@ -171,14 +169,14 @@ ALL_KINDS = FiniteMetricSpace.from_rows(
 
 @given(st.one_of(metrics(), raw_matrices()))
 def test_space_writer(space):
-    assert written(jsonio.write_space, space) == oracle(jsonio.space_to_obj(space))
+    assert written(jsonio.space_chunks, space) == oracle(jsonio.space_to_obj(space))
 
 
 @given(st.one_of(metrics(), raw_matrices()))
 @example(ALL_KINDS)
 def test_validation_writer(space):
     report = validate_metric(space)
-    got = written(jsonio.write_validation, report)
+    got = written(jsonio.validation_chunks, report)
     assert got == oracle(jsonio.validation_to_obj(report))
 
 
@@ -208,7 +206,7 @@ CLUSTERED = line_space("abcde", [0, F(3, 2**6), F(1, 2**9), 20, 20 + F(1, 2**70)
 @example(CLUSTERED, F(5), None)
 def test_approximation_writer(space, eps, r):
     result = approximate(space, eps, r=r)
-    got = written(jsonio.write_approximation, result)
+    got = written(jsonio.approximation_chunks, result)
     assert got == oracle(jsonio.approximation_to_obj(result))
 
 
@@ -223,7 +221,7 @@ def test_approximation_writer_edges():
     assert slots == {(True, True), (True, False), (False, True), (False, False)}
     odd = approximate(jsonio.space_from_obj(ODD_LABELS), F(1, 3))
     for result in (one, clustered, odd):
-        got = written(jsonio.write_approximation, result)
+        got = written(jsonio.approximation_chunks, result)
         assert got == oracle(jsonio.approximation_to_obj(result))
 
 
@@ -234,7 +232,7 @@ def test_approximation_writer_edges():
 )
 def test_fragility_writer(values, eps):
     report = fragility_experiment(values, eps)
-    got = written(jsonio.write_fragility, report)
+    got = written(jsonio.fragility_chunks, report)
     assert got == oracle(jsonio.fragility_to_obj(report))
 
 
@@ -243,4 +241,4 @@ def test_fragility_writer(values, eps):
 )
 def test_funiv_writer(n, delta, copies):
     result = build_funiv_approx(n, delta, copies)
-    assert written(jsonio.write_funiv, result) == oracle(jsonio.funiv_to_obj(result))
+    assert written(jsonio.funiv_chunks, result) == oracle(jsonio.funiv_to_obj(result))
