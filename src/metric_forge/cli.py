@@ -68,6 +68,10 @@ def render_range_svg(space, nebula=None) -> str:
     if nebula is not None:
         top = max(top, nebula.tail_start)
     T = max(1, math.ceil(top))
+    # integer ticks at multiples of the least power of ten giving at most 1001
+    step = 1
+    while T // step > 1000:
+        step *= 10
     width, height, mx = 880, 150, 40
     inner = width - 2 * mx
 
@@ -81,7 +85,7 @@ def render_range_svg(space, nebula=None) -> str:
         f'<line x1="{mx}" y1="100" x2="{width - mx}" y2="100" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for k in range(T + 1):
+    for k in range(0, T + 1, step):
         x = px(k)
         parts.append(
             f'<line x1="{x}" y1="96" x2="{x}" y2="104" stroke="black"/>'

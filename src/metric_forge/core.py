@@ -84,9 +84,6 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.points)
 
-    def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
-
     def index(self, label: str) -> int:
         return self.points.index(label)
 
@@ -256,10 +253,10 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     """
     arr, _ = space.scaled
     violations = tuple(_violation(space.dist, *v) for v in _witnesses(arr))
-    is_ultrametric = False
-    if not violations:
-        peak = np.maximum(arr[:, :, None], arr[None, :, :])
-        is_ultrametric = not bool((arr[:, None, :] > peak).any())
+    # an ultrametric is exactly a metric equal to its subdominant ultrametric
+    is_ultrametric = not violations and bool(
+        (_path_closure(arr.copy(), np.maximum) == arr).all()
+    )
     return ValidationReport(not violations, is_ultrametric, violations)
 
 
@@ -403,23 +400,18 @@ def extend_metric(d: FiniteMetricSpace, points) -> FiniteMetricSpace:
     points = tuple(points)
     if len(set(points)) != len(points):
         raise ValueError("point labels must be distinct")
-    missing = set(d.points) - set(points)
+    at = {label: i for i, label in enumerate(points)}
+    missing = [x for x in d.points if x not in at]
     if missing:
         raise ValueError(f"extension must contain the original points: {missing}")
-    far = 1 + d.max_value()
-    pos = {label: i for i, label in enumerate(d.points)}
-    rows = []
-    for x in points:
-        row = []
-        for y in points:
-            if x == y:
-                row.append(Fraction(0))
-            elif x in pos and y in pos:
-                row.append(d.dist[pos[x]][pos[y]])
-            else:
-                row.append(far)
-        rows.append(tuple(row))
-    return FiniteMetricSpace(points, tuple(rows))
+    arr, denom = d.scaled
+    far = denom + int(arr.max())  # 1 + max(d) on d's scale
+    arr = _widen(arr, far)
+    out = np.full((len(points), len(points)), far, dtype=arr.dtype)
+    old = [at[x] for x in d.points]
+    out[np.ix_(old, old)] = arr
+    np.fill_diagonal(out, 0)
+    return _from_int_matrix(points, out, denom)
 
 
 def metric_repair(candidate: FiniteMetricSpace) -> FiniteMetricSpace:
@@ -441,27 +433,31 @@ def metric_repair(candidate: FiniteMetricSpace) -> FiniteMetricSpace:
         if arr[i, j] != arr[j, i]:
             raise ValueError(f"matrix must be symmetric at ({i}, {j})")
         raise ValueError(f"off-diagonal entry ({i}, {j}) must be positive")
-    arr = arr.copy()
-    for k in range(len(arr)):
-        np.minimum(arr, arr[:, k, None] + arr[None, k, :], out=arr)
-    return _from_int_matrix(candidate.points, arr, denom)
+    return _from_int_matrix(candidate.points, _path_closure(arr.copy(), np.add), denom)
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Largest ultrametric below the metric (single-linkage / minimax paths)."""
     arr, denom = space.scaled
-    return _from_int_matrix(space.points, _minimax_closure(arr.copy()), denom)
+    return _from_int_matrix(space.points, _path_closure(arr.copy(), np.maximum), denom)
 
 
-def _minimax_closure(arr: np.ndarray) -> np.ndarray:
-    """Minimax path closure of a scaled-integer matrix, in place."""
+def _path_closure(arr: np.ndarray, join) -> np.ndarray:
+    """Floyd-Warshall closure of a scaled-integer matrix, in place.
+
+    A path's length is its edges combined by ``join``: ``np.add`` gives
+    shortest paths, ``np.maximum`` minimax paths (single linkage).
+    """
     for k in range(len(arr)):
-        np.minimum(arr, np.maximum(arr[:, k, None], arr[None, k, :]), out=arr)
+        np.minimum(arr, join(arr[:, k, None], arr[None, k, :]), out=arr)
     return arr
 
 
 # ---------------------------------------------------------------------------
 # generators
+
+# the most points a generator builds (2^10)
+_GEN_MAX_POINTS = 1024
 
 
 def random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
@@ -469,10 +465,13 @@ def random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
 
     Entries are multiples of max_value/32, so denominators stay small and
     the repaired minimum positive distance is at least max_value/32.
-    Identical seeds give identical matrices.
+    Identical seeds give identical matrices.  More than ``_GEN_MAX_POINTS``
+    points are refused before anything is built.
     """
     if n < 1:
         raise ValueError("need at least one point")
+    if n > _GEN_MAX_POINTS:
+        raise ValueError(f"{n} points exceed the cap of {_GEN_MAX_POINTS}")
     max_value = as_scalar(max_value)
     if max_value <= 0:
         raise ValueError("max_value must be positive")
@@ -488,22 +487,18 @@ def random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
     return metric_repair(raw)
 
 
-# the most points cantor_approx builds (2^10)
-_CANTOR_MAX_POINTS = 1024
-
-
 def cantor_approx(k: int) -> FiniteMetricSpace:
     """Ultrametric on the 2^k binary strings: 2^-(first differing position).
 
-    More than ``_CANTOR_MAX_POINTS`` points are refused before anything is
+    More than ``_GEN_MAX_POINTS`` points are refused before anything is
     built.
     """
     if k < 1:
         raise ValueError("depth must be at least 1")
     # 2^k <= cap exactly when k < cap.bit_length(), so a huge k is refused
     # without computing 2^k
-    if k >= _CANTOR_MAX_POINTS.bit_length():
-        raise ValueError(f"2^{k} points exceed the cap of {_CANTOR_MAX_POINTS}")
+    if k >= _GEN_MAX_POINTS.bit_length():
+        raise ValueError(f"2^{k} points exceed the cap of {_GEN_MAX_POINTS}")
     labels = [format(i, f"0{k}b") for i in range(2**k)]
     # strings i != j first differ at position k - b, b the bit length of
     # i ^ j; one shared Fraction per b

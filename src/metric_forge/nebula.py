@@ -152,9 +152,7 @@ def cover(values, q: int) -> Nebula:
     eta = Fraction(1, 2 ** (q + 3))
     grid_count = (q + 1) * 2 ** (q + 1)
 
-    def t_of(m: int) -> Fraction:
-        if m == 0:
-            return Fraction(0)
+    def t_of(m: int) -> Fraction:  # m >= 1
         return _pick_off(m * step, eta, svals, q)
 
     t_last = t_of(grid_count)

@@ -21,8 +21,8 @@ from .core import (
     _check_hub,
     _from_int_matrix,
     _glue,
-    _minimax_closure,
     _partition,
+    _path_closure,
     _peak,
     _rescale,
     _sup_gap,
@@ -501,7 +501,7 @@ def approximate(
         if len(cluster) == 1:
             continue
         block = np.ix_(cluster, cluster)
-        sub = _minimax_closure(arr[block])
+        sub = _path_closure(arr[block], np.maximum)
         off = ~np.eye(len(cluster), dtype=bool)
         values, inverse = np.unique(sub[off], return_inverse=True)
         values = values.tolist()

@@ -11,6 +11,7 @@ exact universality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -23,6 +24,7 @@ from .core import (
     FiniteMetricSpace,
     PartitionPlan,
     SearchCapExceeded,
+    _from_int_matrix,
     _rescale,
     as_scalar,
     amalgamate,
@@ -167,15 +169,9 @@ class NetSpace:
 
     def index_of(self, coords) -> int:
         coords = tuple(as_scalar(c) for c in coords)
-        lo, hi = 0, len(self.points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.points[mid] < coords:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.points) and self.points[lo] == coords:
-            return lo
+        i = bisect_left(self.points, coords)
+        if i < len(self.points) and self.points[i] == coords:
+            return i
         raise KeyError(f"{coords} is not a net point")
 
     def round_to_net(self, coords) -> tuple[Fraction, ...]:
@@ -196,11 +192,15 @@ def _coord_label(coords) -> str:
     return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-def _net_side(n: int, delta: Fraction, max_points: int, copies: int = 1) -> int:
+# the most points a glued net space holds
+_FUNIV_MAX_POINTS = 1000
+
+
+def _net_side(n: int, delta: Fraction, copies: int = 1) -> int:
     """Grid points along one axis of the delta-net of [0, n]; delta = n / 2^t.
 
     Raises before anything is built when ``copies`` nets would hold more
-    than ``max_points`` points in all.
+    than ``_FUNIV_MAX_POINTS`` points in all.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -212,26 +212,23 @@ def _net_side(n: int, delta: Fraction, max_points: int, copies: int = 1) -> int:
     side = ratio.numerator + 1
     # side >= 2, so a net of dimension n has at least 2^n points; this test
     # comes first so that side**n is never a huge integer
-    if n >= max_points.bit_length() or copies * side**n > max_points:
-        raise ValueError(
-            f"{copies} x {side}^{n} net points exceed the cap of {max_points}"
-        )
+    cap = _FUNIV_MAX_POINTS
+    if n >= cap.bit_length() or copies * side**n > cap:
+        raise ValueError(f"{copies} x {side}^{n} net points exceed the cap of {cap}")
     return side
 
 
-def make_net(n: int, delta, max_points: int = 1000) -> NetSpace:
+def make_net(n: int, delta) -> NetSpace:
     """Build the delta-net of [0, n]^n; delta must be n / 2^t."""
     delta = as_scalar(delta)
-    side = _net_side(n, delta, max_points)
-    # axis[k] = k * delta is also the l-infinity distance of two points whose
-    # largest coordinate gap is k grid steps
-    axis = [k * delta for k in range(side)]
-    pts = tuple(product(axis, repeat=n))
+    side = _net_side(n, delta)
+    pts = tuple(product([k * delta for k in range(side)], repeat=n))
     labels = tuple(_coord_label(p) for p in pts)
-    steps = np.array(list(product(range(len(axis)), repeat=n)), dtype=np.int64)
+    # the l-infinity distance of two points is their largest gap in grid steps
+    steps = np.array(list(product(range(side), repeat=n)), dtype=np.int64)
     gaps = np.abs(steps[:, None, :] - steps[None, :, :]).max(axis=2)
-    rows = tuple(tuple(map(axis.__getitem__, row)) for row in gaps.tolist())
-    return NetSpace(n, delta, pts, FiniteMetricSpace(labels, rows))
+    space = _from_int_matrix(labels, gaps * delta.numerator, delta.denominator)
+    return NetSpace(n, delta, pts, space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,11 +239,8 @@ class FUnivApprox:
     net: NetSpace
     copies: int
 
-    def host_index(self, piece: int, net_index: int) -> int:
-        return piece * len(self.net.points) + net_index
 
-
-def build_funiv_approx(n: int, delta, copies: int = 1, max_points: int = 1000) -> FUnivApprox:
+def build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
     """Amalgamate ``copies`` plain l-infinity nets with hub distance 1 + n.
 
     Each piece is the delta-net of [0, n]^n under its own l-infinity
@@ -259,13 +253,13 @@ def build_funiv_approx(n: int, delta, copies: int = 1, max_points: int = 1000) -
     so u is delta off the diagonal, and there l-infinity >= delta >=
     min(delta, 1/n).
 
-    The glued space may hold at most ``max_points`` points; larger requests
-    are refused before anything is built.
+    The glued space may hold at most ``_FUNIV_MAX_POINTS`` points; larger
+    requests are refused before anything is built.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
-    _net_side(n, as_scalar(delta), max_points, copies)
-    net = make_net(n, delta, max_points)
+    _net_side(n, as_scalar(delta), copies)
+    net = make_net(n, delta)
     m = len(net.points)
     pieces = [
         FiniteMetricSpace(
@@ -291,27 +285,30 @@ def build_funiv_approx(n: int, delta, copies: int = 1, max_points: int = 1000) -
 # ---------------------------------------------------------------------------
 # embedding search
 
+# the most pattern points the backtracking search accepts
+_SEARCH_CAP = 7
+
 
 def find_isometric_embedding(
     pattern: FiniteMetricSpace,
     host: FiniteMetricSpace,
     distortion=0,
-    cap: int = 7,
 ) -> Embedding | None:
     """Backtracking search for an injective map within the given distortion.
 
     distortion 0 demands exact distance equality.  None means the search
-    space was exhausted; patterns above the cap raise instead, so None
-    stays a genuine non-existence verdict.  Candidates are tried in index
-    order, so the result is the lexicographically smallest feasible map.
+    space was exhausted; patterns above ``_SEARCH_CAP`` points raise
+    instead, so None stays a genuine non-existence verdict.  Candidates
+    are tried in index order, so the result is the lexicographically
+    smallest feasible map.
     The search compares ``scaled`` matrices, put on one denominator.
     """
     distortion = as_scalar(distortion)
     if distortion < 0:
         raise ValueError("distortion must be nonnegative")
-    if pattern.n > cap:
+    if pattern.n > _SEARCH_CAP:
         raise SearchCapExceeded(
-            f"pattern has {pattern.n} points, above the search cap {cap}"
+            f"pattern has {pattern.n} points, above the search cap {_SEARCH_CAP}"
         )
     (H, dh), (P, dp) = host.scaled, pattern.scaled
     denom = lcm(distortion.denominator, dh, dp)

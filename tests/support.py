@@ -226,6 +226,24 @@ def plain_min_positive(space) -> Fraction | None:
     return min((v for row in space.dist for v in row if v > 0), default=None)
 
 
+def plain_extend(d, points) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of ``extend_metric(d, points)``, one Fraction entry at a time."""
+    far = 1 + plain_max_value(d)
+    pos = {label: i for i, label in enumerate(d.points)}
+    rows = []
+    for x in points:
+        row = []
+        for y in points:
+            if x == y:
+                row.append(Fraction(0))
+            elif x in pos and y in pos:
+                row.append(d.dist[pos[x]][pos[y]])
+            else:
+                row.append(far)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def random_fractions(rng: random.Random, count, max_num=10, max_den=64):
     return [
         Fraction(rng.randint(0, max_num * max_den), rng.randint(1, max_den))

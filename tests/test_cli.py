@@ -1,4 +1,6 @@
 import json
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -442,6 +444,17 @@ def test_gen_cantor_over_cap_exit_two(capsys, k):
     assert err == f"error: 2^{k} points exceed the cap of 1024\n"
 
 
+@pytest.mark.parametrize("n", [10**12, 1025])
+def test_gen_random_over_cap_exit_two(capsys, n):
+    # refused before the RNG runs or any of the n^2 Fractions exist
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gen", "random", "--n", str(n))
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {n} points exceed the cap of 1024\n"
+
+
 def test_cantor_cap_is_inclusive():
     assert cantor_approx(10).n == 1024
 
@@ -454,6 +467,27 @@ def test_plot_range_svg(tmp_path, capsys):
     svg = svg_path.read_text()
     assert svg.startswith("<svg")
     assert 'data-exact="13/10"' in svg
+
+
+def integer_ticks(svg):
+    return [int(k) for k in re.findall(r'text-anchor="middle">(\d+)<', svg)]
+
+
+@pytest.mark.parametrize(
+    "top, step", [(1, 1), (1000, 1), (1001, 10), (10**4, 10), (10**9, 10**6)]
+)
+def test_plot_range_ticks_stay_bounded(tmp_path, capsys, top, step):
+    sp = write_json(
+        tmp_path / "sp.json", {"points": ["x", "y"], "dist": [[0, top], [top, 0]]}
+    )
+    svg_path = tmp_path / "out.svg"
+    t0 = time.perf_counter()
+    code, _, _ = run(capsys, "plot", "range", sp, "-o", str(svg_path))
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    ticks = integer_ticks(svg_path.read_text())
+    assert len(ticks) <= 1001
+    assert ticks == list(range(0, top + 1, step))
 
 
 def test_plot_with_nebula(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from support import (
     brute_minimax_paths,
     brute_shortest_paths,
     brute_violations,
+    plain_extend,
     plain_repair_error,
     triple_loop_is_metric,
     triple_loop_is_ultrametric,
@@ -131,6 +133,51 @@ def test_cantor_is_ultrametric_against_oracle():
     report = validate_metric(c)
     assert report.is_metric and report.is_ultrametric
     assert triple_loop_is_ultrametric(c)
+
+
+@st.composite
+def level_metrics(draw):
+    # few distinct weights, so ultrametrics turn up by chance; an offset of
+    # 2^-64 puts the scaled entries past 2^62, onto the object path
+    n = draw(st.integers(1, 6))
+    offset = draw(st.sampled_from([F(0), F(1, 2**64)]))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(1, 3)) + offset
+    return metric_repair(FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows))
+
+
+@given(level_metrics())
+def test_is_ultrametric_matches_triple_loop(m):
+    assert validate_metric(m).is_ultrametric == triple_loop_is_ultrametric(m)
+    u = subdominant_ultrametric(m)
+    assert validate_metric(u).is_ultrametric and triple_loop_is_ultrametric(u)
+
+
+@given(raw_matrices())
+def test_is_ultrametric_on_raw_matrices(cand):
+    assert validate_metric(cand).is_ultrametric == triple_loop_is_ultrametric(cand)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cantor_is_ultrametric_on_both_paths(k):
+    c = cantor_approx(k)
+    # 2^-k + 2^-70 has a 2^70 denominator: the same order, on the object path
+    wide = FiniteMetricSpace.from_rows(
+        c.points, [[v + F(1, 2**70) if v else v for v in row] for row in c.dist]
+    )
+    assert wide.scaled[0].dtype == object
+    for m in (c, wide):
+        assert validate_metric(m).is_ultrametric and triple_loop_is_ultrametric(m)
+    # raising the closest pair past its neighbours keeps the metric axioms
+    # but breaks ultrametricity wherever it has neighbours (k >= 2)
+    rows = [list(row) for row in wide.dist]
+    rows[0][1] = rows[1][0] = 2 * c.dist[0][1] + F(1, 2**69)
+    high = FiniteMetricSpace.from_rows(c.points, rows)
+    report = validate_metric(high)
+    assert report.is_metric
+    assert report.is_ultrametric == triple_loop_is_ultrametric(high) == (k == 1)
 
 
 def test_validate_huge_denominators_use_exact_fallback():
@@ -356,6 +403,34 @@ def test_extend_requires_subset():
         extend_metric(d, ["a", "c"])
 
 
+def test_extend_names_missing_labels_in_order():
+    d = space("cab", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    with pytest.raises(ValueError) as err:
+        extend_metric(d, ["a", "x"])
+    assert str(err.value) == "extension must contain the original points: ['c', 'b']"
+
+
+@given(raw_matrices(), st.data())
+def test_extend_matches_plain_loop(d, data):
+    points = list(d.points)
+    for label in data.draw(st.lists(st.sampled_from(["q0", "q1", "q2"]), unique=True)):
+        points.insert(data.draw(st.integers(0, len(points))), label)
+    got = extend_metric(d, points)
+    assert got.points == tuple(points)
+    assert got.dist == plain_extend(d, points)
+
+
+def test_extend_far_value_past_int64():
+    # d's entries fit int64, but its far value 1 + max reaches 2^62
+    d = space("ab", [[0, 2**62 - 1], [2**62 - 1, 0]])
+    assert d.scaled[0].dtype == np.int64
+    points = ["q", "a", "b"]
+    D = extend_metric(d, points)
+    assert D.dist == plain_extend(d, points)
+    assert D.dist[0][1] == 2**62
+    assert validate_metric(D).is_metric
+
+
 # --- repair ------------------------------------------------------------------
 
 
@@ -439,6 +514,22 @@ def test_subdominant_properties():
                 assert u.dist[i][j] <= m.dist[i][j]
         assert subdominant_ultrametric(u).dist == u.dist
         assert [list(r) for r in u.dist] == brute_minimax_paths(m)
+
+
+@given(st.integers(2, 6), st.data())
+def test_closures_match_brute_force_on_the_object_path(n, data):
+    # entries between 1 and 4 over a 2^65 denominator: scaled past 2^62
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            odd = 2 * data.draw(st.integers(2**64, 2**66)) + 1
+            rows[i][j] = rows[j][i] = F(odd, 2**65)
+    w = FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows)
+    assert w.scaled[0].dtype == object
+    m = metric_repair(w)
+    assert [list(r) for r in m.dist] == brute_shortest_paths(w)
+    assert [list(r) for r in subdominant_ultrametric(m).dist] == brute_minimax_paths(m)
+    assert [list(r) for r in subdominant_ultrametric(w).dist] == brute_minimax_paths(w)
 
 
 # --- generators ----------------------------------------------------------------

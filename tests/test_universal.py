@@ -223,8 +223,9 @@ def test_net_rejects_non_dyadic_delta():
 
 
 def test_net_cap():
-    with pytest.raises(ValueError, match="cap"):
-        make_net(3, F(3, 8), max_points=100)
+    # 17^3 = 4913 points, above the fixed cap of 1000
+    with pytest.raises(ValueError, match=r"^1 x 17\^3 net points exceed the cap of 1000$"):
+        make_net(3, F(3, 16))
 
 
 def small_nets():
@@ -244,6 +245,17 @@ def test_net_matches_linf_distance(n, delta):
     for i, p in enumerate(net.points):
         for j, p2 in enumerate(net.points):
             assert net.space.dist[i][j] == linf_distance(p, p2)
+
+
+@pytest.mark.parametrize("n, delta", small_nets())
+def test_net_index_of_matches_list_index(n, delta):
+    net = make_net(n, delta)
+    for p in net.points:
+        assert net.index_of(p) == net.points.index(p)
+    # between two grid points, before the first and past the last
+    for off in ((delta / 2,) * n, (-delta,) * n, (n + delta,) * n):
+        with pytest.raises(KeyError):
+            net.index_of(off)
 
 
 @pytest.mark.parametrize("n, delta", small_nets())
