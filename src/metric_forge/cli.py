@@ -107,8 +107,6 @@ def render_range_svg(space, nebula=None) -> str:
             f'height="16" fill="#9ecae1" data-exact="[{nebula.tail_start},inf)"/>'
         )
     for v in vals:
-        if v > T:
-            continue
         x = px(v)
         parts.append(
             f'<line x1="{x}" y1="88" x2="{x}" y2="100" stroke="#d62728" '
@@ -233,9 +231,7 @@ def _cmd_plot_range(args) -> int:
     if args.nebula:
         nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
         _covering_intervals(nebula, space.values())
-    svg = render_range_svg(space, nebula)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _emit([render_range_svg(space, nebula)], args.output)
     return 0
 
 

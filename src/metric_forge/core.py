@@ -476,15 +476,13 @@ def random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
     if max_value <= 0:
         raise ValueError("max_value must be positive")
     rng = random.Random(seed)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = Fraction(rng.randint(1, 32), 32) * max_value
-            rows[i][j] = w
-            rows[j][i] = w
+    # weights in steps of max_value/32, drawn row by row over the pairs i < j
+    iu, ju = np.triu_indices(n, 1)
+    arr = np.zeros((n, n), dtype=np.int64)
+    arr[iu, ju] = [rng.randint(1, 32) for _ in range(len(iu))]
+    arr = _path_closure(_rescale(arr + arr.T, max_value.numerator), np.add)
     labels = tuple(f"p{i}" for i in range(n))
-    raw = FiniteMetricSpace(labels, tuple(tuple(r) for r in rows))
-    return metric_repair(raw)
+    return _from_int_matrix(labels, arr, 32 * max_value.denominator)
 
 
 def cantor_approx(k: int) -> FiniteMetricSpace:

@@ -491,31 +491,35 @@ def approximate(
         if rep not in cluster or len(cluster) == 1 < n and arr[rep, rep] < 0:
             raise failure("internal: a representative has a bad self-distance")
     reps = np.array(plan.reps)
-    steps = _grid_steps(arr[np.ix_(reps, reps)], den, eta)
-
     home = np.empty(n, dtype=np.intp)
     # level exponent of each pair inside a cluster, -1 everywhere else
     expo = np.full((n, n), -1, dtype=np.intp)
-    for ci, cluster in enumerate(plan.clusters):
-        home[list(cluster)] = ci
-        if len(cluster) == 1:
-            continue
-        block = np.ix_(cluster, cluster)
-        sub = _path_closure(arr[block], np.maximum)
-        off = ~np.eye(len(cluster), dtype=bool)
-        values, inverse = np.unique(sub[off], return_inverse=True)
-        values = values.tolist()
-        if values[0] < 0 or values[-1] == 0:
-            raise failure("internal: nonpositive distance inside a cluster")
-        floor = next(v for v in values if v > 0)
-        level_map = geometric_levels(eta, r, Fraction(floor, den))
-        up = RoundUpTo((Fraction(0), *level_map))
-        # a zero (not a metric) rounds to 0, which has no level: -1 reads as 0
-        level = [level_map.get(up.apply(Fraction(v, den)), -1) for v in values]
-        exps = np.full(sub.shape, -1, dtype=np.intp)
-        exps[off] = np.array(level, dtype=np.intp)[inverse.ravel()]
-        expo[block] = exps
-    _check_hub(steps)
+    # on a metric none of these stages refuses, so a refusal names the
+    # input's first violation
+    try:
+        steps = _grid_steps(arr[np.ix_(reps, reps)], den, eta)
+        _check_hub(steps)
+        for ci, cluster in enumerate(plan.clusters):
+            home[list(cluster)] = ci
+            if len(cluster) == 1:
+                continue
+            block = np.ix_(cluster, cluster)
+            sub = _path_closure(arr[block], np.maximum)
+            off = ~np.eye(len(cluster), dtype=bool)
+            values, inverse = np.unique(sub[off], return_inverse=True)
+            values = values.tolist()
+            if values[0] < 0 or values[-1] == 0:
+                raise ValueError("internal: nonpositive distance inside a cluster")
+            floor = next(v for v in values if v > 0)
+            level_map = geometric_levels(eta, r, Fraction(floor, den))
+            up = RoundUpTo((Fraction(0), *level_map))
+            # a zero (not a metric) rounds to 0, which has no level: -1 reads as 0
+            level = [level_map.get(up.apply(Fraction(v, den)), -1) for v in values]
+            exps = np.full(sub.shape, -1, dtype=np.intp)
+            exps[off] = np.array(level, dtype=np.intp)[inverse.ravel()]
+            expo[block] = exps
+    except ValueError as err:
+        raise failure(str(err)) from None
 
     a, b = r.numerator, r.denominator
     top = max(int(expo.max()), 0)

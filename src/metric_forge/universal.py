@@ -26,6 +26,7 @@ from .core import (
     SearchCapExceeded,
     _from_int_matrix,
     _rescale,
+    _widen,
     as_scalar,
     amalgamate,
     pair_points,
@@ -95,16 +96,15 @@ def pullback_universal(
     if targets != set(eY.points):
         raise ValueError("map must be onto the target points")
     yindex = {label: i for i, label in enumerate(eY.points)}
-    n = dX.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        fi = yindex[f[dX.points[i]]]
-        for j in range(i + 1, n):
-            fj = yindex[f[dX.points[j]]]
-            v = max(min(dX.dist[i][j], r), eY.dist[fi][fj])
-            rows[i][j] = v
-            rows[j][i] = v
-    return FiniteMetricSpace(dX.points, tuple(tuple(row) for row in rows))
+    image = [yindex[f[x]] for x in dX.points]
+    (x, dx), (y, dy) = dX.scaled, eY.scaled
+    denom = lcm(dx, dy, r.denominator)
+    cap = r.numerator * (denom // r.denominator)  # r on this scale
+    x = _widen(_rescale(x, denom // dx), cap)
+    y = _rescale(y, denom // dy)
+    # the pairs i < j, mirrored; the diagonal stays 0
+    upper = np.triu(np.maximum(np.minimum(x, cap), y[np.ix_(image, image)]), 1)
+    return _from_int_matrix(dX.points, upper + upper.T, denom)
 
 
 def canonical_section(f: dict, labels) -> dict:
@@ -115,6 +115,24 @@ def canonical_section(f: dict, labels) -> dict:
         if y in labels and y not in out:
             out[y] = x
     return out
+
+
+def _glue_through_firsts(pieces, far: int) -> FiniteMetricSpace:
+    """Amalgamate the pieces, in order, through their first points.
+
+    Every two first points sit ``far`` apart in the hub.
+    """
+    starts = np.cumsum([0] + [p.n for p in pieces]).tolist()
+    plan = PartitionPlan(
+        clusters=tuple(tuple(range(s, e)) for s, e in zip(starts, starts[1:])),
+        reps=tuple(starts[:-1]),
+        radius=max(p.max_value() for p in pieces),
+    )
+    k = len(pieces)
+    hub = _from_int_matrix(
+        tuple(p.points[0] for p in pieces), far - far * np.eye(k, dtype=np.int64), 1
+    )
+    return amalgamate(plan, pieces, hub)
 
 
 def build_pair_universal(values) -> FiniteMetricSpace:
@@ -131,27 +149,14 @@ def build_pair_universal(values) -> FiniteMetricSpace:
         raise ValueError("pair values must be positive")
     if len(set(vals)) != len(vals):
         raise ValueError("pair values must be distinct")
-    count = len(vals)
-    labels = pair_points(count)
-    plan = PartitionPlan(
-        clusters=tuple((2 * i, 2 * i + 1) for i in range(count)),
-        reps=tuple(2 * i for i in range(count)),
-        radius=max(vals),
-    )
-    cluster_metrics = [
+    labels = pair_points(len(vals))
+    pieces = [
         FiniteMetricSpace(
-            (labels[2 * i], labels[2 * i + 1]),
-            ((Fraction(0), vals[i]), (vals[i], Fraction(0))),
+            (labels[2 * i], labels[2 * i + 1]), ((Fraction(0), v), (v, Fraction(0)))
         )
-        for i in range(count)
+        for i, v in enumerate(vals)
     ]
-    one = Fraction(1)
-    hub_rows = tuple(
-        tuple(Fraction(0) if i == j else one for j in range(count))
-        for i in range(count)
-    )
-    hub = FiniteMetricSpace(tuple(labels[2 * i] for i in range(count)), hub_rows)
-    return amalgamate(plan, cluster_metrics, hub)
+    return _glue_through_firsts(pieces, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +265,13 @@ def build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
         raise ValueError("need at least one copy")
     _net_side(n, as_scalar(delta), copies)
     net = make_net(n, delta)
-    m = len(net.points)
     pieces = [
         FiniteMetricSpace(
             tuple(f"K{c}:{label}" for label in net.space.points), net.space.dist
         )
         for c in range(copies)
     ]
-    plan = PartitionPlan(
-        clusters=tuple(tuple(range(c * m, (c + 1) * m)) for c in range(copies)),
-        reps=tuple(c * m for c in range(copies)),
-        radius=Fraction(n),
-    )
-    far = Fraction(1 + n)
-    hub_rows = tuple(
-        tuple(Fraction(0) if i == j else far for j in range(copies))
-        for i in range(copies)
-    )
-    hub = FiniteMetricSpace(tuple(p.points[0] for p in pieces), hub_rows)
-    glued = amalgamate(plan, pieces, hub)
+    glued = _glue_through_firsts(pieces, 1 + n)
     return FUnivApprox(glued, net, copies)
 
 

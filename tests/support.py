@@ -15,6 +15,8 @@ from itertools import permutations
 from metric_forge import (
     ApproximationResult,
     FiniteMetricSpace,
+    FUnivApprox,
+    PartitionPlan,
     RangeCertificate,
     RangeParams,
     RoundUpTo,
@@ -22,12 +24,17 @@ from metric_forge import (
     as_scalar,
     geometric_levels,
     greedy_clopen_partition,
+    make_net,
+    metric_repair,
+    pair_points,
     quantize_discrete,
     subdominant_ultrametric,
     sup_distance,
     transform_metric,
     validate_metric,
 )
+from metric_forge.core import _GEN_MAX_POINTS
+from metric_forge.universal import _net_side
 
 
 def triple_loop_is_metric(space) -> bool:
@@ -366,3 +373,147 @@ def reference_approximate(
         raise RuntimeError("internal: approximation moved too far")
 
     return ApproximationResult(D, plan, tuple(certs), eta, r)
+
+
+# The Fraction implementations of ``random_metric``, ``pullback_universal``,
+# ``build_pair_universal`` and ``build_funiv_approx`` from before they were
+# built on scaled integers, kept verbatim as the oracles for the differential
+# tests.
+
+
+def reference_random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
+    """Seeded random metric: random symmetric weights, then path repair.
+
+    Entries are multiples of max_value/32, so denominators stay small and
+    the repaired minimum positive distance is at least max_value/32.
+    Identical seeds give identical matrices.  More than ``_GEN_MAX_POINTS``
+    points are refused before anything is built.
+    """
+    if n < 1:
+        raise ValueError("need at least one point")
+    if n > _GEN_MAX_POINTS:
+        raise ValueError(f"{n} points exceed the cap of {_GEN_MAX_POINTS}")
+    max_value = as_scalar(max_value)
+    if max_value <= 0:
+        raise ValueError("max_value must be positive")
+    rng = random.Random(seed)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = Fraction(rng.randint(1, 32), 32) * max_value
+            rows[i][j] = w
+            rows[j][i] = w
+    labels = tuple(f"p{i}" for i in range(n))
+    raw = FiniteMetricSpace(labels, tuple(tuple(r) for r in rows))
+    return metric_repair(raw)
+
+
+def reference_pullback_universal(
+    dX: FiniteMetricSpace, eY: FiniteMetricSpace, f: dict, r
+) -> FiniteMetricSpace:
+    """max(min(dX, r), eY o f): universal for r-separated subsets of the image.
+
+    ``f`` maps every point label of dX onto a point label of eY and must
+    be surjective.  For pairs whose images are at least r apart the result
+    reproduces eY exactly, so any r-separated subspace of eY embeds by
+    choosing one preimage per point.
+    """
+    r = as_scalar(r)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    missing = [x for x in dX.points if x not in f]
+    if missing:
+        raise ValueError(f"map is not total: {missing}")
+    targets = {f[x] for x in dX.points}
+    if targets != set(eY.points):
+        raise ValueError("map must be onto the target points")
+    yindex = {label: i for i, label in enumerate(eY.points)}
+    n = dX.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        fi = yindex[f[dX.points[i]]]
+        for j in range(i + 1, n):
+            fj = yindex[f[dX.points[j]]]
+            v = max(min(dX.dist[i][j], r), eY.dist[fi][fj])
+            rows[i][j] = v
+            rows[j][i] = v
+    return FiniteMetricSpace(dX.points, tuple(tuple(row) for row in rows))
+
+
+def reference_build_pair_universal(values) -> FiniteMetricSpace:
+    """Space containing a pair at every prescribed distance.
+
+    Pair i sits at distance values[i]; the a-side points form a unit-
+    distance hub, so any two-point space with a listed value embeds as
+    (a_i, b_i) exactly.
+    """
+    vals = [as_scalar(v) for v in values]
+    if not vals:
+        raise ValueError("need at least one pair value")
+    if any(v <= 0 for v in vals):
+        raise ValueError("pair values must be positive")
+    if len(set(vals)) != len(vals):
+        raise ValueError("pair values must be distinct")
+    count = len(vals)
+    labels = pair_points(count)
+    plan = PartitionPlan(
+        clusters=tuple((2 * i, 2 * i + 1) for i in range(count)),
+        reps=tuple(2 * i for i in range(count)),
+        radius=max(vals),
+    )
+    cluster_metrics = [
+        FiniteMetricSpace(
+            (labels[2 * i], labels[2 * i + 1]),
+            ((Fraction(0), vals[i]), (vals[i], Fraction(0))),
+        )
+        for i in range(count)
+    ]
+    one = Fraction(1)
+    hub_rows = tuple(
+        tuple(Fraction(0) if i == j else one for j in range(count))
+        for i in range(count)
+    )
+    hub = FiniteMetricSpace(tuple(labels[2 * i] for i in range(count)), hub_rows)
+    return amalgamate(plan, cluster_metrics, hub)
+
+
+def reference_build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
+    """Amalgamate ``copies`` plain l-infinity nets with hub distance 1 + n.
+
+    Each piece is the delta-net of [0, n]^n under its own l-infinity
+    metric, so members of the card/diameter/separation class with
+    delta-grid values embed exactly and everything else lands within
+    additive distortion delta.
+
+    This equals the pullback max(min(u, 1/n), l-infinity) of the net's
+    subdominant ultrametric u: neighbouring grid points are delta apart,
+    so u is delta off the diagonal, and there l-infinity >= delta >=
+    min(delta, 1/n).
+
+    The glued space may hold at most ``_FUNIV_MAX_POINTS`` points; larger
+    requests are refused before anything is built.
+    """
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    _net_side(n, as_scalar(delta), copies)
+    net = make_net(n, delta)
+    m = len(net.points)
+    pieces = [
+        FiniteMetricSpace(
+            tuple(f"K{c}:{label}" for label in net.space.points), net.space.dist
+        )
+        for c in range(copies)
+    ]
+    plan = PartitionPlan(
+        clusters=tuple(tuple(range(c * m, (c + 1) * m)) for c in range(copies)),
+        reps=tuple(c * m for c in range(copies)),
+        radius=Fraction(n),
+    )
+    far = Fraction(1 + n)
+    hub_rows = tuple(
+        tuple(Fraction(0) if i == j else far for j in range(copies))
+        for i in range(copies)
+    )
+    hub = FiniteMetricSpace(tuple(p.points[0] for p in pieces), hub_rows)
+    glued = amalgamate(plan, pieces, hub)
+    return FUnivApprox(glued, net, copies)

@@ -27,6 +27,7 @@ from support import (
     brute_violations,
     plain_extend,
     plain_repair_error,
+    reference_random_metric,
     triple_loop_is_metric,
     triple_loop_is_ultrametric,
 )
@@ -574,3 +575,26 @@ def test_generator_domain_errors():
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=50))
 def test_random_metric_always_validates(n, seed):
     assert validate_metric(random_metric(n, 10, seed=seed)).is_metric
+
+
+@pytest.mark.parametrize(
+    "n, seed, max_value",
+    [
+        (1, 0, 10),
+        (2, 5, 10),
+        (7, 3, F(7, 3)),
+        (40, 1, 10),
+        (40, 2, F(1, 1000)),
+        (64, 11, F(5, 2**40)),
+        # 32 * max_value reaches 2^62, so the weights go to Python ints
+        (25, 4, 2**57),
+        (12, 6, 4611686018427387905),
+        (9, 7, F(2**70 + 1, 3)),
+    ],
+)
+def test_random_metric_matches_the_fraction_build(n, seed, max_value):
+    got = random_metric(n, max_value, seed)
+    want = reference_random_metric(n, max_value, seed)
+    assert got.points == want.points
+    assert got.dist == want.dist
+

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
@@ -23,6 +24,7 @@ from metric_forge import (
     validate_nebula,
 )
 
+from metric_forge.nebula import _pick_off
 from support import point_set_hausdorff, random_fractions
 
 
@@ -181,6 +183,80 @@ def test_cover_family_origin_always_covered():
     for q_max in (0, 3, 6):
         meet = intersect(cover_family([0], q_max))
         assert meet.contains(0)
+
+
+def first_free_pick(center, eta, values, q):
+    """``_pick_off`` by plain scans: the center, then center - eta, then the
+    first point center - eta + k/2^m off the set, for the least m >= q + 5."""
+    if center not in values:
+        return center
+    if center - eta not in values:
+        return center - eta
+    for m in count(q + 5):
+        for k in range(int(2 * eta * 2**m) + 1):
+            if center - eta + F(k, 2**m) not in values:
+                return center - eta + F(k, 2**m)
+
+
+def test_cover_walk_refines_the_grid():
+    # 3/8 .. 5/8 in steps of 1/32 fill the whole 1/32 grid around the
+    # separator 1/2, so the walk halves its pitch and picks 25/64, which
+    # splits 3/8 from 13/32
+    values = [F(0)] + [F(3, 8) + F(k, 32) for k in range(9)]
+    pick = _pick_off(F(1, 2), F(1, 8), values, 0)
+    assert pick == first_free_pick(F(1, 2), F(1, 8), set(values), 0) == F(25, 64)
+    got = cover(values, 0)
+    assert got.bounded == ((0, F(3, 8)), (F(13, 32), F(5, 8)))
+    assert got.tail_start == 1
+    assert validate_nebula(got).is_valid
+    assert all(scan_contains(got.bounded, got.tail_start, v) for v in values)
+
+
+def random_interval_set(rng, with_tail):
+    pieces = []
+    for _ in range(rng.randint(0, 8)):
+        a = F(rng.randint(0, 200), rng.randint(1, 16))
+        pieces.append((a, a + F(rng.randint(0, 30), rng.randint(1, 16))))
+    tail = F(rng.randint(0, 300), rng.randint(1, 8)) if with_tail else None
+    return IntervalSet.make(pieces, tail)
+
+
+def test_restrict_keeps_a_tail_inside_the_window():
+    iset = IntervalSet.make([(0, 0), (1, 2)], 5)
+    assert iset.restrict(1, 7) == IntervalSet(((1, 2), (5, 7)), None)
+
+
+def test_restrict_matches_membership_scan():
+    rng = random.Random(12)
+    for trial in range(80):
+        iset = random_interval_set(rng, trial % 4 != 0)
+        lo = F(rng.randint(0, 200), rng.randint(1, 8))
+        hi = lo + F(rng.randint(0, 400), rng.randint(1, 8))
+        got = iset.restrict(lo, hi)
+        assert got.tail_start is None
+        for t in probes(iset.bounded + got.bounded + ((lo, hi),), iset.tail_start):
+            inside = lo <= t <= hi and scan_contains(iset.bounded, iset.tail_start, t)
+            assert got.contains(t) == inside
+
+
+def test_intersect_bounded_interval_reaching_the_other_tail():
+    x = IntervalSet.make([(0, 0), (2, 6)])
+    y = IntervalSet.make([(0, 1)], 5)
+    want = IntervalSet(((0, 0), (5, 6)), None)
+    assert intersect([x, y]) == intersect([y, x]) == want
+
+
+def test_intersect_matches_membership_scan():
+    rng = random.Random(13)
+    for trial in range(80):
+        x = random_interval_set(rng, trial % 2 == 0)
+        y = random_interval_set(rng, trial % 3 != 0)
+        got = intersect([x, y])
+        pts = {*probes(x.bounded + y.bounded, x.tail_start), *probes((), y.tail_start)}
+        for t in pts:
+            in_x = scan_contains(x.bounded, x.tail_start, t)
+            in_y = scan_contains(y.bounded, y.tail_start, t)
+            assert got.contains(t) == (in_x and in_y)
 
 
 # --- intersections ----------------------------------------------------------------

@@ -426,6 +426,28 @@ def test_approximate_domain_error():
         approximate(two_point(1), 0)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # the hub ceiling meets a negative entry
+        ([[0, 5], [-1, 0]], "symmetry violation at (0, 1) (5 against -1)"),
+        # the hub check meets a zero below the diagonal
+        ([[0, 5], [0, 0]], "symmetry violation at (0, 1) (5 against 0)"),
+        # the level rounding meets a closure value above eta
+        (
+            [[0, F(1, 100), F(1, 100)], [5, 0, F(1, 100)], [5, F(1, 100), 0]],
+            "symmetry violation at (0, 1) (1/100 against 5)",
+        ),
+    ],
+)
+def test_approximate_names_the_first_violation_of_an_asymmetric_input(rows, message):
+    labels = [f"p{i}" for i in range(len(rows))]
+    asym = FiniteMetricSpace.from_rows(labels, [[F(v) for v in row] for row in rows])
+    with pytest.raises(ValueError) as err:
+        approximate(asym, 1)
+    assert str(err.value) == f"input is not a metric: {message}"
+
+
 def test_round_up_preserves_ultrametric_property():
     # increasing images of ultrametrics stay ultrametrics
     c = cantor_approx(3)

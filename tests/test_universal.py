@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metric_forge import (
@@ -27,7 +27,13 @@ from metric_forge import (
     validate_metric,
 )
 
-from support import brute_first_embedding, random_cn_space
+from support import (
+    brute_first_embedding,
+    random_cn_space,
+    reference_build_funiv_approx,
+    reference_build_pair_universal,
+    reference_pullback_universal,
+)
 
 
 def space(labels, rows):
@@ -181,6 +187,56 @@ def test_pullback_separated_subsets_embed_on_randoms():
         assert find_isometric_embedding(sub, rho) is not None
 
 
+# raw entries, on both sides of 0 and with denominators past 2^62
+PULLBACK_ENTRIES = st.one_of(
+    st.integers(-5, 50).map(F),
+    st.fractions(min_value=-5, max_value=50, max_denominator=64),
+    st.builds(F, st.integers(0, 2**70), st.integers(1, 2**70)),
+)
+PULLBACK_RADII = st.one_of(
+    st.fractions(min_value=F(1, 64), max_value=50, max_denominator=64),
+    st.builds(F, st.integers(1, 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def pullback_cases(draw):
+    """An asymmetric dX, a raw eY and a map of dX onto eY."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+
+    def raw(labels):
+        k = len(labels)
+        row = st.lists(PULLBACK_ENTRIES, min_size=k, max_size=k)
+        rows = draw(st.lists(row, min_size=k, max_size=k))
+        return FiniteMetricSpace.from_rows(labels, rows)
+
+    dX, eY = raw([f"x{i}" for i in range(n)]), raw([f"y{j}" for j in range(m)])
+    extra = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    image = draw(st.permutations(list(range(m)) + extra))
+    f = {x: eY.points[j] for x, j in zip(dX.points, image)}
+    return dX, eY, f, draw(PULLBACK_RADII)
+
+
+@given(pullback_cases())
+# small integer matrices with r = (2^64 + 1)/3: r is past int64 on the
+# common scale while dX still fits
+@example(
+    (
+        space("ab", [[0, 5], [-1, 0]]),
+        space("c", [[7]]),
+        {"a": "c", "b": "c"},
+        F(2**64 + 1, 3),
+    )
+)
+def test_pullback_matches_the_fraction_build(case):
+    dX, eY, f, r = case
+    got = pullback_universal(dX, eY, f, r)
+    want = reference_pullback_universal(dX, eY, f, r)
+    assert got.points == want.points
+    assert got.dist == want.dist
+
+
 # --- pair-universal spaces --------------------------------------------------------
 
 
@@ -320,6 +376,32 @@ def test_funiv_copies_are_far_apart():
     for i in range(m):
         for j in range(m, 2 * m):
             assert result.space.dist[i][j] >= 2  # hub distance 1 + n
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [F(1, 2)],
+        [F(1, 2), 3, F(7, 4)],
+        [F(k, 24) for k in range(1, 25)],
+        [F(2**70 + 1, 3), F(1, 2**65), 9],
+    ],
+)
+def test_pair_universal_matches_the_fraction_build(values):
+    got, want = build_pair_universal(values), reference_build_pair_universal(values)
+    assert got.points == want.points
+    assert got.dist == want.dist
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("n, delta", small_nets())
+def test_funiv_matches_the_fraction_build(n, delta, copies):
+    got = build_funiv_approx(n, delta, copies)
+    want = reference_build_funiv_approx(n, delta, copies)
+    assert got.copies == want.copies == copies
+    assert got.net.points == want.net.points
+    assert got.space.points == want.space.points
+    assert got.space.dist == want.space.dist
 
 
 # --- embedding search ---------------------------------------------------------------
