@@ -43,7 +43,7 @@ def _dumps(obj) -> list[str]:
 
 def _emit(chunks: list[str], path=None) -> None:
     """Write an output built in full to its file, or to stdout."""
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
     else:
@@ -133,7 +133,7 @@ def _cmd_validate(args) -> int:
 def _cmd_approximate(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     eps = jsonio.parse_scalar(args.epsilon)
-    r = jsonio.parse_scalar(args.r) if args.r else None
+    r = None if args.r is None else jsonio.parse_scalar(args.r)
     result = approximate(space, eps, r=r)
     _emit(jsonio.approximation_chunks(result), args.output)
     return 0
@@ -160,46 +160,35 @@ def _cmd_nebula_margin(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
     result = margin(space, nebula)
-    _emit(
-        _dumps(
-            {
-                "epsilon": jsonio.scalar_str(result.epsilon),
-                "fattened": jsonio.nebula_to_obj(result.fattened),
-            }
-        ),
-        args.output,
-    )
+    obj = {
+        "epsilon": jsonio.scalar_str(result.epsilon),
+        "fattened": jsonio.nebula_to_obj(result.fattened),
+    }
+    _emit(_dumps(obj), args.output)
     return 0
 
 
 def _cmd_embed_frechet(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     rows = frechet_embed(space, args.n)
-    _emit(
-        _dumps(
-            {
-                "n": args.n,
-                "points": list(space.points),
-                "coords": [[jsonio.scalar_str(c) for c in row] for row in rows],
-            }
-        ),
-        args.output,
-    )
+    obj = {
+        "n": args.n,
+        "points": list(space.points),
+        "coords": [[jsonio.scalar_str(c) for c in row] for row in rows],
+    }
+    _emit(_dumps(obj), args.output)
     return 0
 
 
 def _cmd_embed_search(args) -> int:
     pattern = jsonio.space_from_obj(_load_json(args.pattern))
     host = jsonio.space_from_obj(_load_json(args.host))
-    distortion = jsonio.parse_scalar(args.distortion) if args.distortion else 0
+    distortion = 0 if args.distortion is None else jsonio.parse_scalar(args.distortion)
     found = find_isometric_embedding(pattern, host, distortion)
-    if found is None:
-        _emit(_dumps({"found": False}), args.output)
-    else:
-        _emit(
-            _dumps({"found": True, **jsonio.embedding_to_obj(found, pattern, host)}),
-            args.output,
-        )
+    obj = {"found": False}
+    if found is not None:
+        obj = {"found": True, **jsonio.embedding_to_obj(found, pattern, host)}
+    _emit(_dumps(obj), args.output)
     return 0
 
 
@@ -228,7 +217,7 @@ def _cmd_fragility(args) -> int:
 def _cmd_plot_range(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     nebula = None
-    if args.nebula:
+    if args.nebula is not None:
         nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
         _covering_intervals(nebula, space.values())
     _emit([render_range_svg(space, nebula)], args.output)

@@ -1,11 +1,10 @@
 """Exact-rational finite metric spaces and the constructions that glue them.
 
-Every distance is a ``fractions.Fraction``; all comparisons are exact, so
-inequalities such as ``diameter <= 2 * radius`` are zero-tolerance
-assertions rather than floating-point approximations.  Every kernel
-reads one exact matrix representation, ``FiniteMetricSpace.scaled``: the
-distances over a common denominator, as int64 when the values fit and as
-an object array of Python ints otherwise.
+Every distance is exact, so inequalities such as ``diameter <= 2 * radius``
+are zero-tolerance assertions rather than floating-point approximations.  A
+space stores one matrix, ``FiniteMetricSpace.scaled``: its distances over a
+common denominator, int64 when the values fit and Python ints otherwise.
+Every kernel reads it; ``dist`` is the exact ``Fraction`` view, built on use.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -22,9 +21,6 @@ Scalar = Fraction
 
 # one addition of two scaled entries must not overflow int64
 _INT64_SAFE = 2**62
-
-# a row holding nothing but exact Fractions needs no per-entry coercion
-_FRACTIONS_ONLY = {Fraction}
 
 
 class SearchCapExceeded(ValueError):
@@ -47,38 +43,79 @@ def _as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+def _check_shape(points: tuple, rows) -> None:
+    """Refuse no points, repeated labels and a matrix that is not n x n."""
+    if len(points) == 0:
+        raise ValueError("a space needs at least one point")
+    if len(set(points)) != len(points):
+        raise ValueError("point labels must be distinct")
+    if len(rows) != len(points):
+        raise ValueError(f"shape error: {len(rows)} rows for {len(points)} points")
+    if any(len(row) != len(points) for row in rows):
+        raise ValueError("shape error: distance matrix must be square")
+
+
+def _int_matrix(rows, ints) -> np.ndarray:
+    """``ints(row)`` per row as int64, or Python ints on overflow; one row alive."""
+    arr = np.empty((len(rows), len(rows)), dtype=np.int64)
+    try:
+        for i, row in enumerate(rows):
+            arr[i] = ints(row)
+    except OverflowError:  # an entry outside int64
+        arr = np.array([ints(row) for row in rows], dtype=object)
+    return arr
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FiniteMetricSpace:
     """Ordered point labels plus a square matrix of exact distances.
 
-    The matrix is stored as given and may violate the metric axioms;
-    ``validate_metric`` is the exhaustive checker.  Instances are
-    immutable and safe to share across threads.
+    The matrix is stored once, as ``scaled``, and may violate the metric
+    axioms; ``validate_metric`` is the exhaustive checker.  ``dist`` is
+    its exact Fraction view.  Instances are immutable and safe to share
+    across threads.
     """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    # (arr, denom), arr / denom == dist: denom the lcm of reduced denominators;
+    # arr read-only (a kernel writes on a copy), int64 while below 2^62
+    scaled: tuple[np.ndarray, int]
+
+    def __init__(self, points, dist):
+        """Converts the rows once; as tuples they are already the view."""
+        rows = tuple(map(tuple, dist))
+        denom = lcm(*{v.denominator for row in rows for v in row})
+        arr = _int_matrix(
+            rows, lambda row: [v.numerator * (denom // v.denominator) for v in row]
+        )
+        self.__dict__.update(_from_int_matrix(points, arr, denom).__dict__, dist=rows)
 
     @classmethod
     def from_rows(cls, points, rows) -> "FiniteMetricSpace":
         points = tuple(points)
-        if len(points) == 0:
-            raise ValueError("a space needs at least one point")
-        if len(set(points)) != len(points):
-            raise ValueError("point labels must be distinct")
-        if len(rows) != len(points):
-            raise ValueError(
-                f"shape error: {len(rows)} rows for {len(points)} points"
-            )
-        dist = []
-        for row in rows:
-            if len(row) != len(points):
-                raise ValueError("shape error: distance matrix must be square")
-            if set(map(type, row)) == _FRACTIONS_ONLY:
-                dist.append(tuple(row))
-            else:
-                dist.append(tuple(as_scalar(v) for v in row))
-        return cls(points, tuple(dist))
+        _check_shape(points, rows)
+        return cls(points, [map(as_scalar, row) for row in rows])
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Fraction rows of ``scaled``, one Fraction per distinct value; built once."""
+        arr, denom = self.scaled
+        rows = arr.tolist()
+        table = {v: Fraction(v, denom) for v in set().union(*rows)}
+        return tuple(tuple(map(table.__getitem__, row)) for row in rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        (a, da), (b, db) = self.scaled, other.scaled
+        return self.points == other.points and da == db and np.array_equal(a, b)
+
+    def __hash__(self):
+        arr, denom = self.scaled
+        return hash((self.points, denom, *arr.ravel().tolist()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(points={self.points!r}, dist={self.dist!r})"
 
     @property
     def n(self) -> int:
@@ -89,34 +126,10 @@ class FiniteMetricSpace:
 
     def restrict(self, indices) -> "FiniteMetricSpace":
         """Subspace on the given point indices, in the given order."""
-        indices = tuple(indices)
+        indices = list(indices)
+        arr, denom = self.scaled
         pts = tuple(self.points[i] for i in indices)
-        rows = tuple(tuple(self.dist[i][j] for j in indices) for i in indices)
-        return FiniteMetricSpace(pts, rows)
-
-    @cached_property
-    def scaled(self) -> tuple[np.ndarray, int]:
-        """``(arr, denom)``: ``arr[i, j] / denom == dist[i][j]``, denom the lcm.
-
-        ``arr`` is int64 when every entry stays below 2^62, else an object
-        array of Python ints.  Built once per space; read-only, so a kernel
-        that writes works on a copy.
-        """
-        denom = lcm(*{v.denominator for row in self.dist for v in row})
-
-        def ints(row):
-            return [v.numerator * (denom // v.denominator) for v in row]
-
-        # filled row by row, so only one row of Python ints is alive at a time
-        arr = np.empty((self.n, self.n), dtype=np.int64)
-        try:
-            for i, row in enumerate(self.dist):
-                arr[i] = ints(row)
-        except OverflowError:  # an entry at or above 2^63
-            arr = np.array([ints(row) for row in self.dist], dtype=object)
-        arr = _widen(arr, _peak(arr))
-        arr.flags.writeable = False
-        return arr, denom
+        return _from_int_matrix(pts, arr[np.ix_(indices, indices)], denom)
 
     def values(self) -> tuple[Fraction, ...]:
         """Sorted distinct distance values, always including 0."""
@@ -165,15 +178,20 @@ class PartitionPlan:
 
 
 def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
-    """Inverse of ``FiniteMetricSpace.scaled``: exact Fraction rows.
+    """The space of ``arr / denom``, stored as ``scaled`` without a Fraction.
 
-    One Fraction is built per distinct value and shared by its entries.
+    ``arr`` and ``denom`` are divided by their gcd, and the dtype follows
+    the 2^62 rule, so every space holds the one ``scaled`` its Fraction
+    rows give.  ``arr`` is kept, read-only, when it needs no change.
     """
-    rows = arr.tolist()
-    table = {v: Fraction(v, denom) for v in set().union(*rows)}
-    return FiniteMetricSpace(
-        points, tuple(tuple(map(table.__getitem__, row)) for row in rows)
-    )
+    g = gcd(denom, int(np.gcd.reduce(arr, axis=None)))
+    if g > 1:
+        arr, denom = _widen(arr, g) // g, denom // g  # g may pass int64
+    arr = arr.astype(object if _peak(arr) >= _INT64_SAFE else np.int64, copy=False)
+    arr.flags.writeable = False
+    space = object.__new__(FiniteMetricSpace)
+    space.__dict__.update(points=tuple(points), scaled=(arr, denom))
+    return space
 
 
 def _peak(arr: np.ndarray) -> int:
@@ -497,14 +515,12 @@ def cantor_approx(k: int) -> FiniteMetricSpace:
     # without computing 2^k
     if k >= _GEN_MAX_POINTS.bit_length():
         raise ValueError(f"2^{k} points exceed the cap of {_GEN_MAX_POINTS}")
-    labels = [format(i, f"0{k}b") for i in range(2**k)]
+    labels = tuple(format(i, f"0{k}b") for i in range(2**k))
     # strings i != j first differ at position k - b, b the bit length of
-    # i ^ j; one shared Fraction per b
-    level = [Fraction(0)] + [Fraction(1, 2 ** (k - b + 1)) for b in range(1, k + 1)]
-    rows = tuple(
-        tuple(level[(i ^ j).bit_length()] for j in range(2**k)) for i in range(2**k)
-    )
-    return FiniteMetricSpace(tuple(labels), rows)
+    # i ^ j, so their distance is top[i ^ j] / 2^k, top[x] the top bit of x
+    top = np.array([0] + [1 << (x.bit_length() - 1) for x in range(1, 2**k)])
+    ids = np.arange(2**k)
+    return _from_int_matrix(labels, top[ids[:, None] ^ ids[None, :]], 2**k)
 
 
 def pair_points(count: int) -> tuple[str, ...]:

@@ -17,8 +17,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
+
+import numpy as np
 
 from .core import FiniteMetricSpace, PartitionPlan, ValidationReport, _as_int
+from .core import _check_shape, _from_int_matrix, _int_matrix
 from .nebula import Nebula, NebulaValidation
 from .quantize import ApproximationResult, RangeCertificate
 from .universal import Embedding, FragilityReport, FUnivApprox
@@ -56,7 +60,7 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
-    """Strict reader for a space; equal entry strings share one Fraction.
+    """Strict reader for a space, built as one scaled-integer matrix.
 
     Each distinct string is parsed once per call.  Other entries go through
     ``parse_scalar`` one by one, so bools and floats are still rejected.
@@ -68,24 +72,22 @@ def space_from_obj(obj) -> FiniteMetricSpace:
         raise ValueError("space JSON 'points' must be an array of strings")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise ValueError("space JSON 'dist' must be an array of arrays")
-    parsed: dict[str, Fraction] = {}
-
-    def parse(v) -> Fraction:
-        if not isinstance(v, str):
-            return parse_scalar(v)
-        if v not in parsed:
-            parsed[v] = parse_scalar(v)
-        return parsed[v]
-
-    rows = [[parse(v) for v in row] for row in dist]
-    space = FiniteMetricSpace.from_rows(points, rows)
-    # a row equals its column unless some pair (i, j) differs; the first row
-    # that differs has its first difference at some j > i
-    for i, (row, col) in enumerate(zip(space.dist, zip(*space.dist))):
-        if row != col:
-            j = next(j for j in range(i + 1, space.n) if row[j] != col[j])
-            raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
-    return space
+    parsed: dict = {}
+    for row in dist:
+        for v in row:
+            # a string is parsed once, anything else each time, so that a
+            # bool never passes as the integer it equals
+            if not isinstance(v, str) or v not in parsed:
+                parsed[v] = parse_scalar(v)
+    _check_shape(tuple(points), dist)
+    denom = lcm(*(v.denominator for v in parsed.values()))
+    scale = {k: v.numerator * (denom // v.denominator) for k, v in parsed.items()}
+    arr = _int_matrix(dist, lambda row: list(map(scale.__getitem__, row)))
+    asym = np.triu(arr != arr.T, 1)
+    if asym.any():  # the first pair in row-major order
+        i, j = np.argwhere(asym)[0].tolist()
+        raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
+    return _from_int_matrix(points, arr, denom)
 
 
 def validation_to_obj(report: ValidationReport) -> dict:
@@ -258,28 +260,18 @@ def _object(members: dict, level: int) -> list[str]:
     return out
 
 
-def _dist(rows, level: int) -> list[str]:
-    """Chunks of a distance matrix: one joined string per row.
-
-    Equal entries share one Fraction (the readers and the integer kernels
-    build one per distinct value), so each quoted cell is cached by the
-    object's id; hashing a Fraction would run in Python.  Every cached id
-    belongs to an entry of ``rows``, alive until the write ends.
-    """
-    if not rows:
+def _dist(space: FiniteMetricSpace, level: int) -> list[str]:
+    """Chunks of a distance matrix: one string per row, each value quoted once."""
+    if not space.n:
         return ["[]"]
+    arr, denom = space.scaled
+    rows = arr.tolist()
+    cells = {v: _scalar(Fraction(v, denom)) for v in set().union(*rows)}
     row_nl, cell_nl = _NL[level + 1], _NL[level + 2]
     sep = "," + cell_nl
-    cells: dict[int, str] = {}
     out = ["["]
     for row in rows:
-        try:
-            text = sep.join(map(cells.__getitem__, map(id, row)))
-        except KeyError:
-            for v in row:
-                if id(v) not in cells:
-                    cells[id(v)] = _scalar(v)
-            text = sep.join(map(cells.__getitem__, map(id, row)))
+        text = sep.join(map(cells.__getitem__, row))
         out += (",", row_nl, "[", cell_nl, text, row_nl, "]")
     out[1] = ""  # no comma before the first row
     out.append(_NL[level] + "]")
@@ -290,7 +282,7 @@ def _space(space: FiniteMetricSpace, level: int) -> list[str]:
     return _object(
         {
             "points": _array(list(map(_quote, space.points)), level + 1),
-            "dist": _dist(space.dist, level + 1),
+            "dist": _dist(space, level + 1),
         },
         level,
     )

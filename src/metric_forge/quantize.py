@@ -278,13 +278,10 @@ def transform_metric(space: FiniteMetricSpace, f: Transform) -> FiniteMetricSpac
         raise UnsupportedTransformError(
             "transform must come from the closed descriptor family"
         )
-    rows = tuple(
-        tuple(
-            Fraction(0) if i == j else f.apply(space.dist[i][j])
-            for j in range(space.n)
-        )
-        for i in range(space.n)
-    )
+    rows = [
+        [Fraction(0) if i == j else f.apply(v) for j, v in enumerate(row)]
+        for i, row in enumerate(space.dist)
+    ]
     return FiniteMetricSpace(space.points, rows)
 
 

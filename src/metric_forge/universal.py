@@ -55,21 +55,24 @@ def class_Cn_check(space: FiniteMetricSpace, n: int) -> bool:
     return sep is None or sep >= Fraction(1, n)
 
 
+# the most coordinates (points times n) frechet_embed builds (2^20)
+_FRECHET_MAX_COORDS = 2**20
+
+
 def frechet_embed(space: FiniteMetricSpace, n: int):
     """Distance-vector coordinates in [0, n]^n, an exact l-infinity isometry.
 
     Row i is (d(p_1, p_i), ..., d(p_k, p_i), 0, ..., 0); the triangle
     inequality makes the max coordinate gap of two rows equal the original
-    distance exactly.
+    distance exactly.  More than ``_FRECHET_MAX_COORDS`` coordinates are
+    refused before anything is built.
     """
+    k, cap = space.n, _FRECHET_MAX_COORDS
+    if k * n > cap:
+        raise ValueError(f"{k} x {n} coordinates exceed the cap of {cap}")
     if not class_Cn_check(space, n):
         raise ValueError(f"space is outside the class for n={n}")
-    k = space.n
-    rows = tuple(
-        tuple(space.dist[m][i] if m < k else Fraction(0) for m in range(n))
-        for i in range(k)
-    )
-    return rows
+    return tuple(column + (Fraction(0),) * (n - k) for column in zip(*space.dist))
 
 
 def linf_distance(u, v) -> Fraction:
@@ -265,9 +268,10 @@ def build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
         raise ValueError("need at least one copy")
     _net_side(n, as_scalar(delta), copies)
     net = make_net(n, delta)
+    # every copy shares the net's matrix
     pieces = [
-        FiniteMetricSpace(
-            tuple(f"K{c}:{label}" for label in net.space.points), net.space.dist
+        _from_int_matrix(
+            tuple(f"K{c}:{label}" for label in net.space.points), *net.space.scaled
         )
         for c in range(copies)
     ]

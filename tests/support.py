@@ -34,6 +34,7 @@ from metric_forge import (
     validate_metric,
 )
 from metric_forge.core import _GEN_MAX_POINTS
+from metric_forge.jsonio import parse_scalar
 from metric_forge.universal import _net_side
 
 
@@ -376,9 +377,9 @@ def reference_approximate(
 
 
 # The Fraction implementations of ``random_metric``, ``pullback_universal``,
-# ``build_pair_universal`` and ``build_funiv_approx`` from before they were
-# built on scaled integers, kept verbatim as the oracles for the differential
-# tests.
+# ``build_pair_universal``, ``build_funiv_approx``, the space reader and
+# ``cantor_approx`` from before they were built on scaled integers, kept
+# verbatim as the oracles for the differential tests.
 
 
 def reference_random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
@@ -517,3 +518,58 @@ def reference_build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
     hub = FiniteMetricSpace(tuple(p.points[0] for p in pieces), hub_rows)
     glued = amalgamate(plan, pieces, hub)
     return FUnivApprox(glued, net, copies)
+
+
+def reference_space_from_obj(obj) -> FiniteMetricSpace:
+    """Strict reader for a space; equal entry strings share one Fraction.
+
+    Each distinct string is parsed once per call.  Other entries go through
+    ``parse_scalar`` one by one, so bools and floats are still rejected.
+    """
+    if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
+        raise ValueError("space JSON needs 'points' and 'dist'")
+    points, dist = obj["points"], obj["dist"]
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise ValueError("space JSON 'points' must be an array of strings")
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+        raise ValueError("space JSON 'dist' must be an array of arrays")
+    parsed: dict[str, Fraction] = {}
+
+    def parse(v) -> Fraction:
+        if not isinstance(v, str):
+            return parse_scalar(v)
+        if v not in parsed:
+            parsed[v] = parse_scalar(v)
+        return parsed[v]
+
+    rows = [[parse(v) for v in row] for row in dist]
+    space = FiniteMetricSpace.from_rows(points, rows)
+    # a row equals its column unless some pair (i, j) differs; the first row
+    # that differs has its first difference at some j > i
+    for i, (row, col) in enumerate(zip(space.dist, zip(*space.dist))):
+        if row != col:
+            j = next(j for j in range(i + 1, space.n) if row[j] != col[j])
+            raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
+    return space
+
+
+def reference_cantor_approx(k: int) -> FiniteMetricSpace:
+    """Ultrametric on the 2^k binary strings: 2^-(first differing position).
+
+    More than ``_GEN_MAX_POINTS`` points are refused before anything is
+    built.
+    """
+    if k < 1:
+        raise ValueError("depth must be at least 1")
+    # 2^k <= cap exactly when k < cap.bit_length(), so a huge k is refused
+    # without computing 2^k
+    if k >= _GEN_MAX_POINTS.bit_length():
+        raise ValueError(f"2^{k} points exceed the cap of {_GEN_MAX_POINTS}")
+    labels = [format(i, f"0{k}b") for i in range(2**k)]
+    # strings i != j first differ at position k - b, b the bit length of
+    # i ^ j; one shared Fraction per b
+    level = [Fraction(0)] + [Fraction(1, 2 ** (k - b + 1)) for b in range(1, k + 1)]
+    rows = tuple(
+        tuple(level[(i ^ j).bit_length()] for j in range(2**k)) for i in range(2**k)
+    )
+    return FiniteMetricSpace(tuple(labels), rows)

@@ -293,6 +293,17 @@ def test_embed_frechet(tmp_path, capsys):
     assert got["coords"][0] == ["0", "1", "1"]
 
 
+def test_embed_frechet_over_cap_exit_two(tmp_path, capsys):
+    # refused before any of the k * n coordinates exist
+    path = write_json(tmp_path / "sp.json", TWO_POINT)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "embed", "frechet", path, "--n", str(10**12))
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: 2 x {10**12} coordinates exceed the cap of 1048576\n"
+
+
 def test_embed_search(tmp_path, capsys):
     pat = write_json(
         tmp_path / "pat.json",
@@ -503,6 +514,39 @@ def test_plot_with_nebula(tmp_path, capsys):
     code, _, _ = run(capsys, "plot", "range", sp, "--nebula", neb, "-o", str(svg_path))
     assert code == 0
     assert 'data-exact="[3/10,3/10]"' in svg_path.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "random", "--n", "2", "-o", ""],
+        ["gen", "cantor", "--k", "1", "-o", ""],
+        ["approximate", "{sp}", "--epsilon", "1/2", "--r", ""],
+        ["approximate", "{sp}", "--epsilon", "1/2", "-o", ""],
+        ["embed", "search", "{sp}", "{sp}", "--distortion", ""],
+        ["plot", "range", "{sp}", "--nebula", "", "-o", "{svg}"],
+        ["plot", "range", "{sp}", "-o", ""],
+    ],
+    ids=[
+        "random-o",
+        "cantor-o",
+        "approximate-r",
+        "approximate-o",
+        "search-distortion",
+        "plot-nebula",
+        "plot-o",
+    ],
+)
+def test_empty_option_value_exit_two(tmp_path, capsys, monkeypatch, argv):
+    # an empty string is a given value, never the option left out
+    monkeypatch.chdir(tmp_path)
+    sp = write_json(tmp_path / "sp.json", EQUILATERAL)
+    svg = str(tmp_path / "out.svg")
+    code, out, err = run(capsys, *(a.format(sp=sp, svg=svg) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["sp.json"]
 
 
 def test_missing_file_exit_two(capsys):

@@ -27,6 +27,7 @@ from support import (
     brute_violations,
     plain_extend,
     plain_repair_error,
+    reference_cantor_approx,
     reference_random_metric,
     triple_loop_is_metric,
     triple_loop_is_ultrametric,
@@ -553,6 +554,15 @@ def test_cantor_matches_first_differing_position(k):
         for y, v in zip(c.points, row):
             first = next((t for t in range(k) if x[t] != y[t]), None)
             assert v == (0 if first is None else F(1, 2 ** (first + 1)))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_cantor_matches_the_fraction_build(k):
+    got, want = cantor_approx(k), reference_cantor_approx(k)
+    assert got.points == want.points
+    assert got.scaled[1] == want.scaled[1] == 2**k
+    assert got.scaled[0].dtype == want.scaled[0].dtype
+    assert (got.scaled[0] == want.scaled[0]).all()
 
 
 def test_random_metric_deterministic_and_valid():

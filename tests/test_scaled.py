@@ -1,12 +1,15 @@
-"""``FiniteMetricSpace.scaled``: the one scaled-integer matrix the kernels read.
+"""``FiniteMetricSpace.scaled``: the one scaled-integer matrix a space stores.
 
-The property is checked against the Fraction rows it stands for, on the
-int64 path and the object path, and the kernels are checked to read it
-without writing to it and without converting a space twice.
+The matrix is checked against the Fraction rows it stands for, on the
+int64 path and the object path, in the one canonical form whichever way
+the space was built.  The kernels are checked to read it without writing
+to it, and the readers, the writers, the kernels and the universal
+builders to run without building the ``dist`` view.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 from functools import cached_property
 from math import lcm
@@ -23,18 +26,24 @@ from metric_forge import (
     amalgamate,
     approximate,
     build_funiv_approx,
+    build_pair_universal,
+    cantor_approx,
     find_isometric_embedding,
+    jsonio,
     metric_repair,
     quantize_discrete,
     random_metric,
     subdominant_ultrametric,
+    validate_metric,
 )
+from metric_forge.core import _from_int_matrix
 
 from support import (
     plain_max_value,
     plain_min_positive,
     plain_values,
     reference_approximate,
+    reference_space_from_obj,
 )
 
 TINY = F(1, 2**64)
@@ -132,36 +141,154 @@ def test_one_point_grid_step_past_2_63():
 
 
 @pytest.fixture
-def conversions(monkeypatch):
-    """Every space whose ``scaled`` is computed, in order."""
+def views(monkeypatch):
+    """Every space whose ``dist`` view is built, in order."""
     seen = []
-    convert = FiniteMetricSpace.scaled.func
+    build = FiniteMetricSpace.dist.func
 
     def counted(space):
         seen.append(space)
-        return convert(space)
+        return build(space)
 
     prop = cached_property(counted)
-    prop.__set_name__(FiniteMetricSpace, "scaled")
-    monkeypatch.setattr(FiniteMetricSpace, "scaled", prop)
+    prop.__set_name__(FiniteMetricSpace, "dist")
+    monkeypatch.setattr(FiniteMetricSpace, "dist", prop)
     return seen
 
 
-def test_searches_convert_the_host_once(conversions):
+def test_searches_never_build_dist(views):
     host = build_funiv_approx(2, F(1, 8)).space
     patterns = [host.restrict(range(k, 289, 50 + k)) for k in range(8)]
-    conversions.clear()
     for k in range(40):
         assert find_isometric_embedding(patterns[k % 8], host) is not None
-    assert conversions[0] is host
-    # each pattern once, the host once: no space is converted twice
-    assert len(conversions) == 9
-    assert len({id(s) for s in conversions}) == 9
+    assert views == []
 
 
-def test_approximate_converts_its_input_once(conversions):
+def test_approximate_never_builds_dist(views):
     space = random_metric(20, 10, seed=2)
-    conversions.clear()
     first = approximate(space, F(1, 2))
     assert approximate(space, F(1, 2)) == first
-    assert len(conversions) == 1 and conversions[0] is space
+    assert views == []
+
+
+def test_validate_metric_on_a_metric_never_builds_dist(views):
+    wide = jsonio.space_from_obj(jsonio.space_to_obj(WIDE_METRIC))
+    assert wide.scaled[0].dtype == object
+    for space in (random_metric(20, 10, seed=3), wide, cantor_approx(4)):
+        assert validate_metric(space).is_metric
+    assert views == []
+
+
+def test_universal_builders_never_build_dist(views):
+    funiv = build_funiv_approx(2, F(1, 4), copies=2)
+    pairs = build_pair_universal([1, F(3, 2), F(7, 3)])
+    assert funiv.space.n == 2 * 81 and pairs.n == 6
+    assert views == []
+
+
+def test_reader_and_writer_never_build_dist(views):
+    for space in (random_metric(30, F(7, 3), seed=5), WIDE_METRIC):
+        text = "".join(jsonio.space_chunks(space))
+        back = jsonio.space_from_obj(json.loads(text))
+        assert back == space
+        assert "".join(jsonio.space_chunks(back)) == text
+    assert views == []
+    # the view is built on first read only, one Fraction per distinct value
+    assert back.dist is back.dist and views == [back]
+    assert back.dist == WIDE_METRIC.dist
+    assert back.dist[0][1] is back.dist[1][0]
+
+
+def test_dist_is_read_only():
+    space = random_metric(3, 10, seed=1)
+    with pytest.raises(AttributeError):
+        space.dist = ()
+    with pytest.raises(AttributeError):
+        space.scaled = space.scaled
+
+
+# --- canonical form -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "arr, denom",
+    [
+        (np.array([[0, 6, 4], [6, 0, 10], [4, 10, 0]]), 8),  # common factor 2
+        (np.array([[0, 3], [3, 0]], dtype=object), 2**70),  # fits int64
+        (np.array([[0, 2**62], [2**63 - 1, 0]]), 3),  # past 2^62 in int64
+        (np.array([[0, 2**80], [2**80, 0]], dtype=object), 2**80),  # all one
+        (np.zeros((1, 1), dtype=np.int64), 2**80),  # one point, gcd past 2^63
+    ],
+    ids=["common-factor", "object-fits", "int64-wide", "object-unit", "zero"],
+)
+def test_from_int_matrix_is_canonical(arr, denom):
+    labels = [f"p{i}" for i in range(len(arr))]
+    space = _from_int_matrix(labels, arr, denom)
+    twin = FiniteMetricSpace.from_rows(
+        labels, [[F(int(v), denom) for v in row] for row in arr.tolist()]
+    )
+    (a, da), (b, db) = space.scaled, twin.scaled
+    assert da == db and a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert not a.flags.writeable
+    assert space == twin and hash(space) == hash(twin)
+    assert space.dist == twin.dist and repr(space) == repr(twin)
+
+
+# --- the space reader against its Fraction implementation ---------------------
+
+VALID = st.sampled_from(
+    ["0", "1", "1/2", "2/4", "3", "7/3", "0/5", f"{2**64}", f"1/{2**70}", f"3/{2**70}"]
+)
+ODD = st.one_of(
+    st.sampled_from(["1.5", "-1", "", "1/0", " 2", "2\n", "3/-2"]),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(0, 2**70),
+    st.none(),
+    st.just([1]),
+)
+
+
+@st.composite
+def space_objs(draw):
+    # a symmetric matrix of valid strings, then a few edits: an odd entry
+    # (JSON integers included), an asymmetric one, a short row, a row too
+    # many, repeated labels
+    n = draw(st.integers(0, 5))
+    points = [f"p{i}" for i in range(n)]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(VALID)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["odd", "asym", "short", "extra", "label"]))
+        if edit == "extra":
+            rows.append([draw(VALID) for _ in range(n)])
+        elif edit == "label" and n:
+            points[draw(st.integers(0, n - 1))] = points[0]
+        elif n and rows[i := draw(st.integers(0, n - 1))]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            if edit == "short":
+                del rows[i][j]
+            else:
+                rows[i][j] = draw(ODD if edit == "odd" else VALID)
+    return {"points": points, "dist": rows}
+
+
+def read(reader, obj):
+    try:
+        space = reader(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    (arr, denom), dist = space.scaled, space.dist
+    return space.points, denom, arr.dtype, arr.tolist(), dist
+
+
+@given(space_objs())
+@example({"points": ["a", "b"], "dist": [["0", True], ["1", "0"]]})
+@example({"points": ["a", "b"], "dist": [["0", 1], [1, "0"]]})
+@example({"points": ["a", "b"], "dist": [["0", 2**70], [2**70, "0"]]})
+@example({"points": ["a", "b"], "dist": [["0", [1]], ["1", "0"]]})
+@example({"points": list("abc"), "dist": [["0", "1", "1"], ["1", "0", "1/2"], ["1", "1/3", "0"]]})
+def test_space_reader_matches_the_fraction_build(obj):
+    assert read(jsonio.space_from_obj, obj) == read(reference_space_from_obj, obj)

@@ -91,6 +91,17 @@ def test_frechet_rejects_out_of_class():
         frechet_embed(two_point(5), 3)
 
 
+def test_frechet_refuses_past_the_coordinate_cap():
+    # a 2-point space is in the class for every n >= 2, so n alone decides
+    m = two_point(1)
+    with pytest.raises(
+        ValueError, match=r"^2 x 524289 coordinates exceed the cap of 1048576$"
+    ):
+        frechet_embed(m, 2**19 + 1)
+    rows = frechet_embed(m, 2**19)  # exactly at the cap
+    assert len(rows) == 2 and len(rows[0]) == 2**19
+
+
 def test_frechet_exact_isometry_on_random_class_members():
     rng = random.Random(19)
     for _ in range(60):
