@@ -36,11 +36,6 @@ def _load_json(path):
         raise ValueError(f"JSON in {path} is nested too deep") from None
 
 
-def _dumps(obj) -> list[str]:
-    """The small outputs; the large ones are encoded by ``jsonio``."""
-    return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
-
-
 def _emit(chunks: list[str], path=None) -> None:
     """Write an output built in full to its file, or to stdout."""
     if path is not None:
@@ -145,14 +140,14 @@ def _cmd_nebula_cover(args) -> int:
         raise ValueError("values file must hold a JSON array of rationals")
     values = [jsonio.parse_scalar(v) for v in raw]
     result = cover(values, args.q)
-    _emit(_dumps(jsonio.nebula_to_obj(result)), args.output)
+    _emit(jsonio.encode(jsonio.nebula_to_obj(result)), args.output)
     return 0
 
 
 def _cmd_nebula_check(args) -> int:
     nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
     check = validate_nebula(nebula)
-    _emit(_dumps(jsonio.nebula_validation_to_obj(check)))
+    _emit(jsonio.encode(jsonio.nebula_validation_to_obj(check)))
     return 0 if check.is_valid else 1
 
 
@@ -161,22 +156,21 @@ def _cmd_nebula_margin(args) -> int:
     nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
     result = margin(space, nebula)
     obj = {
-        "epsilon": jsonio.scalar_str(result.epsilon),
+        "epsilon": result.epsilon,
         "fattened": jsonio.nebula_to_obj(result.fattened),
     }
-    _emit(_dumps(obj), args.output)
+    _emit(jsonio.encode(obj), args.output)
     return 0
 
 
 def _cmd_embed_frechet(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
-    rows = frechet_embed(space, args.n)
     obj = {
         "n": args.n,
-        "points": list(space.points),
-        "coords": [[jsonio.scalar_str(c) for c in row] for row in rows],
+        "points": space.points,
+        "coords": frechet_embed(space, args.n),
     }
-    _emit(_dumps(obj), args.output)
+    _emit(jsonio.encode(obj), args.output)
     return 0
 
 
@@ -188,7 +182,7 @@ def _cmd_embed_search(args) -> int:
     obj = {"found": False}
     if found is not None:
         obj = {"found": True, **jsonio.embedding_to_obj(found, pattern, host)}
-    _emit(_dumps(obj), args.output)
+    _emit(jsonio.encode(obj), args.output)
     return 0
 
 

@@ -83,7 +83,8 @@ class FiniteMetricSpace:
 
     def __init__(self, points, dist):
         """Converts the rows once; as tuples they are already the view."""
-        rows = tuple(map(tuple, dist))
+        points, rows = tuple(points), tuple(map(tuple, dist))
+        _check_shape(points, rows)
         denom = lcm(*{v.denominator for row in rows for v in row})
         arr = _int_matrix(
             rows, lambda row: [v.numerator * (denom // v.denominator) for v in row]

@@ -4,18 +4,21 @@ Readers are strict: decimals, negatives, non-integer counts and indices,
 and asymmetric distance matrices are rejected at parse time so exactness
 survives round-trips.
 
-The large outputs are encoded directly: ``space_chunks``,
-``approximation_chunks``, ``validation_chunks``, ``funiv_chunks`` and
-``fragility_chunks`` each return a list of strings that joins to exactly
-``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` of the matching
-``*_to_obj`` builder, without building ``obj``.  The builders stay: they are the oracle the writers are
-tested against, and the names the benchmark's traced run binds.
+Every output goes through one encoder, ``encode``.  It writes what the
+stdlib encoder writes with ``indent=2`` and ``sort_keys=True``, plus a
+trailing newline, and a ``Fraction`` as its quoted string.  The
+``*_chunks`` writers hand it plain dicts; their three large arrays
+(distance rows, certificates, violations) are callables that encode each
+repeated part once.  The ``*_to_obj`` builders stay: they are the oracle
+the writers are tested against, and the names the benchmark's traced run
+binds.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 
@@ -215,84 +218,77 @@ def funiv_to_obj(result: FUnivApprox) -> dict:
     }
 
 
-# --- direct writers -----------------------------------------------------------
+# --- the encoder ---------------------------------------------------------------
 #
-# A value at depth k has its inner lines indented by k + 1 steps.  Chunks are
-# written in order; an encoded member value is a string or a list of chunks.
-# Members are listed as the builders list them and sorted on the way out,
-# as json.dumps(sort_keys=True) does.
-
-_NL = tuple("\n" + "  " * k for k in range(8))
+# A value at depth k has its members on lines indented by k + 1 steps.  A
+# callable value is a large array: called with the newline that starts an
+# item's line, it returns its chunks, each item led by "," and that newline,
+# and it encodes its repeated parts once.
 
 
-def _scalar(value: Fraction) -> str:
-    return f'"{scalar_str(value)}"'
+def encode(obj) -> list[str]:
+    """Chunks of ``obj`` as indented, key-sorted JSON plus a trailing newline.
 
-
-def _array(items: list[str], level: int) -> str:
-    """A JSON array of already encoded items, the array at depth ``level``."""
-    if not items:
-        return "[]"
-    nl = _NL[level + 1]
-    return "[" + nl + ("," + nl).join(items) + _NL[level] + "]"
-
-
-def _ints(values, level: int) -> str:
-    return _array(list(map(str, values)), level)
-
-
-def _scalars(values, level: int) -> str:
-    return _array(list(map(_scalar, values)), level)
-
-
-def _object(members: dict, level: int) -> list[str]:
-    """Chunks of a JSON object with sorted keys, the object at depth ``level``."""
-    nl = _NL[level + 1]
-    out = ["{"]
-    for k, key in enumerate(sorted(members)):
-        out.append(f"{',' if k else ''}{nl}{_quote(key)}: ")
-        value = members[key]
-        if isinstance(value, str):
-            out.append(value)
-        else:
-            out += value
-    out.append(_NL[level] + "}")
+    They join to what the stdlib encoder writes with ``indent=2`` and
+    ``sort_keys=True``; a ``Fraction`` is written as its quoted string.
+    """
+    out: list[str] = []
+    _encode(obj, 0, out)
+    out.append("\n")
     return out
 
 
-def _dist(space: FiniteMetricSpace, level: int) -> list[str]:
-    """Chunks of a distance matrix: one string per row, each value quoted once."""
-    if not space.n:
-        return ["[]"]
+def _encode(value, level: int, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, Fraction):
+        out.append(f'"{value}"')
+    else:
+        first, nl = len(out), "\n" + "  " * (level + 1)
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if isinstance(value, dict):
+            for key in sorted(value):
+                out.append(f",{nl}{_quote(key)}: ")
+                _encode(value[key], level + 1, out)
+        elif isinstance(value, (list, tuple)):
+            sep = "," + nl
+            for item in value:
+                out.append(sep)
+                _encode(item, level + 1, out)
+        elif callable(value):
+            out += value(nl)
+        else:
+            raise TypeError(f"cannot encode {type(value).__name__}")
+        if len(out) == first:
+            out.append(brackets)
+        else:  # the first member's comma opens the container
+            out[first] = brackets[0] + out[first][1:]
+            out.append(nl[:-2] + brackets[1])
+
+
+def _space(space: FiniteMetricSpace) -> dict:
+    return {"points": space.points, "dist": partial(_dist, space)}
+
+
+def _dist(space: FiniteMetricSpace, nl: str) -> list[str]:
+    """One chunk per row; each distinct value is quoted once."""
     arr, denom = space.scaled
     rows = arr.tolist()
-    cells = {v: _scalar(Fraction(v, denom)) for v in set().union(*rows)}
-    row_nl, cell_nl = _NL[level + 1], _NL[level + 2]
-    sep = "," + cell_nl
-    out = ["["]
-    for row in rows:
-        text = sep.join(map(cells.__getitem__, row))
-        out += (",", row_nl, "[", cell_nl, text, row_nl, "]")
-    out[1] = ""  # no comma before the first row
-    out.append(_NL[level] + "]")
-    return out
+    cells = {v: f'"{Fraction(v, denom)}"' for v in set().union(*rows)}
+    cell = nl + "  "
+    sep = "," + cell
+    return [f",{nl}[{cell}{sep.join(map(cells.__getitem__, row))}{nl}]" for row in rows]
 
 
-def _space(space: FiniteMetricSpace, level: int) -> list[str]:
-    return _object(
-        {
-            "points": _array(list(map(_quote, space.points)), level + 1),
-            "dist": _dist(space, level + 1),
-        },
-        level,
-    )
-
-
-def _certificates(certs, level: int) -> list[str]:
+def _certificates(certs, nl: str) -> list[str]:
     """Each distinct certificate's "l"/"m"/"n" tail is encoded once."""
-    if not certs:
-        return ["[]"]
-    nl, inner = _NL[level + 1], _NL[level + 2]
+    inner = nl + "  "
 
     def tail(c: RangeCertificate) -> str:
         n = "null" if c.n is None else c.n
@@ -301,20 +297,14 @@ def _certificates(certs, level: int) -> list[str]:
 
     tails = {key: tail(c) for key, c in {id(c): c for _, _, c in certs}.items()}
     head, mid = f',{nl}{{{inner}"i": ', f',{inner}"j": '
-    out = ["["]
-    out += [f"{head}{i}{mid}{j}{tails[id(c)]}" for i, j, c in certs]
-    out[1] = out[1][1:]  # no comma before the first item
-    out.append(_NL[level] + "]")
-    return out
+    return [f"{head}{i}{mid}{j}{tails[id(c)]}" for i, j, c in certs]
 
 
-def _violations(violations, level: int) -> list[str]:
+def _violations(violations, nl: str) -> list[str]:
     """One %-template per kind and witness length fills each violation."""
-    if not violations:
-        return ["[]"]
-    nl, inner, deep = _NL[level + 1], _NL[level + 2], _NL[level + 3]
+    inner, deep = nl + "  ", nl + "    "
     forms: dict[tuple[str, int], str] = {}
-    out = ["["]
+    out = []
     for v in violations:
         key = (v.kind, len(v.witness))
         form = forms.get(key)
@@ -326,93 +316,66 @@ def _violations(violations, level: int) -> list[str]:
                 f'{f"[{deep}{w}{inner}]" if w else "[]"}{nl}}}'
             )
         out.append(form % (v.lhs, v.rhs, *v.witness))
-    out[1] = out[1][1:]
-    out.append(_NL[level] + "]")
     return out
 
 
-def _document(chunks: list[str]) -> list[str]:
-    chunks.append("\n")
-    return chunks
-
-
 def space_chunks(space: FiniteMetricSpace) -> list[str]:
-    return _document(_space(space, 0))
+    return encode(_space(space))
 
 
 def validation_chunks(report: ValidationReport) -> list[str]:
-    return _document(
-        _object(
-            {
-                "is_metric": "true" if report.is_metric else "false",
-                "is_ultrametric": "true" if report.is_ultrametric else "false",
-                "violations": _violations(report.violations, 1),
-            },
-            0,
-        ),
+    return encode(
+        {
+            "is_metric": report.is_metric,
+            "is_ultrametric": report.is_ultrametric,
+            "violations": partial(_violations, report.violations),
+        }
     )
 
 
 def approximation_chunks(result: ApproximationResult) -> list[str]:
     plan = result.plan
-    return _document(
-        _object(
-            {
-                "eta": _scalar(result.eta),
-                "r": _scalar(result.r),
-                "plan": _object(
-                    {
-                        "clusters": _array([_ints(c, 3) for c in plan.clusters], 2),
-                        "reps": _ints(plan.reps, 2),
-                        "radius": _scalar(plan.radius),
-                    },
-                    1,
-                ),
-                "certificates": _certificates(result.certificates, 1),
-                "D": _space(result.D, 1),
+    return encode(
+        {
+            "eta": result.eta,
+            "r": result.r,
+            "plan": {
+                "clusters": plan.clusters,
+                "reps": plan.reps,
+                "radius": plan.radius,
             },
-            0,
-        ),
+            "certificates": partial(_certificates, result.certificates),
+            "D": _space(result.D),
+        }
     )
 
 
 def funiv_chunks(result: FUnivApprox) -> list[str]:
-    return _document(
-        _object(
-            {
-                "space": _space(result.space, 1),
-                "net_points": _array(
-                    [_scalars(p, 2) for p in result.net.points], 1
-                ),
-                "copies": str(result.copies),
-            },
-            0,
-        ),
+    return encode(
+        {
+            "space": _space(result.space),
+            "net_points": result.net.points,
+            "copies": result.copies,
+        }
     )
 
 
 def fragility_chunks(report: FragilityReport) -> list[str]:
-    return _document(
-        _object(
-            {
-                "values": _scalars(report.values, 1),
-                "epsilon": _scalar(report.epsilon),
-                "eta": _scalar(report.eta),
-                "r": _scalar(report.r),
-                "sup_distance": _scalar(report.sup_distance),
-                "max_value": _scalar(report.max_value),
-                "missed_interval": _object(
-                    {
-                        "lo": _scalar(report.gap_lo),
-                        "hi": _scalar(report.gap_hi),
-                        "length": _scalar(report.gap_length),
-                    },
-                    1,
-                ),
-                "lost_values": _scalars(report.lost_values, 1),
-                "kept_values": _scalars(report.kept_values, 1),
-                "D": _space(report.approximation.D, 1),
+    return encode(
+        {
+            "values": report.values,
+            "epsilon": report.epsilon,
+            "eta": report.eta,
+            "r": report.r,
+            "sup_distance": report.sup_distance,
+            "max_value": report.max_value,
+            "missed_interval": {
+                "lo": report.gap_lo,
+                "hi": report.gap_hi,
+                "length": report.gap_length,
             },
-            0,
-        ),
+            "lost_values": report.lost_values,
+            "kept_values": report.kept_values,
+            "D": _space(report.approximation.D),
+        }
     )

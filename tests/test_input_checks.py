@@ -85,6 +85,32 @@ def test_core_input_checks(call, message):
     refused(call, ValueError, message)
 
 
+SHAPES = [
+    # the constructor checks the shape too: short rows used to end in an
+    # IndexError, and a 2 x 2 matrix under 3 labels passed as a metric
+    (
+        lambda: FiniteMetricSpace("ab", ((F(0),), (F(1),))),
+        "shape error: distance matrix must be square",
+    ),
+    (
+        lambda: FiniteMetricSpace("abc", ((F(0), F(1)), (F(1), F(0)))),
+        "shape error: 2 rows for 3 points",
+    ),
+    # from_rows checks the shape before any entry
+    (
+        lambda: FiniteMetricSpace.from_rows("ab", [[0, 0.5]]),
+        "shape error: 1 rows for 2 points",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", SHAPES, ids=["short-rows", "missing-row", "shape-before-entry"]
+)
+def test_space_shape_checks(call, message):
+    refused(call, ValueError, message)
+
+
 NO_ZERO = "value set must contain 0 and stay nonnegative"
 NOT_PARTS = "sum parts must be family members"
 

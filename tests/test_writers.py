@@ -1,9 +1,9 @@
-"""The direct JSON encoders against ``json.dumps`` of the dict builders.
+"""The JSON writers against ``json.dumps`` of the dict builders.
 
-The chunks of each encoder must join to exactly ``json.dumps(obj,
+The chunks of each writer must join to exactly ``json.dumps(obj,
 indent=2, sort_keys=True) + "\\n"`` of the matching ``jsonio.*_to_obj`` builder,
-and the CLI's outputs must keep the digests they had before the writers
-existed.
+the shared encoder must match ``json.dumps`` on any JSON tree, and the
+CLI's outputs must keep the digests they had before the writers existed.
 """
 
 import contextlib
@@ -94,6 +94,23 @@ def golden_digests(tmp_path):
     step("funiv", "universal", "funiv", "--n", "1", "--delta", "1/2", "--copies", "2")
     step("pairs", "universal", "pairs", "--values", "1/2,3,7/4")
     step("fragility", "fragility", "--values", "1/8,1/4,3/8,1/2", "--epsilon", "1/2")
+    # the small outputs; odd labels reach the embedding's map keys
+    write("values.json", ["0", "1", "3/2", "5/3", "2"])
+    write("bad-cover.json", {"q": 1, "bounded": [["0", "0"], ["1/2", "5/4"]],
+                             "tail_start": "1"})
+    step("nebula-cover", "nebula", "cover", f("values.json"), "--q", "1", "-o", f("cover.json"),
+         out="cover.json")
+    step("nebula-check-valid", "nebula", "check", f("cover.json"))
+    step("nebula-check-invalid", "nebula", "check", f("bad-cover.json"))
+    step("nebula-margin", "nebula", "margin", f("odd.json"), f("cover.json"))
+    step("embed-frechet", "embed", "frechet", f("odd.json"), "--n", "5")
+    write("pattern.json", {
+        "points": ["z", "\u00e9\u2028", 'A"b'],
+        "dist": [["0", "1", "3/2"], ["1", "0", "1"], ["3/2", "1", "0"]],
+    })
+    write("far.json", {"points": ["x", "y"], "dist": [["0", "7/3"], ["7/3", "0"]]})
+    step("embed-search-found", "embed", "search", f("pattern.json"), f("odd.json"))
+    step("embed-search-missing", "embed", "search", f("far.json"), f("odd.json"))
     return digests
 
 
@@ -111,6 +128,14 @@ GOLDEN = {
     "funiv": "68d82f37c5d7eb2a132e2900b67ffec2ee704971ab32c2f91e2e27301ba6f153",
     "pairs": "9c66d0240b2ef5d28ef41ac88cdaff8d9813da73c751411c416fdd47208b7b26",
     "fragility": "a841522b3dac928dffb62ab0278ed0f63fd35911dcd032fa5872d4d9c2a1fb77",
+    # the small outputs, recorded while they were still written by json.dumps
+    "nebula-cover": "af06aeaa8916b6de73a8e1294105d0c0cd94f4d0fd5f9b2de676d77c3637cbfe",
+    "nebula-check-valid": "e990ffe54bcd2b8c1340698889fc62ca9fd498b67029fb46533090330b757465",
+    "nebula-check-invalid": "5391079b64eb36a91029c509e8bad83991407100ae839dc8c964a0b3e456cdc9",
+    "nebula-margin": "7423529605214ddcd4abb40d0f58460ebb80c6284bef7f97472665c47b923c1f",
+    "embed-frechet": "1fb2c6aeecb828ec2050554e541e3f2cc45b0e7bc7d091504ab9282a826b02cb",
+    "embed-search-found": "98a1e7d164a1f60e594202872868eb0b494b6405d9e0b95c8efc7e4e3ddee6e8",
+    "embed-search-missing": "f67184aa4558dce766d003ed85ded9c72615ad58db85dfac49ea43275da35e37",
 }
 
 
@@ -242,3 +267,50 @@ def test_fragility_writer(values, eps):
 def test_funiv_writer(n, delta, copies):
     result = build_funiv_approx(n, delta, copies)
     assert written(jsonio.funiv_chunks, result) == oracle(jsonio.funiv_to_obj(result))
+
+
+# --- the shared encoder against json.dumps on any JSON tree ----------------------
+
+
+def _plain(value):
+    """The oracle's side of a tree: each Fraction as its string."""
+    if isinstance(value, F):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    LABELS,
+    st.fractions(),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(LABELS, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(TREES)
+@example({"": [], "b": {}, "a": [[], {}, [[{}]], ()], "\ud800": {"é": None}})
+@example([-(2**64) - 1, 2**64, True, False, 0, F(-7, 3), F(5), "\x00 "])
+def test_encoder_matches_json_dumps(tree):
+    out = []
+    jsonio._encode(tree, 0, out)
+    assert "".join(out) == json.dumps(_plain(tree), indent=2, sort_keys=True)
+
+
+def test_encoder_refuses_floats():
+    with pytest.raises(TypeError, match="cannot encode float"):
+        jsonio.encode({"x": [0.5]})
