@@ -1,9 +1,10 @@
 """metric-forge command line: deterministic JSON pipelines over exact rationals.
 
 Exit codes: 0 success or valid, 1 validation failure (JSON report on
-stdout), 2 usage or domain errors, 3 internal errors (a failed self-check
-or running out of memory).  Outputs carry no timestamps, so a rerun with
-the same inputs is byte-identical.
+stdout), 2 usage or domain errors (an input file over ``_MAX_INPUT_BYTES``
+among them), 3 internal errors (a failed self-check or running out of
+memory).  Outputs carry no timestamps, so a rerun with the same inputs is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -27,8 +29,18 @@ from .universal import (
 )
 
 
+# the largest input file read, in bytes (2^25, 32 MiB): json.loads holds
+# about 6 bytes per byte of text, and `gen random --n 1024` writes 14.4 MB
+_MAX_INPUT_BYTES = 2**25
+
+
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > _MAX_INPUT_BYTES:
+            raise ValueError(
+                f"{path} has {size} bytes, over the cap of {_MAX_INPUT_BYTES}"
+            )
         text = fh.read()
     try:
         return json.loads(text)

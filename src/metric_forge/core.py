@@ -85,7 +85,8 @@ class FiniteMetricSpace:
         """Converts the rows once; as tuples they are already the view."""
         points, rows = tuple(points), tuple(map(tuple, dist))
         _check_shape(points, rows)
-        denom = lcm(*{v.denominator for row in rows for v in row})
+        # as_scalar refuses floats and bools in the one pass over the entries
+        denom = lcm(*{as_scalar(v).denominator for row in rows for v in row})
         arr = _int_matrix(
             rows, lambda row: [v.numerator * (denom // v.denominator) for v in row]
         )
@@ -221,32 +222,64 @@ def _rescale(arr: np.ndarray, factor: int) -> np.ndarray:
 # validation
 
 
-def _witnesses(arr: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+# the most cells (rows x n x n) one slab of the triangle scan compares at
+# once (2^20), which keeps an object-path slab near 50 MB
+_SLAB_CELLS = 2**20
+
+
+def _witnesses(arr: np.ndarray):
     """Every axiom violation of a scaled-integer matrix, in report order.
 
-    Each item is ``(kind, witness)``; see ``validate_metric`` for the kinds
-    and witnesses.  The order is by kind, then by witness.  An empty list
-    means the matrix is a metric.
+    Yields ``(kind, witness)``; see ``validate_metric`` for the kinds and
+    witnesses.  The order is by kind, then by witness.  Nothing yielded
+    means the matrix is a metric.  Memory stays O(n^2):
+
+    - the diagonal, symmetry and positivity witnesses come first, from
+      O(n^2) comparisons;
+    - if there are none, the triangle verdict is the shortest-path
+      closure: closure entries only fall, so an unchanged closure means
+      every d(i,j) <= d(i,k) + d(k,j) held, and a changed one means a
+      shorter path broke one.  On int64 every entry then lies in
+      [0, 2^62), so no sum overflows;
+    - only on a "no" (a changed closure or a failed cheap check) does
+      ``_triangles`` enumerate the triangle witnesses, slab by slab.
     """
     n = len(arr)
     iu, ju = np.triu_indices(n, 1)
     upper, lower = arr[iu, ju], arr[ju, iu]
     asym = upper != lower
-    found = [("diagonal", (i,)) for i in np.flatnonzero(np.diagonal(arr) != 0).tolist()]
-    found += [("symmetry", w) for w in zip(iu[asym].tolist(), ju[asym].tolist())]
+    cheap = [("diagonal", (i,)) for i in np.flatnonzero(np.diagonal(arr) != 0).tolist()]
+    cheap += [("symmetry", w) for w in zip(iu[asym].tolist(), ju[asym].tolist())]
     low = (lower <= 0) & asym
     nonpositive = list(zip(iu[upper <= 0].tolist(), ju[upper <= 0].tolist()))
     nonpositive += zip(ju[low].tolist(), iu[low].tolist())
-    found += [("positivity", w) for w in sorted(nonpositive)]
-    # lhs[i,k,j] = d(i,j), rhs[i,k,j] = d(i,k) + d(k,j)
-    bad = arr[:, None, :] > arr[:, :, None] + arr[None, :, :]
-    if not bad.any():  # the common case; any() is cheaper than argwhere
-        return found
-    ikj = np.argwhere(bad)
-    i, k, j = ikj.T
-    keep = (i < j) & (k != i) & (k != j)
-    found += [("triangle", w) for w in map(tuple, ikj[keep].tolist())]
-    return found
+    cheap += [("positivity", w) for w in sorted(nonpositive)]
+    yield from cheap
+    if cheap or not (_path_closure(arr.copy(), np.add) == arr).all():
+        yield from (("triangle", w) for w in _triangles(arr))
+
+
+def _triangles(arr: np.ndarray):
+    """Every triangle witness ``(i, k, j)``, i < j and k not in {i, j}, in order.
+
+    A witness means ``d(i,j) > d(i,k) + d(k,j)``.  Rows i are compared a
+    slab at a time, at most ``_SLAB_CELLS`` cells and at least one row;
+    ``argwhere`` within a slab, slab by slab in i order, is the order of
+    the whole n x n x n comparison without a sort.
+    """
+    n = len(arr)
+    rows = max(1, _SLAB_CELLS // max(n * n, 1))
+    for start in range(0, n, rows):
+        slab = arr[start : start + rows]
+        # lhs[i,k,j] = d(i,j), rhs[i,k,j] = d(i,k) + d(k,j)
+        bad = slab[:, None, :] > slab[:, :, None] + arr[None, :, :]
+        if not bad.any():  # the common slab; any() is cheaper than argwhere
+            continue
+        ikj = np.argwhere(bad)
+        ikj[:, 0] += start
+        i, k, j = ikj.T
+        keep = (i < j) & (k != i) & (k != j)
+        yield from map(tuple, ikj[keep].tolist())
 
 
 def _violation(dist, kind: str, witness: tuple[int, ...]) -> Violation:
@@ -268,7 +301,9 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     Violation kinds are diagonal, symmetry, positivity and triangle; a
     triangle witness ``(i, k, j)`` means ``d(i,j) > d(i,k) + d(k,j)``.
     ``is_ultrametric`` (the max-triangle inequality) is only evaluated
-    when all four axioms hold.
+    when all four axioms hold.  Both verdicts come from path closures
+    (see ``_witnesses``), and triangle witnesses are enumerated in
+    slabs only when the metric verdict is "no", so memory stays O(n^2).
     """
     arr, _ = space.scaled
     violations = tuple(_violation(space.dist, *v) for v in _witnesses(arr))
@@ -465,10 +500,14 @@ def _path_closure(arr: np.ndarray, join) -> np.ndarray:
     """Floyd-Warshall closure of a scaled-integer matrix, in place.
 
     A path's length is its edges combined by ``join``: ``np.add`` gives
-    shortest paths, ``np.maximum`` minimax paths (single linkage).
+    shortest paths, ``np.maximum`` minimax paths (single linkage).  One
+    n x n buffer takes every k's candidate paths, so memory stays O(n^2)
+    and no array is allocated per k.
     """
+    via = np.empty_like(arr)
     for k in range(len(arr)):
-        np.minimum(arr, join(arr[:, k, None], arr[None, k, :]), out=arr)
+        join(arr[:, k, None], arr[None, k, :], out=via)
+        np.minimum(arr, via, out=arr)
     return arr
 
 

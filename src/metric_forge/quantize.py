@@ -470,10 +470,10 @@ def approximate(
     arr, den = space.scaled
 
     def failure(message: str) -> Exception:
-        found = _witnesses(arr)
-        if not found:
+        first = next(_witnesses(arr), None)
+        if first is None:
             return RuntimeError(message)
-        v = _violation(space.dist, *found[0])
+        v = _violation(space.dist, *first)
         return ValueError(
             f"input is not a metric: {v.kind} violation at {v.witness}"
             f" ({v.lhs} against {v.rhs})"
@@ -562,7 +562,7 @@ def approximate(
     if wrong.size:
         i, j = int(iu[wrong[0]]), int(ju[wrong[0]])
         raise failure(f"internal: certificate mismatch at ({i}, {j})")
-    if _witnesses(D):
+    if next(_witnesses(D), None) is not None:
         raise failure("internal: approximation lost metricity")
     if _sup_gap(arr, den, D, denom) > epsilon:
         raise failure("internal: approximation moved too far")

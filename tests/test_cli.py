@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -547,6 +550,60 @@ def test_empty_option_value_exit_two(tmp_path, capsys, monkeypatch, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["sp.json"]
+
+
+def test_oversized_input_exit_two(tmp_path, capsys):
+    # a sparse file: its size is over the cap, but no byte is ever written
+    path = tmp_path / "huge.json"
+    path.touch()
+    os.truncate(path, cli._MAX_INPUT_BYTES + 1)
+    for argv in (["validate", str(path)], ["nebula", "cover", str(path), "--q", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path} has {cli._MAX_INPUT_BYTES + 1} bytes, over the cap"
+            f" of {cli._MAX_INPUT_BYTES}\n"
+        )
+
+
+def test_input_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path / "sp.json", EQUILATERAL)
+    size = os.stat(path).st_size
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", size)
+    assert run(capsys, "validate", path)[0] == 0
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", size - 1)
+    assert run(capsys, "validate", path)[0] == 2
+
+
+def test_largest_generated_space_checks_in_bounded_memory(tmp_path):
+    # each command runs in its own child under a 1 GiB address-space limit;
+    # an n x n x n check at n = 1024 would ask for 8 GiB and exit 3
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    space_path, result_path = tmp_path / "space.json", tmp_path / "result.json"
+    outputs = []
+    for argv in (
+        ["gen", "random", "--n", "1024", "--seed", "1", "-o", space_path],
+        ["validate", space_path],
+        ["approximate", space_path, "--epsilon", "1/2", "-o", result_path],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "metric_forge.cli", *map(str, argv)],
+            env=env,
+            preexec_fn=limit,
+            capture_output=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), argv
+        outputs.append(done.stdout)
+    report = json.loads(outputs[1])
+    assert (report["is_metric"], report["violations"]) == (True, [])
+    assert outputs[2] == b"" and result_path.stat().st_size > 0
 
 
 def test_missing_file_exit_two(capsys):

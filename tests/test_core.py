@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from metric_forge import (
     FiniteMetricSpace,
+    approximate,
     PartitionPlan,
     amalgamate,
     cantor_approx,
@@ -20,6 +22,7 @@ from metric_forge import (
     sup_distance,
     validate_metric,
 )
+from metric_forge import core, quantize
 
 from support import (
     brute_minimax_paths,
@@ -111,6 +114,116 @@ def test_validate_reports_what_plain_loops_find(cand):
     report = validate_metric(cand)
     got = [(v.kind, v.witness, v.lhs, v.rhs) for v in report.violations]
     assert got == brute_violations(cand)
+
+
+# --- triangle kernel: closure verdict, slabs on a "no" -----------------------
+
+# the default budget, one row per slab and a few rows per slab (for n <= 5)
+SLAB_BUDGETS = [core._SLAB_CELLS, 1, 50]
+INT64_ENTRIES = [F(-1), F(0), F(1, 3), F(1), F(5)]
+POSITIVE_ENTRIES = [F(1, 3), F(1), F(2), F(5), F(7, 2**70), F(2**65 + 1, 3)]
+
+
+@st.composite
+def symmetric_weights(draw, entries=POSITIVE_ENTRIES):
+    # zero diagonal, symmetric, positive: the closure gives the verdict
+    n = draw(st.integers(1, 6))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(entries))
+    return FiniteMetricSpace.from_rows([f"w{i}" for i in range(n)], rows)
+
+
+@pytest.mark.parametrize("cells", SLAB_BUDGETS)
+@given(
+    st.one_of(
+        raw_matrices(),
+        raw_matrices(INT64_ENTRIES),
+        symmetric_weights(),
+        symmetric_weights(POSITIVE_ENTRIES[:4]),
+    )
+)
+@example(space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]]))
+def test_witnesses_in_slabs_match_plain_loops(cells, cand):
+    with patch.object(core, "_SLAB_CELLS", cells):
+        report = validate_metric(cand)
+        triangles = list(core._triangles(cand.scaled[0]))
+    want = brute_violations(cand)
+    assert [(v.kind, v.witness, v.lhs, v.rhs) for v in report.violations] == want
+    # the slab scan alone finds the same triangles, with or without cheap ones
+    assert triangles == [w for kind, w, _, _ in want if kind == "triangle"]
+
+
+def test_kernel_inputs_take_both_paths():
+    assert space("ab", [[0, F(1, 3)], [F(1, 3), 5]]).scaled[0].dtype == np.int64
+    assert space("ab", [[0, F(7, 2**70)], [1, 0]]).scaled[0].dtype == object
+
+
+def tight_metrics():
+    wide = random_metric(9, F(2**65 + 1, 3), seed=4)
+    assert wide.scaled[0].dtype == object
+    return [random_metric(n, 10, seed=n) for n in (2, 5, 12)] + [
+        wide,
+        cantor_approx(1),
+        cantor_approx(3),
+    ]
+
+
+@pytest.mark.parametrize("cells", SLAB_BUDGETS)
+@pytest.mark.parametrize("m", tight_metrics(), ids=lambda m: f"n{m.n}")
+def test_tight_metrics_have_no_witness(cells, m):
+    arr = m.scaled[0]
+    with patch.object(core, "_SLAB_CELLS", cells):
+        assert list(core._witnesses(arr)) == []
+        assert list(core._triangles(arr)) == []
+    assert validate_metric(m).is_metric
+
+
+def test_repaired_random_metrics_are_tight():
+    # many triangles hold with equality, so a strict comparison is tested
+    arr = random_metric(12, 10, seed=12).scaled[0]
+    n = len(arr)
+    equal = sum(
+        arr[i, j] == arr[i, k] + arr[k, j]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+        if k not in (i, j)
+    )
+    assert equal > n
+
+
+@pytest.mark.parametrize("cells", SLAB_BUDGETS)
+def test_negative_diagonal_only_gives_no_triangle(cells):
+    # the closure would change through a negative self-distance, so the
+    # slabs decide, and no triangle (i, k, j) with k outside {i, j} breaks
+    cand = space("abcd", [[-1, 1, 2, 1], [1, 0, 1, 2], [2, 1, -3, 1], [1, 2, 1, 0]])
+    with patch.object(core, "_SLAB_CELLS", cells):
+        found = list(core._witnesses(cand.scaled[0]))
+    assert found == [("diagonal", (0,)), ("diagonal", (2,))]
+    assert [(kind, w) for kind, w, _, _ in brute_violations(cand)] == found
+
+
+def test_approximate_failure_stops_at_the_first_witness(monkeypatch):
+    # a star of unit legs under long edges: every pair of leaves breaks one
+    n = 8
+    rows = [[0 if i == j else 1 if 0 in (i, j) else 100 for j in range(n)] for i in range(n)]
+    cand = space([f"x{i}" for i in range(n)], rows)
+    assert len(brute_violations(cand)) == 21
+    pulled = []
+
+    def counting(arr):
+        pulled.append(0)
+        for item in core._witnesses(arr):
+            pulled[-1] += 1
+            yield item
+
+    monkeypatch.setattr(core, "_SLAB_CELLS", 1)
+    monkeypatch.setattr(quantize, "_witnesses", counting)
+    with pytest.raises(ValueError, match=r"^input is not a metric: triangle"):
+        approximate(cand, F(1, 2))
+    assert pulled and all(count == 1 for count in pulled)
 
 
 @given(

@@ -111,6 +111,26 @@ def test_space_shape_checks(call, message):
     refused(call, ValueError, message)
 
 
+ENTRY_TYPES = [
+    # the constructor refuses what as_scalar refuses: a float used to end in
+    # an AttributeError, and bools passed as a metric (even an ultrametric)
+    (lambda: FiniteMetricSpace("ab", ((0, 1.5), (1.5, 0))), "float"),
+    (lambda: FiniteMetricSpace("ab", ((False, True), (True, False))), "bool"),
+    (lambda: FiniteMetricSpace("ab", ((F(0), F(1)), (True, F(0)))), "bool"),
+    (lambda: FiniteMetricSpace.from_rows("ab", [[0, 1.5], [1.5, 0]]), "float"),
+    (lambda: FiniteMetricSpace.from_rows("ab", [[False, True], [True, False]]), "bool"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    ENTRY_TYPES,
+    ids=["init-float", "init-bools", "init-one-bool", "rows-float", "rows-bools"],
+)
+def test_space_entry_types(call, name):
+    refused(call, TypeError, f"expected an exact rational, got {name}")
+
+
 NO_ZERO = "value set must contain 0 and stay nonnegative"
 NOT_PARTS = "sum parts must be family members"
 
