@@ -4,14 +4,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metric_forge import (
     FiniteMetricSpace,
-    approximate,
     PartitionPlan,
     amalgamate,
+    approximate,
     cantor_approx,
     extend_metric,
     greedy_clopen_partition,
@@ -145,6 +145,7 @@ def symmetric_weights(draw, entries=POSITIVE_ENTRIES):
     )
 )
 @example(space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]]))
+@settings(max_examples=200)  # four strategies share the examples
 def test_witnesses_in_slabs_match_plain_loops(cells, cand):
     with patch.object(core, "_SLAB_CELLS", cells):
         report = validate_metric(cand)
@@ -156,8 +157,8 @@ def test_witnesses_in_slabs_match_plain_loops(cells, cand):
 
 
 def test_kernel_inputs_take_both_paths():
-    assert space("ab", [[0, F(1, 3)], [F(1, 3), 5]]).scaled[0].dtype == np.int64
-    assert space("ab", [[0, F(7, 2**70)], [1, 0]]).scaled[0].dtype == object
+    assert space("abcde", [INT64_ENTRIES] * 5).scaled[0].dtype == np.int64
+    assert space("abcdef", [POSITIVE_ENTRIES] * 6).scaled[0].dtype == object
 
 
 def tight_metrics():
