@@ -35,15 +35,17 @@ _MAX_INPUT_BYTES = 2**25
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size > _MAX_INPUT_BYTES:
             raise ValueError(
                 f"{path} has {size} bytes, over the cap of {_MAX_INPUT_BYTES}"
             )
-        text = fh.read()
+        data = fh.read(_MAX_INPUT_BYTES + 1)  # a pipe's size reads 0
+    if len(data) > _MAX_INPUT_BYTES:
+        raise ValueError(f"{path} has more than {_MAX_INPUT_BYTES} bytes, the cap")
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except RecursionError:  # malformed input, not an internal error
         raise ValueError(f"JSON in {path} is nested too deep") from None
 

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 import numpy as np
@@ -85,8 +86,9 @@ class FiniteMetricSpace:
         """Converts the rows once; as tuples they are already the view."""
         points, rows = tuple(points), tuple(map(tuple, dist))
         _check_shape(points, rows)
-        # as_scalar refuses floats and bools in the one pass over the entries
-        denom = lcm(*{as_scalar(v).denominator for row in rows for v in row})
+        # as_scalar refuses floats and bools, and keeps a Fraction as it is
+        rows = tuple(tuple(map(as_scalar, row)) for row in rows)
+        denom = lcm(*{v.denominator for row in rows for v in row})
         arr = _int_matrix(
             rows, lambda row: [v.numerator * (denom // v.denominator) for v in row]
         )
@@ -94,9 +96,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_rows(cls, points, rows) -> "FiniteMetricSpace":
-        points = tuple(points)
-        _check_shape(points, rows)
-        return cls(points, [map(as_scalar, row) for row in rows])
+        return cls(points, rows)
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -230,12 +230,12 @@ _SLAB_CELLS = 2**20
 def _witnesses(arr: np.ndarray):
     """Every axiom violation of a scaled-integer matrix, in report order.
 
-    Yields ``(kind, witness)``; see ``validate_metric`` for the kinds and
-    witnesses.  The order is by kind, then by witness.  Nothing yielded
-    means the matrix is a metric.  Memory stays O(n^2):
+    Yields ``(kind, witness, lhs, rhs)``, the sides as Python ints on
+    ``arr``'s scale (see ``validate_metric``), by kind, then by witness.
+    Nothing yielded means the matrix is a metric.  Memory stays O(n^2):
 
     - the diagonal, symmetry and positivity witnesses come first, from
-      O(n^2) comparisons;
+      O(n^2) masks read in row-major order;
     - if there are none, the triangle verdict is the shortest-path
       closure: closure entries only fall, so an unchanged closure means
       every d(i,j) <= d(i,k) + d(k,j) held, and a changed one means a
@@ -244,28 +244,32 @@ def _witnesses(arr: np.ndarray):
     - only on a "no" (a changed closure or a failed cheap check) does
       ``_triangles`` enumerate the triangle witnesses, slab by slab.
     """
-    n = len(arr)
-    iu, ju = np.triu_indices(n, 1)
-    upper, lower = arr[iu, ju], arr[ju, iu]
-    asym = upper != lower
-    cheap = [("diagonal", (i,)) for i in np.flatnonzero(np.diagonal(arr) != 0).tolist()]
-    cheap += [("symmetry", w) for w in zip(iu[asym].tolist(), ju[asym].tolist())]
-    low = (lower <= 0) & asym
-    nonpositive = list(zip(iu[upper <= 0].tolist(), ju[upper <= 0].tolist()))
-    nonpositive += zip(ju[low].tolist(), iu[low].tolist())
-    cheap += [("positivity", w) for w in sorted(nonpositive)]
+    diag, zero = np.diagonal(arr), np.zeros_like(arr)
+    above = ~np.tri(len(arr), dtype=bool)  # the pairs i < j
+    asym = arr != arr.T
+    cheap = []
+    # a pair below the diagonal is a positivity witness only where it
+    # differs from its mirror, which is already reported
+    for kind, mask, lhs, rhs in (
+        ("diagonal", diag != 0, diag, zero[0]),
+        ("symmetry", asym & above, arr, arr.T),
+        ("positivity", (arr <= 0) & (above | asym), arr, zero),
+    ):
+        at = map(tuple, np.argwhere(mask).tolist())
+        cheap += zip(repeat(kind), at, lhs[mask].tolist(), rhs[mask].tolist())
     yield from cheap
     if cheap or not (_path_closure(arr.copy(), np.add) == arr).all():
-        yield from (("triangle", w) for w in _triangles(arr))
+        yield from _triangles(arr)
 
 
 def _triangles(arr: np.ndarray):
-    """Every triangle witness ``(i, k, j)``, i < j and k not in {i, j}, in order.
+    """Every triangle violation, i < j and k not in {i, j}, in witness order.
 
-    A witness means ``d(i,j) > d(i,k) + d(k,j)``.  Rows i are compared a
-    slab at a time, at most ``_SLAB_CELLS`` cells and at least one row;
-    ``argwhere`` within a slab, slab by slab in i order, is the order of
-    the whole n x n x n comparison without a sort.
+    Yields ``("triangle", (i, k, j), d(i,j), d(i,k) + d(k,j))``, the sides
+    Python ints on ``arr``'s scale.  Rows i are compared a slab at a time,
+    at most ``_SLAB_CELLS`` cells and at least one row; ``argwhere`` within
+    a slab, slab by slab in i order, is the order of the whole n x n x n
+    comparison without a sort.
     """
     n = len(arr)
     rows = max(1, _SLAB_CELLS // max(n * n, 1))
@@ -278,35 +282,32 @@ def _triangles(arr: np.ndarray):
         ikj = np.argwhere(bad)
         ikj[:, 0] += start
         i, k, j = ikj.T
-        keep = (i < j) & (k != i) & (k != j)
-        yield from map(tuple, ikj[keep].tolist())
-
-
-def _violation(dist, kind: str, witness: tuple[int, ...]) -> Violation:
-    """The report entry for one witness, with its exact sides."""
-    i, j = witness[0], witness[-1]
-    if kind == "triangle":
-        k = witness[1]
-        rhs = dist[i][k] + dist[k][j]
-    elif kind == "symmetry":
-        rhs = dist[j][i]
-    else:
-        rhs = Fraction(0)
-    return Violation(kind, witness, dist[i][j], rhs)
+        ikj = ikj[(i < j) & (k != i) & (k != j)]
+        i, k, j = ikj.T
+        sides = arr[i, j].tolist(), (arr[i, k] + arr[k, j]).tolist()
+        yield from zip(repeat("triangle"), map(tuple, ikj.tolist()), *sides)
 
 
 def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     """Exhaustively check the metric axioms; report every violation.
 
-    Violation kinds are diagonal, symmetry, positivity and triangle; a
-    triangle witness ``(i, k, j)`` means ``d(i,j) > d(i,k) + d(k,j)``.
-    ``is_ultrametric`` (the max-triangle inequality) is only evaluated
-    when all four axioms hold.  Both verdicts come from path closures
-    (see ``_witnesses``), and triangle witnesses are enumerated in
-    slabs only when the metric verdict is "no", so memory stays O(n^2).
+    Violation kinds and their sides ``(lhs, rhs)`` are diagonal
+    ``(d(i,i), 0)``, symmetry ``(d(i,j), d(j,i))``, positivity
+    ``(d(i,j), 0)`` and triangle ``(d(i,j), d(i,k) + d(k,j))`` at witness
+    ``(i, k, j)``: the kernel's integers on ``scaled`` over its
+    denominator.  ``is_ultrametric`` (the max-triangle inequality) is only
+    evaluated when all four axioms hold.  Both verdicts come from path
+    closures (see ``_witnesses``); triangle witnesses are enumerated in
+    slabs only on a "no", so memory stays O(n^2).
     """
-    arr, _ = space.scaled
-    violations = tuple(_violation(space.dist, *v) for v in _witnesses(arr))
+    arr, denom = space.scaled
+    found = tuple(_witnesses(arr))
+    # one Fraction per distinct scaled side, as the dist view builds them
+    sides = {v for *_, lhs, rhs in found for v in (lhs, rhs)}
+    table = {v: Fraction(v, denom) for v in sides}
+    violations = tuple(
+        Violation(kind, w, table[lhs], table[rhs]) for kind, w, lhs, rhs in found
+    )
     # an ultrametric is exactly a metric equal to its subdominant ultrametric
     is_ultrametric = not violations and bool(
         (_path_closure(arr.copy(), np.maximum) == arr).all()

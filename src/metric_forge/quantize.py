@@ -9,6 +9,7 @@ a machine-checkable certificate per pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from .core import (
     _peak,
     _rescale,
     _sup_gap,
-    _violation,
     _witnesses,
     _widen,
     as_scalar,
@@ -183,10 +183,7 @@ class RoundUpTo(Transform):
         s = self._check(s)
         if s > self.values[-1]:
             raise ValueError(f"{s} is above the top of the round-up set")
-        for v in self.values:
-            if v >= s:
-                return v
-        raise AssertionError("unreachable")
+        return self.values[bisect_left(self.values, s)]
 
     def is_subadditive(self):
         # f is constant on (v_{i-1}, v_i]; on the box (v_{i-1},v_i] x
@@ -470,14 +467,12 @@ def approximate(
     arr, den = space.scaled
 
     def failure(message: str) -> Exception:
-        first = next(_witnesses(arr), None)
-        if first is None:
-            return RuntimeError(message)
-        v = _violation(space.dist, *first)
-        return ValueError(
-            f"input is not a metric: {v.kind} violation at {v.witness}"
-            f" ({v.lhs} against {v.rhs})"
-        )
+        for kind, witness, lhs, rhs in _witnesses(arr):  # the first, if any
+            return ValueError(
+                f"input is not a metric: {kind} violation at {witness}"
+                f" ({Fraction(lhs, den)} against {Fraction(rhs, den)})"
+            )
+        return RuntimeError(message)
 
     n = space.n
     plan = _partition(arr, den, r)

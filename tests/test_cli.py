@@ -575,6 +575,21 @@ def test_input_cap_is_inclusive(tmp_path, capsys, monkeypatch):
     assert run(capsys, "validate", path)[0] == 2
 
 
+def test_input_cap_holds_for_a_pipe(capsys, monkeypatch):
+    # a pipe's size reads 0, so only a bounded read can refuse it
+    text = json.dumps(EQUILATERAL).encode()
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", 10)
+    r, w = os.pipe()
+    try:
+        os.write(w, text)
+        os.close(w)
+        code, out, err = run(capsys, "validate", f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert (code, out) == (2, "")
+    assert err == f"error: /dev/fd/{r} has more than 10 bytes, the cap\n"
+
+
 def test_largest_generated_space_checks_in_bounded_memory(tmp_path):
     # each command runs in its own child under a 1 GiB address-space limit;
     # an n x n x n check at n = 1024 would ask for 8 GiB and exit 3

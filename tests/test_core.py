@@ -22,7 +22,7 @@ from metric_forge import (
     sup_distance,
     validate_metric,
 )
-from metric_forge import core, quantize
+from metric_forge import core, jsonio, quantize
 
 from support import (
     brute_minimax_paths,
@@ -91,6 +91,14 @@ def test_from_rows_converts_ints_and_keeps_fractions():
     assert m.dist[0][1] is half and m.dist[1][0] is half
 
 
+def test_constructor_converts_ints_like_from_rows():
+    built = FiniteMetricSpace("ab", ((0, 1), (2, 0)))
+    assert all(type(v) is F for row in built.dist for v in row)
+    assert repr(built) == repr(FiniteMetricSpace.from_rows("ab", ((0, 1), (2, 0))))
+    v = validate_metric(built).violations[0]
+    assert (v.kind, type(v.lhs), type(v.rhs)) == ("symmetry", F, F)
+
+
 @pytest.mark.parametrize("odd", [1.0, 0.5, True, False])
 def test_from_rows_rejects_floats_and_bools(odd):
     with pytest.raises(TypeError):
@@ -114,6 +122,17 @@ def test_validate_reports_what_plain_loops_find(cand):
     report = validate_metric(cand)
     got = [(v.kind, v.witness, v.lhs, v.rhs) for v in report.violations]
     assert got == brute_violations(cand)
+
+
+def test_reports_read_no_fraction_view():
+    # the sides come from the kernel, so no dist view is built
+    rows = [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]
+    cand = jsonio.space_from_obj({"points": ["a", "b", "c"], "dist": rows})
+    assert not validate_metric(cand).is_metric
+    assert "dist" not in cand.__dict__
+    with pytest.raises(ValueError, match=r"^input is not a metric: triangle"):
+        approximate(cand, F(1, 2))
+    assert "dist" not in cand.__dict__
 
 
 # --- triangle kernel: closure verdict, slabs on a "no" -----------------------
@@ -147,13 +166,19 @@ def symmetric_weights(draw, entries=POSITIVE_ENTRIES):
 @example(space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]]))
 @settings(max_examples=200)  # four strategies share the examples
 def test_witnesses_in_slabs_match_plain_loops(cells, cand):
+    arr, denom = cand.scaled
     with patch.object(core, "_SLAB_CELLS", cells):
         report = validate_metric(cand)
-        triangles = list(core._triangles(cand.scaled[0]))
+        found = list(core._witnesses(arr))
+        triangles = list(core._triangles(arr))
     want = brute_violations(cand)
     assert [(v.kind, v.witness, v.lhs, v.rhs) for v in report.violations] == want
+    # the kernel's sides are the brute sides on the scaled matrix, as ints
+    scaled = [(kind, w, lhs * denom, rhs * denom) for kind, w, lhs, rhs in want]
+    assert found == scaled
+    assert all(type(side) is int for *_, lhs, rhs in found for side in (lhs, rhs))
     # the slab scan alone finds the same triangles, with or without cheap ones
-    assert triangles == [w for kind, w, _, _ in want if kind == "triangle"]
+    assert triangles == [v for v in scaled if v[0] == "triangle"]
 
 
 def test_kernel_inputs_take_both_paths():
@@ -200,10 +225,13 @@ def test_negative_diagonal_only_gives_no_triangle(cells):
     # the closure would change through a negative self-distance, so the
     # slabs decide, and no triangle (i, k, j) with k outside {i, j} breaks
     cand = space("abcd", [[-1, 1, 2, 1], [1, 0, 1, 2], [2, 1, -3, 1], [1, 2, 1, 0]])
+    arr, denom = cand.scaled
     with patch.object(core, "_SLAB_CELLS", cells):
-        found = list(core._witnesses(cand.scaled[0]))
-    assert found == [("diagonal", (0,)), ("diagonal", (2,))]
-    assert [(kind, w) for kind, w, _, _ in brute_violations(cand)] == found
+        found = list(core._witnesses(arr))
+        assert list(core._triangles(arr)) == []
+    assert found == [("diagonal", (0,), -1, 0), ("diagonal", (2,), -3, 0)]
+    want = brute_violations(cand)
+    assert [(kind, w, lhs * denom, rhs * denom) for kind, w, lhs, rhs in want] == found
 
 
 def test_approximate_failure_stops_at_the_first_witness(monkeypatch):

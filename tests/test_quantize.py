@@ -192,6 +192,28 @@ def test_roundupto_decision_matches_sampling():
         # no violation found is only evidence, so no assertion the other way
 
 
+@given(
+    st.lists(nonneg_fractions, min_size=1, max_size=8),
+    nonneg_fractions,
+    st.sampled_from(["hit", "between", "above", "free"]),
+)
+def test_roundupto_apply_matches_a_scan(members, s, where):
+    f = RoundUpTo((F(0), F(1, 7), *members))
+    values = f.values
+    if where == "hit":
+        s = values[int(s) % len(values)]
+    elif where == "between":
+        k = int(s) % (len(values) - 1)
+        s = (values[k] + values[k + 1]) / 2
+    elif where == "above":
+        s = values[-1] + s + F(1, 3)
+    if s > values[-1]:
+        with pytest.raises(ValueError, match="above the top of the round-up set"):
+            f.apply(s)
+    else:
+        assert f.apply(s) == min(v for v in values if v >= s)
+
+
 def test_transform_family_validation():
     with pytest.raises(ValueError):
         Power(0)
