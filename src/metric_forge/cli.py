@@ -1,10 +1,10 @@
 """metric-forge command line: deterministic JSON pipelines over exact rationals.
 
 Exit codes: 0 success or valid, 1 validation failure (JSON report on
-stdout), 2 usage or domain errors (an input file over ``_MAX_INPUT_BYTES``
-among them), 3 internal errors (a failed self-check or running out of
-memory).  Outputs carry no timestamps, so a rerun with the same inputs is
-byte-identical.
+stdout), 2 usage or domain errors (an input file over ``_MAX_INPUT_BYTES``,
+or a generated space that would be one, among them), 3 internal errors (a
+failed self-check or running out of memory).  Outputs carry no timestamps,
+so a rerun with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .universal import (
 # about 6 bytes per byte of text, and `gen random --n 1024` writes 14.4 MB
 _MAX_INPUT_BYTES = 2**25
 
+# the most bytes one read asks for (1 MiB), so a small input allocates
+# about its own size, not the cap
+_READ_CHUNK = 2**20
+
 
 def _load_json(path):
     with open(path, "rb") as fh:
@@ -41,8 +45,16 @@ def _load_json(path):
             raise ValueError(
                 f"{path} has {size} bytes, over the cap of {_MAX_INPUT_BYTES}"
             )
-        data = fh.read(_MAX_INPUT_BYTES + 1)  # a pipe's size reads 0
-    if len(data) > _MAX_INPUT_BYTES:
+        # a pipe's size reads 0, so the read itself stops one byte past the cap
+        chunks, size = [], 0
+        while size <= _MAX_INPUT_BYTES:
+            chunk = fh.read(min(_READ_CHUNK, _MAX_INPUT_BYTES + 1 - size))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+        data = b"".join(chunks)
+    if size > _MAX_INPUT_BYTES:
         raise ValueError(f"{path} has more than {_MAX_INPUT_BYTES} bytes, the cap")
     try:
         return json.loads(data.decode("utf-8"))
@@ -232,16 +244,28 @@ def _cmd_plot_range(args) -> int:
     return 0
 
 
+def _emit_space(space, path=None) -> None:
+    """``_emit`` a generated space, refused if the reader would refuse it."""
+    chunks = jsonio.space_chunks(space)
+    size = sum(len(chunk.encode("utf-8")) for chunk in chunks)
+    if size > _MAX_INPUT_BYTES:
+        raise ValueError(
+            f"the space would take {size} bytes, over the input cap of"
+            f" {_MAX_INPUT_BYTES}"
+        )
+    _emit(chunks, path)
+
+
 def _cmd_gen_random(args) -> int:
     space = random_metric(
         args.n, jsonio.parse_scalar(args.max_value), seed=args.seed
     )
-    _emit(jsonio.space_chunks(space), args.output)
+    _emit_space(space, args.output)
     return 0
 
 
 def _cmd_gen_cantor(args) -> int:
-    _emit(jsonio.space_chunks(cantor_approx(args.k)), args.output)
+    _emit_space(cantor_approx(args.k), args.output)
     return 0
 
 

@@ -236,13 +236,14 @@ def _witnesses(arr: np.ndarray):
 
     - the diagonal, symmetry and positivity witnesses come first, from
       O(n^2) masks read in row-major order;
-    - if there are none, the triangle verdict is the shortest-path
-      closure: closure entries only fall, so an unchanged closure means
-      every d(i,j) <= d(i,k) + d(k,j) held, and a changed one means a
-      shorter path broke one.  On int64 every entry then lies in
-      [0, 2^62), so no sum overflows;
-    - only on a "no" (a changed closure or a failed cheap check) does
-      ``_triangles`` enumerate the triangle witnesses, slab by slab.
+    - if there are none, the triangle verdict is ``_holds(arr, np.add)``,
+      which decides every d(i,j) <= d(i,k) + d(k,j) on int64 floors of
+      the entries.  It needs the zero diagonal and the nonnegative
+      entries that the cheap checks have just established; on a matrix
+      with a cheap witness its int64 sums could wrap, so it never runs
+      there;
+    - only on a "no" (a failed triangle verdict or a failed cheap check)
+      does ``_triangles`` enumerate the triangle witnesses, slab by slab.
     """
     diag, zero = np.diagonal(arr), np.zeros_like(arr)
     above = ~np.tri(len(arr), dtype=bool)  # the pairs i < j
@@ -258,8 +259,57 @@ def _witnesses(arr: np.ndarray):
         at = map(tuple, np.argwhere(mask).tolist())
         cheap += zip(repeat(kind), at, lhs[mask].tolist(), rhs[mask].tolist())
     yield from cheap
-    if cheap or not (_path_closure(arr.copy(), np.add) == arr).all():
+    if cheap or not _holds(arr, np.add):
         yield from _triangles(arr)
+
+
+# the floors stay below 2^60, so this mask passes every floor and no join
+# of two masks or floors overflows int64
+_MASK = 2**61
+
+
+def _holds(arr: np.ndarray, join) -> bool:
+    """Whether ``arr[i,j] <= join(arr[i,k], arr[k,j])`` for i != j, k not in {i, j}.
+
+    ``arr`` is symmetric with a zero diagonal and nonnegative entries
+    (int64 or Python ints); ``join`` is ``np.add`` (the triangle
+    inequality) or ``np.maximum`` (the ultrametric one).  The verdict is
+    decided on int64 floors ``lo = arr >> s``, with ``s`` the least shift
+    that puts the peak below 2^60 (0 on ordinary int64 input), and
+    ``lo * 2^s <= a < (lo + 1) * 2^s`` for every entry a:
+
+    - ``two[i,j]`` is the least ``join(lo[i,k], lo[k,j])`` over k not in
+      {i, j}; a diagonal of ``_MASK`` keeps k = i and k = j out of it;
+    - yes when every ``lo[i,j] <= two[i,j] - slack``, ``slack`` 1 when
+      s > 0 and else 0: ``a_ij < (lo_ij + 1) * 2^s <= two * 2^s``, which
+      is at most every ``join(a_ik, a_kj)``;
+    - no when some ``lo[i,j] > two[i,j] + slack``: at that pair's best k,
+      ``a_ik + a_kj < (lo_ik + lo_kj + 2) * 2^s`` and
+      ``max(a_ik, a_kj) < (max(lo_ik, lo_kj) + 1) * 2^s``, both at most
+      ``lo_ij * 2^s <= a_ij``;
+    - otherwise, which needs s > 0 and a near-tight triangle, the exact
+      closure decides: its entries only fall, so an unchanged closure
+      means every inequality held.
+
+    With s = 0 the floors are the entries and the check is exact.
+    ``two`` is built k by k in one reused n x n buffer, so memory stays
+    O(n^2).
+    """
+    s = max(0, int(arr.max()).bit_length() - 60)
+    off = (arr >> s).astype(np.int64, copy=False)
+    np.fill_diagonal(off, _MASK)
+    two, via = np.full_like(off, 2 * _MASK), np.empty_like(off)
+    for k in range(len(off)):
+        join(off[:, k, None], off[None, k, :], out=via)
+        np.minimum(two, via, out=two)
+    # the diagonal's own mask then reads as a yes and never as a no
+    np.fill_diagonal(two, 2 * _MASK)
+    slack = 1 if s else 0
+    if (off <= two - slack).all():
+        return True
+    if (off > two + slack).any():
+        return False
+    return bool((_path_closure(arr.copy(), join) == arr).all())
 
 
 def _triangles(arr: np.ndarray):
@@ -296,9 +346,12 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     ``(d(i,j), 0)`` and triangle ``(d(i,j), d(i,k) + d(k,j))`` at witness
     ``(i, k, j)``: the kernel's integers on ``scaled`` over its
     denominator.  ``is_ultrametric`` (the max-triangle inequality) is only
-    evaluated when all four axioms hold.  Both verdicts come from path
-    closures (see ``_witnesses``); triangle witnesses are enumerated in
-    slabs only on a "no", so memory stays O(n^2).
+    evaluated when all four axioms hold.  Both verdicts come from
+    ``_holds``, with ``+`` and with ``max``: an exact decision on int64
+    floors of ``scaled``, which falls back to the path closure only where
+    a triangle of a matrix past 2^60 is tight to within one floor step.
+    Triangle witnesses are enumerated in slabs only on a "no", so memory
+    stays O(n^2).
     """
     arr, denom = space.scaled
     found = tuple(_witnesses(arr))
@@ -308,10 +361,7 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     violations = tuple(
         Violation(kind, w, table[lhs], table[rhs]) for kind, w, lhs, rhs in found
     )
-    # an ultrametric is exactly a metric equal to its subdominant ultrametric
-    is_ultrametric = not violations and bool(
-        (_path_closure(arr.copy(), np.maximum) == arr).all()
-    )
+    is_ultrametric = not violations and _holds(arr, np.maximum)
     return ValidationReport(not violations, is_ultrametric, violations)
 
 

@@ -8,7 +8,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from metric_forge import FiniteMetricSpace, Nebula, cantor_approx, cli, jsonio
+from metric_forge import (
+    FiniteMetricSpace,
+    Nebula,
+    cantor_approx,
+    cli,
+    jsonio,
+    random_metric,
+)
 
 EQUILATERAL = {
     "points": ["a", "b", "c"],
@@ -588,6 +595,48 @@ def test_input_cap_holds_for_a_pipe(capsys, monkeypatch):
         os.close(r)
     assert (code, out) == (2, "")
     assert err == f"error: /dev/fd/{r} has more than 10 bytes, the cap\n"
+
+
+def test_loading_a_small_space_allocates_about_its_size(tmp_path):
+    # a read of the whole cap at once would allocate 32 MiB for any input
+    import tracemalloc
+
+    path = tmp_path / "sp.json"
+    path.write_text("".join(jsonio.space_chunks(random_metric(300, seed=1))))
+    assert 10**6 < os.stat(path).st_size < 2 * 10**6
+    tracemalloc.start()
+    try:
+        space = jsonio.space_from_obj(cli._load_json(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.n == 300
+    assert peak < 2**24
+
+
+@pytest.mark.parametrize(
+    "argv", [["random", "--n", "8"], ["cantor", "--k", "3"]], ids=["random", "cantor"]
+)
+def test_gen_refuses_a_space_its_reader_would(tmp_path, capsys, monkeypatch, argv):
+    out_path = tmp_path / "sp.json"
+    code, out, _ = run(capsys, "gen", *argv, "-o", str(out_path))
+    assert (code, out) == (0, "")
+    size = os.stat(out_path).st_size
+    out_path.unlink()
+    # the reader takes exactly the cap, so the generator writes exactly it
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", size)
+    assert run(capsys, "gen", *argv, "-o", str(out_path))[0] == 0
+    assert run(capsys, "validate", str(out_path))[0] == 0
+    out_path.unlink()
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", size - 1)
+    for extra in (["-o", str(out_path)], []):
+        code, out, err = run(capsys, "gen", *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the space would take {size} bytes, over the input cap of"
+            f" {size - 1}\n"
+        )
+        assert not out_path.exists()
 
 
 def test_largest_generated_space_checks_in_bounded_memory(tmp_path):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from unittest.mock import patch
@@ -253,6 +254,143 @@ def test_approximate_failure_stops_at_the_first_witness(monkeypatch):
     with pytest.raises(ValueError, match=r"^input is not a metric: triangle"):
         approximate(cand, F(1, 2))
     assert pulled and all(count == 1 for count in pulled)
+
+
+def test_cheap_witnesses_keep_the_floor_verdict_out():
+    # -2^63 fits int64, so the floor verdict's sums wrap around to 0 and it
+    # reads yes; only because it never runs beside a cheap witness are the
+    # triangles below listed at all
+    cand = space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]])
+    arr, denom = cand.scaled
+    assert core._holds(arr, np.add)
+    found = list(core._witnesses(arr))
+    assert {kind for kind, *_ in found} == {"positivity", "triangle"}
+    want = brute_violations(cand)
+    assert found == [(kind, w, lhs * denom, rhs * denom) for kind, w, lhs, rhs in want]
+
+
+# --- the floor verdict: _holds -----------------------------------------------
+
+
+@st.composite
+def wide_weights(draw):
+    # entries k + t/b with b of `bits` bits and |t| <= 2: triangles such as
+    # 2 against 1 + 1 are decided by the t's, far below one floor step, and
+    # the lcm grows by about `bits` per pair, up to 15 * 1200 bits
+    n = draw(st.integers(1, 6))
+    bits = draw(st.sampled_from([63, 64, 200, 1200]))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+            t = F(draw(st.integers(-2, 2)), b)
+            rows[i][j] = rows[j][i] = draw(st.integers(1, 3)) + t
+    return FiniteMetricSpace.from_rows([f"w{i}" for i in range(n)], rows)
+
+
+# c * 2^60 + d: int64 entries whose floors take a shift s of 1 or 2, with
+# sides one apart on either side of a floor step
+NEAR_STEPS = [F(c * 2**60 + d) for c in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@given(
+    st.one_of(
+        wide_weights(),
+        symmetric_weights(NEAR_STEPS),
+        symmetric_weights(),
+        symmetric_weights(POSITIVE_ENTRIES[:4]),
+    )
+)
+@settings(max_examples=200)  # four strategies share the examples
+def test_holds_matches_the_triple_loops(m):
+    # on a symmetric matrix with a zero diagonal and positive entries the
+    # triple loops decide the triangles alone; k in {i, j} always holds
+    arr = m.scaled[0]
+    assert core._holds(arr, np.add) == triple_loop_is_metric(m)
+    assert core._holds(arr, np.maximum) == triple_loop_is_ultrametric(m)
+
+
+def test_floor_strategies_reach_their_widths():
+    # 1200-bit denominators over the 15 pairs of 6 points: an lcm past
+    # 16,000 bits; the near-step entries stay int64 with a nonzero shift
+    rows = [[F(0)] * 6 for _ in range(6)]
+    rng = random.Random(3)
+    for i in range(6):
+        for j in range(i + 1, 6):
+            b = rng.randrange(2**1199, 2**1200)
+            rows[i][j] = rows[j][i] = 2 + F(1, b)
+    wide = FiniteMetricSpace.from_rows("abcdef", rows).scaled
+    assert wide[1].bit_length() > 16_000 and wide[0].dtype == object
+    near = space("ab", [[0, NEAR_STEPS[-1]], [NEAR_STEPS[-1], 0]]).scaled[0]
+    assert near.dtype == np.int64 and int(near.max()).bit_length() == 62
+
+
+def tight_triangle(rows, join):
+    n = len(rows)
+    return next(
+        (i, k, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+        if k not in (i, j) and rows[i][j] == join(rows[i][k], rows[k][j])
+    )
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "m",
+    [
+        random_metric(12, F(10**25, 7), seed=3),
+        random_metric(12, F(2**61, 33), seed=3),
+        random_metric(12, 10, seed=3),
+    ],
+    ids=["object", "near-2^62", "int64"],
+)
+def test_holds_one_unit_off_a_tight_triangle(m, delta):
+    # d(i,j) moved one unit of the scaled matrix off d(i,k) + d(k,j), and,
+    # on the subdominant ultrametric, off max(d(i,k), d(k,j))
+    for join, plain, oracle, base in (
+        (np.add, operator.add, triple_loop_is_metric, m),
+        (np.maximum, max, triple_loop_is_ultrametric, subdominant_ultrametric(m)),
+    ):
+        arr, denom = base.scaled
+        rows = arr.tolist()
+        i, k, j = tight_triangle(rows, plain)
+        rows[i][j] = rows[j][i] = rows[i][j] + delta
+        moved = FiniteMetricSpace(m.points, [[F(v, denom) for v in r] for r in rows])
+        assert core._holds(moved.scaled[0], join) == oracle(moved)
+        if delta == 1:
+            assert not oracle(moved)
+
+
+def test_closure_runs_only_near_a_tight_triangle(monkeypatch):
+    # entries 1 + a/b with b <= 64, on the object path, like the wide
+    # metrics validate_metric meets most: every triangle holds with room
+    rng = random.Random(5)
+    rows = [[F(0)] * 24 for _ in range(24)]
+    for i in range(24):
+        for j in range(i + 1, 24):
+            b = rng.randint(1, 64)
+            rows[i][j] = rows[j][i] = 1 + F(rng.randrange(b), b)
+    wide = FiniteMetricSpace.from_rows([f"p{i}" for i in range(24)], rows)
+    assert wide.scaled[0].dtype == object
+    plain = [random_metric(24, 10, seed=1), cantor_approx(5)]
+    # path repair leaves triangles tight to the unit, below one floor step
+    tight = random_metric(24, F(10**25, 7), seed=1)
+    assert tight.scaled[0].dtype == object
+    calls = []
+
+    def counting(arr, join):
+        calls.append(join)
+        return closure(arr, join)
+
+    closure = core._path_closure
+    monkeypatch.setattr(core, "_path_closure", counting)
+    for m in (wide, *plain):
+        assert validate_metric(m).is_metric
+    assert calls == []
+    assert validate_metric(tight).is_metric
+    assert np.add in calls
 
 
 @given(
