@@ -305,9 +305,10 @@ def _holds(arr: np.ndarray, join) -> bool:
     # the diagonal's own mask then reads as a yes and never as a no
     np.fill_diagonal(two, 2 * _MASK)
     slack = 1 if s else 0
-    if (off <= two - slack).all():
+    # via takes two -+ slack, so no n x n array is added past the loop's
+    if (off <= np.subtract(two, slack, out=via)).all():
         return True
-    if (off > two + slack).any():
+    if (off > np.add(two, slack, out=via)).any():
         return False
     return bool((_path_closure(arr.copy(), join) == arr).all())
 
