@@ -279,7 +279,10 @@ def _holds(arr: np.ndarray, join) -> bool:
     ``lo * 2^s <= a < (lo + 1) * 2^s`` for every entry a:
 
     - ``two[i,j]`` is the least ``join(lo[i,k], lo[k,j])`` over k not in
-      {i, j}; a diagonal of ``_MASK`` keeps k = i and k = j out of it;
+      {i, j}.  When s > 0 a diagonal of ``_MASK`` keeps k = i and k = j
+      out of it.  When s = 0 the floors are the entries, read in place,
+      and k in {i, j} puts ``join(0, a_ij) = a_ij`` into the min, which
+      never decides either test below;
     - yes when every ``lo[i,j] <= two[i,j] - slack``, ``slack`` 1 when
       s > 0 and else 0: ``a_ij < (lo_ij + 1) * 2^s <= two * 2^s``, which
       is at most every ``join(a_ik, a_kj)``;
@@ -291,13 +294,15 @@ def _holds(arr: np.ndarray, join) -> bool:
       closure decides: its entries only fall, so an unchanged closure
       means every inequality held.
 
-    With s = 0 the floors are the entries and the check is exact.
-    ``two`` is built k by k in one reused n x n buffer, so memory stays
-    O(n^2).
+    With s = 0 the check is exact.  ``two`` is built k by k in one
+    reused n x n buffer, so memory stays O(n^2).
     """
     s = max(0, int(arr.max()).bit_length() - 60)
-    off = (arr >> s).astype(np.int64, copy=False)
-    np.fill_diagonal(off, _MASK)
+    if s:
+        off = (arr >> s).astype(np.int64)
+        np.fill_diagonal(off, _MASK)
+    else:
+        off = arr.astype(np.int64, copy=False)
     two, via = np.full_like(off, 2 * _MASK), np.empty_like(off)
     for k in range(len(off)):
         join(off[:, k, None], off[None, k, :], out=via)
