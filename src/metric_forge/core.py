@@ -307,7 +307,7 @@ def _holds(arr: np.ndarray, join) -> bool:
     for k in range(len(off)):
         join(off[:, k, None], off[None, k, :], out=via)
         np.minimum(two, via, out=two)
-    # the diagonal's own mask then reads as a yes and never as a no
+    # a diagonal above every entry of off reads as a yes and never as a no
     np.fill_diagonal(two, 2 * _MASK)
     slack = 1 if s else 0
     # via takes two -+ slack, so no n x n array is added past the loop's

@@ -288,6 +288,17 @@ def wide_weights(draw):
     return FiniteMetricSpace.from_rows([f"w{i}" for i in range(n)], rows)
 
 
+def widest_weights():
+    # wide_weights at its widest: six points, every t = +-1 over 1200 bits
+    rng = random.Random(3)
+    rows = [[F(0)] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            t = F(rng.choice((-1, 1)), rng.randrange(2**1199, 2**1200))
+            rows[i][j] = rows[j][i] = rng.randint(1, 3) + t
+    return FiniteMetricSpace.from_rows("abcdef", rows)
+
+
 # c * 2^60 + d: int64 entries whose floors take a shift s of 1 or 2, with
 # sides one apart on either side of a floor step
 NEAR_STEPS = [F(c * 2**60 + d) for c in (1, 2, 3) for d in (-1, 0, 1)]
@@ -310,19 +321,20 @@ def test_holds_matches_the_triple_loops(m):
     assert core._holds(arr, np.maximum) == triple_loop_is_ultrametric(m)
 
 
-def test_floor_strategies_reach_their_widths():
-    # 1200-bit denominators over the 15 pairs of 6 points: an lcm past
-    # 16,000 bits; the near-step entries stay int64 with a nonzero shift
-    rows = [[F(0)] * 6 for _ in range(6)]
-    rng = random.Random(3)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            b = rng.randrange(2**1199, 2**1200)
-            rows[i][j] = rows[j][i] = 2 + F(1, b)
-    wide = FiniteMetricSpace.from_rows("abcdef", rows).scaled
-    assert wide[1].bit_length() > 16_000 and wide[0].dtype == object
-    near = space("ab", [[0, NEAR_STEPS[-1]], [NEAR_STEPS[-1], 0]]).scaled[0]
-    assert near.dtype == np.int64 and int(near.max()).bit_length() == 62
+def test_holds_at_the_widths_the_strategies_reach():
+    # an lcm past 16,000 bits (its entries print past Python's default
+    # digit limit, so it is no hypothesis example), and int64 with s = 2
+    widest = widest_weights()
+    arr, denom = widest.scaled
+    assert denom.bit_length() > 16_000 and arr.dtype == object
+    lo, mid, hi = NEAR_STEPS[0], NEAR_STEPS[-2], NEAR_STEPS[-1]
+    near = space("abc", [[0, mid, hi], [mid, 0, lo], [hi, lo, 0]])
+    assert near.scaled[0].dtype == np.int64
+    assert int(near.scaled[0].max()).bit_length() == 62
+    for m in (widest, near):
+        arr = m.scaled[0]
+        assert core._holds(arr, np.add) == triple_loop_is_metric(m)
+        assert core._holds(arr, np.maximum) == triple_loop_is_ultrametric(m)
 
 
 def tight_triangle(rows, join):
