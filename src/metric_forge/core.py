@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 
 import numpy as np
@@ -155,11 +154,51 @@ class Violation:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ValidationReport:
+    """The verdicts of ``validate_metric`` and every violation it found.
+
+    The violations are stored once, as ``table``: the integer blocks of
+    ``_witnesses`` and the denominator of their sides.  ``violations`` is
+    their ``Violation`` view, built the first time it is read.  ``==``,
+    ``hash`` and ``repr`` go through the view, as for a plain dataclass of
+    the two verdicts and ``violations``.
+    """
+
     is_metric: bool
     is_ultrametric: bool
-    violations: tuple[Violation, ...]
+    # (blocks, denom): the read-only (kind, witness, lhs, rhs) blocks of
+    # _witnesses, in report order, their sides over denom
+    table: tuple[tuple, int]
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """One Violation per table row, one Fraction per distinct side; built once."""
+        blocks, denom = self.table
+        rows = [(kind, *(part.tolist() for part in parts)) for kind, *parts in blocks]
+        sides = {v: Fraction(v, denom) for *_, lhs, rhs in rows for v in {*lhs, *rhs}}
+        return tuple(
+            Violation(kind, tuple(w), sides[lhs], sides[rhs])
+            for kind, ws, lhss, rhss in rows
+            for w, lhs, rhs in zip(ws, lhss, rhss)
+        )
+
+    def _key(self):
+        return self.is_metric, self.is_ultrametric, self.violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(is_metric={self.is_metric!r}, "
+            f"is_ultrametric={self.is_ultrametric!r}, violations={self.violations!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -228,14 +267,18 @@ _SLAB_CELLS = 2**20
 
 
 def _witnesses(arr: np.ndarray):
-    """Every axiom violation of a scaled-integer matrix, in report order.
+    """Every axiom violation of a scaled-integer matrix, as blocks in report order.
 
-    Yields ``(kind, witness, lhs, rhs)``, the sides as Python ints on
-    ``arr``'s scale (see ``validate_metric``), by kind, then by witness.
-    Nothing yielded means the matrix is a metric.  Memory stays O(n^2):
+    Yields ``(kind, witness, lhs, rhs)`` blocks: ``witness`` an m x w
+    integer array (w = 1 for diagonal, 2 for symmetry and positivity, 3
+    for triangle), ``lhs`` and ``rhs`` length-m arrays of the sides on
+    ``arr``'s scale and of its dtype (see ``validate_metric``).  Blocks
+    come by kind, rows within a block by witness, and no block is empty,
+    so nothing yielded means the matrix is a metric.  No per-violation
+    object is built.  Memory stays O(n^2):
 
-    - the diagonal, symmetry and positivity witnesses come first, from
-      O(n^2) masks read in row-major order;
+    - one block per cheap kind that has a witness (diagonal, symmetry,
+      positivity) comes first, from O(n^2) masks read in row-major order;
     - if there are none, the triangle verdict is ``_holds(arr, np.add)``,
       which decides every d(i,j) <= d(i,k) + d(k,j) on int64 floors of
       the entries.  It needs the zero diagonal and the nonnegative
@@ -243,12 +286,12 @@ def _witnesses(arr: np.ndarray):
       with a cheap witness its int64 sums could wrap, so it never runs
       there;
     - only on a "no" (a failed triangle verdict or a failed cheap check)
-      does ``_triangles`` enumerate the triangle witnesses, slab by slab.
+      does ``_triangles`` enumerate the triangle blocks, slab by slab.
     """
     diag, zero = np.diagonal(arr), np.zeros_like(arr)
     above = ~np.tri(len(arr), dtype=bool)  # the pairs i < j
     asym = arr != arr.T
-    cheap = []
+    cheap = False
     # a pair below the diagonal is a positivity witness only where it
     # differs from its mirror, which is already reported
     for kind, mask, lhs, rhs in (
@@ -256,9 +299,9 @@ def _witnesses(arr: np.ndarray):
         ("symmetry", asym & above, arr, arr.T),
         ("positivity", (arr <= 0) & (above | asym), arr, zero),
     ):
-        at = map(tuple, np.argwhere(mask).tolist())
-        cheap += zip(repeat(kind), at, lhs[mask].tolist(), rhs[mask].tolist())
-    yield from cheap
+        if mask.any():
+            cheap = True
+            yield kind, np.argwhere(mask), lhs[mask], rhs[mask]
     if cheap or not _holds(arr, np.add):
         yield from _triangles(arr)
 
@@ -321,11 +364,12 @@ def _holds(arr: np.ndarray, join) -> bool:
 def _triangles(arr: np.ndarray):
     """Every triangle violation, i < j and k not in {i, j}, in witness order.
 
-    Yields ``("triangle", (i, k, j), d(i,j), d(i,k) + d(k,j))``, the sides
-    Python ints on ``arr``'s scale.  Rows i are compared a slab at a time,
-    at most ``_SLAB_CELLS`` cells and at least one row; ``argwhere`` within
-    a slab, slab by slab in i order, is the order of the whole n x n x n
-    comparison without a sort.
+    Yields one ``("triangle", ikj, d(i,j), d(i,k) + d(k,j))`` block per
+    slab that has a violation: ``ikj`` the m x 3 array of witnesses
+    ``(i, k, j)``, the sides length-m arrays on ``arr``'s scale.  Rows i
+    are compared a slab at a time, at most ``_SLAB_CELLS`` cells and at
+    least one row; ``argwhere`` within a slab, slab by slab in i order, is
+    the order of the whole n x n x n comparison without a sort.
     """
     n = len(arr)
     rows = max(1, _SLAB_CELLS // max(n * n, 1))
@@ -339,9 +383,9 @@ def _triangles(arr: np.ndarray):
         ikj[:, 0] += start
         i, k, j = ikj.T
         ikj = ikj[(i < j) & (k != i) & (k != j)]
-        i, k, j = ikj.T
-        sides = arr[i, j].tolist(), (arr[i, k] + arr[k, j]).tolist()
-        yield from zip(repeat("triangle"), map(tuple, ikj.tolist()), *sides)
+        if len(ikj):  # a negative diagonal alone breaks only k in {i, j}
+            i, k, j = ikj.T
+            yield "triangle", ikj, arr[i, j], arr[i, k] + arr[k, j]
 
 
 def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
@@ -351,7 +395,9 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     ``(d(i,i), 0)``, symmetry ``(d(i,j), d(j,i))``, positivity
     ``(d(i,j), 0)`` and triangle ``(d(i,j), d(i,k) + d(k,j))`` at witness
     ``(i, k, j)``: the kernel's integers on ``scaled`` over its
-    denominator.  ``is_ultrametric`` (the max-triangle inequality) is only
+    denominator.  The report stores them as that integer table, the
+    blocks of ``_witnesses``; its ``violations`` are built from it only
+    when read.  ``is_ultrametric`` (the max-triangle inequality) is only
     evaluated when all four axioms hold.  Both verdicts come from
     ``_holds``, with ``+`` and with ``max``: an exact decision on int64
     floors of ``scaled``, which falls back to the path closure only where
@@ -360,15 +406,12 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     stays O(n^2).
     """
     arr, denom = space.scaled
-    found = tuple(_witnesses(arr))
-    # one Fraction per distinct scaled side, as the dist view builds them
-    sides = {v for *_, lhs, rhs in found for v in (lhs, rhs)}
-    table = {v: Fraction(v, denom) for v in sides}
-    violations = tuple(
-        Violation(kind, w, table[lhs], table[rhs]) for kind, w, lhs, rhs in found
-    )
-    is_ultrametric = not violations and _holds(arr, np.maximum)
-    return ValidationReport(not violations, is_ultrametric, violations)
+    blocks = tuple(_witnesses(arr))
+    for block in blocks:
+        for part in block[1:]:
+            part.flags.writeable = False
+    is_ultrametric = not blocks and _holds(arr, np.maximum)
+    return ValidationReport(not blocks, is_ultrametric, (blocks, denom))
 
 
 def _sup_gap(x: np.ndarray, dx: int, y: np.ndarray, dy: int) -> Fraction:

@@ -7,11 +7,14 @@ survives round-trips.
 Every output goes through one encoder, ``encode``.  It writes what the
 stdlib encoder writes with ``indent=2`` and ``sort_keys=True``, plus a
 trailing newline, and a ``Fraction`` as its quoted string.  The
-``*_chunks`` writers hand it plain dicts; their three large arrays
-(distance rows, certificates, violations) are callables that encode each
-repeated part once.  The ``*_to_obj`` builders stay: they are the oracle
-the writers are tested against, and the names the benchmark's traced run
-binds.
+``*_chunks`` writers hand it plain dicts; their three large arrays are
+callables that encode each repeated part once: the distance rows quote
+each distinct value once, the certificates encode each distinct tail
+once, and the violations are written from the report's integer table,
+each distinct side quoted and each point index written once, so no
+``Violation`` is built.  The ``*_to_obj`` builders stay: they are the
+oracle the writers are tested against, and the names the benchmark's
+traced run binds.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 
@@ -300,22 +304,37 @@ def _certificates(certs, nl: str) -> list[str]:
     return [f"{head}{i}{mid}{j}{tails[id(c)]}" for i, j, c in certs]
 
 
-def _violations(violations, nl: str) -> list[str]:
-    """One %-template per kind and witness length fills each violation."""
+def _violations(blocks, denom: int, nl: str) -> list[str]:
+    """One chunk per row of the report's integer blocks, from cached pieces.
+
+    One ``np.unique`` over every side quotes each distinct side once, as
+    ``_dist`` does; each point index is written once; each row is the
+    ``"".join`` of its kind's fixed text, its two quoted sides and its
+    joined witness.
+    """
+    if not blocks:
+        return []
     inner, deep = nl + "  ", nl + "    "
-    forms: dict[tuple[str, int], str] = {}
-    out = []
-    for v in violations:
-        key = (v.kind, len(v.witness))
-        form = forms.get(key)
-        if form is None:
-            w = ("," + deep).join(["%d"] * key[1])
-            form = forms[key] = (
-                f',{nl}{{{inner}"kind": {_quote(v.kind)},{inner}"lhs": "%s",'
-                f'{inner}"rhs": "%s",{inner}"witness": '
-                f'{f"[{deep}{w}{inner}]" if w else "[]"}{nl}}}'
-            )
-        out.append(form % (v.lhs, v.rhs, *v.witness))
+    values, at = np.unique(
+        np.concatenate([side for *_, lhs, rhs in blocks for side in (lhs, rhs)]),
+        return_inverse=True,
+    )
+    cells = np.array([f'"{Fraction(v, denom)}"' for v in values.tolist()], dtype=object)
+    quoted = cells[at].tolist()
+    names = list(map(str, range(1 + max(int(w.max()) for _, w, *_ in blocks))))
+    mid, wit = f',{inner}"rhs": ', f',{inner}"witness": [{deep}'
+    tail = f"{inner}]{nl}}}"
+    out: list[str] = []
+    sep, start = "," + deep, 0
+    for kind, witness, *_ in blocks:
+        m = len(witness)
+        lhs, rhs = quoted[start : start + m], quoted[start + m : start + 2 * m]
+        start += 2 * m
+        head = f',{nl}{{{inner}"kind": {_quote(kind)},{inner}"lhs": '
+        cols = [map(names.__getitem__, col) for col in witness.T.tolist()]
+        points = map(sep.join, zip(*cols))
+        pieces = repeat(head), lhs, repeat(mid), rhs, repeat(wit), points, repeat(tail)
+        out += map("".join, zip(*pieces))
     return out
 
 
@@ -328,7 +347,7 @@ def validation_chunks(report: ValidationReport) -> list[str]:
         {
             "is_metric": report.is_metric,
             "is_ultrametric": report.is_ultrametric,
-            "violations": partial(_violations, report.violations),
+            "violations": partial(_violations, *report.table),
         }
     )
 

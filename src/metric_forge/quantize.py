@@ -467,9 +467,10 @@ def approximate(
     arr, den = space.scaled
 
     def failure(message: str) -> Exception:
-        for kind, witness, lhs, rhs in _witnesses(arr):  # the first, if any
+        for kind, witness, lhs, rhs in _witnesses(arr):  # the first row, if any
+            at, lhs, rhs = tuple(witness[0].tolist()), int(lhs[0]), int(rhs[0])
             return ValueError(
-                f"input is not a metric: {kind} violation at {witness}"
+                f"input is not a metric: {kind} violation at {at}"
                 f" ({Fraction(lhs, den)} against {Fraction(rhs, den)})"
             )
         return RuntimeError(message)

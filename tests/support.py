@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
 
 from metric_forge import (
     ApproximationResult,
@@ -33,6 +33,7 @@ from metric_forge import (
     transform_metric,
     validate_metric,
 )
+from metric_forge import core
 from metric_forge.core import _GEN_MAX_POINTS
 from metric_forge.jsonio import parse_scalar
 from metric_forge.universal import _net_side
@@ -94,6 +95,54 @@ def brute_violations(space) -> list[tuple]:
                 if k not in (i, j) and d[i][j] > d[i][k] + d[k][j]:
                     out.append(("triangle", (i, k, j), d[i][j], d[i][k] + d[k][j]))
     return out
+
+
+# the witness width of each violation kind
+WITNESS_WIDTH = {"diagonal": 1, "symmetry": 2, "positivity": 2, "triangle": 3}
+
+
+def flat_blocks(blocks) -> list[tuple]:
+    """(kind, witness, lhs, rhs) of every row of the kernel's violation blocks.
+
+    Each block is checked on the way: it is not empty, its witness has
+    its kind's width, and it has one witness per side.
+    """
+    out = []
+    for kind, witness, lhs, rhs in blocks:
+        assert witness.shape == (len(lhs), WITNESS_WIDTH[kind]), (kind, witness.shape)
+        assert len(lhs) == len(rhs) > 0
+        witnesses = map(tuple, witness.tolist())
+        out += zip(repeat(kind), witnesses, lhs.tolist(), rhs.tolist())
+    return out
+
+
+def all_kinds(corner) -> FiniteMetricSpace:
+    """Four points with a violation of every kind, some sides negative.
+
+    ``corner`` is d(a, a), the one diagonal witness; 1/2^70 puts the
+    lcm past 2^62, onto the object path.
+    """
+    rows = [[corner, 2, 9, 1], [3, 0, 1, 1], [9, 1, 0, -1], [1, 1, -1, 0]]
+    return FiniteMetricSpace.from_rows("abcd", rows)
+
+
+# the default triangle slab budget, one row per slab and a few rows per
+# slab (for n <= 5)
+SLAB_BUDGETS = [core._SLAB_CELLS, 1, 50]
+
+
+def raw_weights(n: int, seed: int) -> dict:
+    """A space file's object: uniform symmetric weights on the 1/1024 grid.
+
+    No path repair, so about one triangle in six breaks; at n = 96 that
+    is the benchmark's raw input, about 70k triangle violations.
+    """
+    rng = random.Random(seed)
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = str(Fraction(rng.randint(1, 1024), 1024))
+    return {"points": [f"p{i}" for i in range(n)], "dist": rows}
 
 
 def plain_repair_error(space) -> str | None:

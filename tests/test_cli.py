@@ -11,11 +11,16 @@ import pytest
 from metric_forge import (
     FiniteMetricSpace,
     Nebula,
+    Violation,
     cantor_approx,
     cli,
+    core,
     jsonio,
     random_metric,
+    validate_metric,
 )
+
+from support import raw_weights
 
 EQUILATERAL = {
     "points": ["a", "b", "c"],
@@ -183,6 +188,29 @@ def test_validate_failure_exit_one(tmp_path, capsys):
     report = json.loads(out)
     assert report["is_metric"] is False
     assert report["violations"][0]["kind"] == "triangle"
+
+
+def test_validate_builds_no_violation_objects(tmp_path, capsys, monkeypatch):
+    # the benchmark's raw input: 96 points, about 70k triangle violations,
+    # written from the report's integer table
+    obj = raw_weights(96, 1)
+    path = write_json(tmp_path / "raw.json", obj)
+    built = []
+
+    def counting(*args):
+        built.append(None)
+        return Violation(*args)
+
+    monkeypatch.setattr(core, "Violation", counting)
+    code, out, _ = run(capsys, "validate", path)
+    assert (code, len(built)) == (1, 0)
+    report = validate_metric(jsonio.space_from_obj(obj))
+    want = jsonio.validation_to_obj(report)
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    # the view is built once, on the first read
+    assert len(built) == len(report.violations) > 60_000
+    assert report.violations is report.violations
+    assert len(built) == len(report.violations)
 
 
 def test_malformed_json_exit_two(tmp_path, capsys):

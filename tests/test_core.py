@@ -1,5 +1,6 @@
 import operator
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from unittest.mock import patch
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from metric_forge import (
     FiniteMetricSpace,
     PartitionPlan,
+    Violation,
     amalgamate,
     approximate,
     cantor_approx,
@@ -26,9 +28,12 @@ from metric_forge import (
 from metric_forge import core, jsonio, quantize
 
 from support import (
+    SLAB_BUDGETS,
+    all_kinds,
     brute_minimax_paths,
     brute_shortest_paths,
     brute_violations,
+    flat_blocks,
     plain_extend,
     plain_repair_error,
     reference_cantor_approx,
@@ -136,10 +141,49 @@ def test_reports_read_no_fraction_view():
     assert "dist" not in cand.__dict__
 
 
+# the int64 and the object path, each with every kind and as a metric
+REPORT_INPUTS = {
+    "i64": all_kinds(1),
+    "obj": all_kinds(F(1, 2**70)),
+    "metric-i64": random_metric(6, 10, seed=6),
+    "metric-obj": random_metric(9, F(2**65 + 1, 3), seed=4),
+}
+
+
+@pytest.mark.parametrize("cand", REPORT_INPUTS.values(), ids=list(REPORT_INPUTS))
+def test_report_contract(cand):
+    report = validate_metric(cand)
+    arr, denom = cand.scaled
+    blocks, over = report.table
+    assert over == denom
+    sides = [side for *_, lhs, rhs in blocks for side in (lhs, rhs)]
+    assert all(side.dtype == arr.dtype for side in sides)
+    assert "violations" not in report.__dict__  # built on first read
+    violations = report.violations
+    assert violations is report.violations
+    assert violations == tuple(Violation(*v) for v in brute_violations(cand))
+    for v in violations:
+        assert type(v.lhs) is F and type(v.rhs) is F
+        assert type(v.witness) is tuple and all(type(i) is int for i in v.witness)
+    assert (report.is_metric, report.is_ultrametric) == (
+        triple_loop_is_metric(cand),
+        triple_loop_is_ultrametric(cand),
+    )
+    # the same as a plain frozen dataclass of the two verdicts and the view
+    twin = validate_metric(FiniteMetricSpace.from_rows(cand.points, cand.dist))
+    assert twin == report and hash(twin) == hash(report)
+    assert twin != validate_metric(all_kinds(5)) and report != violations
+    assert repr(report) == (
+        f"ValidationReport(is_metric={report.is_metric}, is_ultrametric="
+        f"{report.is_ultrametric}, violations={violations!r})"
+    )
+    for name in ("is_metric", "violations", "table"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, getattr(report, name))
+
+
 # --- triangle kernel: closure verdict, slabs on a "no" -----------------------
 
-# the default budget, one row per slab and a few rows per slab (for n <= 5)
-SLAB_BUDGETS = [core._SLAB_CELLS, 1, 50]
 INT64_ENTRIES = [F(-1), F(0), F(1, 3), F(1), F(5)]
 POSITIVE_ENTRIES = [F(1, 3), F(1), F(2), F(5), F(7, 2**70), F(2**65 + 1, 3)]
 
@@ -170,8 +214,8 @@ def test_witnesses_in_slabs_match_plain_loops(cells, cand):
     arr, denom = cand.scaled
     with patch.object(core, "_SLAB_CELLS", cells):
         report = validate_metric(cand)
-        found = list(core._witnesses(arr))
-        triangles = list(core._triangles(arr))
+        found = flat_blocks(core._witnesses(arr))
+        triangles = flat_blocks(core._triangles(arr))
     want = brute_violations(cand)
     assert [(v.kind, v.witness, v.lhs, v.rhs) for v in report.violations] == want
     # the kernel's sides are the brute sides on the scaled matrix, as ints
@@ -228,7 +272,7 @@ def test_negative_diagonal_only_gives_no_triangle(cells):
     cand = space("abcd", [[-1, 1, 2, 1], [1, 0, 1, 2], [2, 1, -3, 1], [1, 2, 1, 0]])
     arr, denom = cand.scaled
     with patch.object(core, "_SLAB_CELLS", cells):
-        found = list(core._witnesses(arr))
+        found = flat_blocks(core._witnesses(arr))
         assert list(core._triangles(arr)) == []
     assert found == [("diagonal", (0,), -1, 0), ("diagonal", (2,), -3, 0)]
     want = brute_violations(cand)
@@ -263,7 +307,7 @@ def test_cheap_witnesses_keep_the_floor_verdict_out():
     cand = space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]])
     arr, denom = cand.scaled
     assert core._holds(arr, np.add)
-    found = list(core._witnesses(arr))
+    found = flat_blocks(core._witnesses(arr))
     assert {kind for kind, *_ in found} == {"positivity", "triangle"}
     want = brute_violations(cand)
     assert found == [(kind, w, lhs * denom, rhs * denom) for kind, w, lhs, rhs in want]

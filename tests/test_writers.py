@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -21,10 +22,13 @@ from metric_forge import (
     approximate,
     build_funiv_approx,
     cli,
+    core,
     fragility_experiment,
     jsonio,
     validate_metric,
 )
+
+from support import SLAB_BUDGETS, all_kinds, raw_weights
 
 # a symmetric matrix with diagonal, positivity and triangle violations; the
 # reader refuses asymmetric input, so symmetry ones cannot come from a file
@@ -197,18 +201,44 @@ def test_space_writer(space):
     assert written(jsonio.space_chunks, space) == oracle(jsonio.space_to_obj(space))
 
 
+# ALL_KINDS on the object path, with negative sides
+WIDE_KINDS = all_kinds(F(1, 2**70))
+# one diagonal witness and nothing else: the report's one block has one column
+ONE_DIAGONAL = FiniteMetricSpace.from_rows("ab", [[1, 1], [1, 0]])
+
+
 @given(st.one_of(metrics(), raw_matrices()))
 @example(ALL_KINDS)
+@example(WIDE_KINDS)
+@example(ONE_DIAGONAL)
 def test_validation_writer(space):
     report = validate_metric(space)
     got = written(jsonio.validation_chunks, report)
     assert got == oracle(jsonio.validation_to_obj(report))
 
 
-def test_validation_example_has_every_kind():
-    report = validate_metric(ALL_KINDS)
-    kinds = {v.kind for v in report.violations}
-    assert kinds == {"diagonal", "symmetry", "positivity", "triangle"}
+def test_validation_examples_cover_both_paths_and_every_width():
+    for space in (ALL_KINDS, WIDE_KINDS):
+        report = validate_metric(space)
+        kinds = {v.kind for v in report.violations}
+        assert kinds == {"diagonal", "symmetry", "positivity", "triangle"}
+    assert WIDE_KINDS.scaled[0].dtype == object
+    assert any(v.lhs < 0 or v.rhs < 0 for v in validate_metric(WIDE_KINDS).violations)
+    (block,), _ = validate_metric(ONE_DIAGONAL).table
+    assert block[0] == "diagonal" and block[1].shape == (1, 1)
+
+
+@pytest.mark.parametrize("cells", SLAB_BUDGETS)
+def test_validate_output_is_the_same_for_every_slab_budget(tmp_path, cells):
+    # triangle blocks split across slabs still write as one array
+    files = {"raw": RAW, "five": raw_weights(5, 2), "wide": raw_weights(24, 3)}
+    for name, obj in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        report = validate_metric(jsonio.space_from_obj(obj))
+        with patch.object(core, "_SLAB_CELLS", cells):
+            got = _run(["validate", str(path)])
+        assert got == (1, oracle(jsonio.validation_to_obj(report)).encode(), b""), name
 
 
 def line_space(labels, positions) -> FiniteMetricSpace:
