@@ -175,7 +175,10 @@ class ValidationReport:
     def violations(self) -> tuple[Violation, ...]:
         """One Violation per table row, one Fraction per distinct side; built once."""
         blocks, denom = self.table
-        rows = [(kind, *(part.tolist() for part in parts)) for kind, *parts in blocks]
+        rows = [
+            (kind, witness.tolist(), lhs.tolist(), rhs.tolist())
+            for kind, witness, lhs, rhs in blocks
+        ]
         sides = {v: Fraction(v, denom) for *_, lhs, rhs in rows for v in {*lhs, *rhs}}
         return tuple(
             Violation(kind, tuple(w), sides[lhs], sides[rhs])
