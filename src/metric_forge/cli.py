@@ -385,7 +385,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MemoryError) as exc:  # "internal: ..." self-checks
-        print(f"internal error: {exc}", file=sys.stderr)
+        # Python's own MemoryError has no message; numpy's names the size
+        unnamed = isinstance(exc, MemoryError) and not str(exc)
+        print(f"internal error: {'out of memory' if unnamed else exc}", file=sys.stderr)
         return 3
 
 

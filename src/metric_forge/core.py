@@ -641,7 +641,8 @@ def random_metric(n: int, max_value=10, seed: int = 0) -> FiniteMetricSpace:
     iu, ju = np.triu_indices(n, 1)
     arr = np.zeros((n, n), dtype=np.int64)
     arr[iu, ju] = [rng.randint(1, 32) for _ in range(len(iu))]
-    arr = _path_closure(_rescale(arr + arr.T, max_value.numerator), np.add)
+    # shortest paths scale linearly, so close the int64 steps, then rescale
+    arr = _rescale(_path_closure(arr + arr.T, np.add), max_value.numerator)
     labels = tuple(f"p{i}" for i in range(n))
     return _from_int_matrix(labels, arr, 32 * max_value.denominator)
 

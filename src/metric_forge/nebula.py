@@ -10,10 +10,10 @@ reconstruct the value set to resolution 2^-q.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from operator import itemgetter
 
 from .core import FiniteMetricSpace, _as_int, as_scalar
@@ -136,13 +136,14 @@ def cover(values, q: int) -> Nebula:
     """Trap a finite value set (containing 0) inside a q-nebula.
 
     Separator points are chosen just off the set on a dyadic grid of pitch
-    2^-(q+1); runs of set values with no separator between them become the
-    bounded intervals, and everything past the last separator joins the
-    tail.  Every bounded interval has its endpoints in the set.
+    2^-(q+1); values with the same number of separators below them form a
+    run, each run becomes a bounded interval, and everything past the last
+    separator joins the tail.  Every bounded interval has its endpoints in
+    the set.
     """
     if not isinstance(q, int) or q < 0:
         raise ValueError("q must be a nonnegative integer")
-    svals = sorted({as_scalar(v) for v in values})
+    svals = sorted(dict.fromkeys(map(as_scalar, values)))
     if svals and svals[0] < 0:
         raise ValueError("values live in [0, oo)")
     if not svals or svals[0] != 0:
@@ -150,38 +151,21 @@ def cover(values, q: int) -> Nebula:
 
     step = Fraction(1, 2 ** (q + 1))
     eta = Fraction(1, 2 ** (q + 3))
-    grid_count = (q + 1) * 2 ** (q + 1)
+    t_last = _pick_off(Fraction(q + 1), eta, svals, q)  # m = (q + 1) 2^(q+1)
 
-    def t_of(m: int) -> Fraction:  # m >= 1
-        return _pick_off(m * step, eta, svals, q)
+    def picks_below(x: Fraction) -> int:
+        # separators t_m (m >= 1) below x: t_m lies within eta of m * step,
+        # so only the m nearest x / step = u / d can fall on either side
+        u, d = x.numerator << (q + 1), x.denominator
+        m = (2 * u + d) // (2 * d)
+        if m == 0 or 4 * abs(u - m * d) > d:
+            return u // d
+        return m - 1 + (_pick_off(m * step, eta, svals, q) < x)
 
-    t_last = t_of(grid_count)
-
-    def separator_between(a: Fraction, b: Fraction) -> bool:
-        # is there a chosen t_m strictly inside (a, b)?
-        m_lo = max(1, math.floor((a - eta) / step) + 1)
-        m_hi = min(grid_count, math.ceil((b + eta) / step) - 1)
-        for m in range(m_lo, m_hi + 1):
-            center = m * step
-            if center - eta > a and center + eta < b:
-                return True  # whole window inside, any pick works
-            t = t_of(m)
-            if a < t < b:
-                return True
-        return False
-
-    body = [s for s in svals if s < t_last]
-    tail_vals = [s for s in svals if s > t_last]
-
-    runs: list[list[Fraction]] = [[body[0]]]
-    for prev, cur in zip(body, body[1:]):
-        if separator_between(prev, cur):
-            runs.append([cur])
-        else:
-            runs[-1].append(cur)
-
+    cut = bisect_left(svals, t_last)
+    runs = [list(run) for _, run in groupby(svals[:cut], picks_below)]
     bounded = tuple((run[0], run[-1]) for run in runs)
-    tail_start = tail_vals[0] if tail_vals else t_last
+    tail_start = svals[cut] if cut < len(svals) else t_last
     result = Nebula(q, bounded, tail_start)
     check = validate_nebula(result)
     if not check.is_valid:

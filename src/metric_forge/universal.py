@@ -143,11 +143,15 @@ def build_pair_universal(values) -> FiniteMetricSpace:
 
     Pair i sits at distance values[i]; the a-side points form a unit-
     distance hub, so any two-point space with a listed value embeds as
-    (a_i, b_i) exactly.
+    (a_i, b_i) exactly.  More than ``_FUNIV_MAX_POINTS // 2`` values are
+    refused before anything is built.
     """
     vals = [as_scalar(v) for v in values]
     if not vals:
         raise ValueError("need at least one pair value")
+    cap = _FUNIV_MAX_POINTS // 2
+    if len(vals) > cap:
+        raise ValueError(f"{len(vals)} pair values exceed the cap of {cap}")
     if any(v <= 0 for v in vals):
         raise ValueError("pair values must be positive")
     if len(set(vals)) != len(vals):
@@ -200,7 +204,7 @@ def _coord_label(coords) -> str:
     return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-# the most points a glued net space holds
+# the most points a glued space holds: net pieces, or pairs
 _FUNIV_MAX_POINTS = 1000
 
 

@@ -8,6 +8,7 @@ correct on the small inputs the tests feed them.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, repeat
@@ -16,6 +17,7 @@ from metric_forge import (
     ApproximationResult,
     FiniteMetricSpace,
     FUnivApprox,
+    Nebula,
     PartitionPlan,
     RangeCertificate,
     RangeParams,
@@ -32,10 +34,12 @@ from metric_forge import (
     sup_distance,
     transform_metric,
     validate_metric,
+    validate_nebula,
 )
 from metric_forge import core
 from metric_forge.core import _GEN_MAX_POINTS
 from metric_forge.jsonio import parse_scalar
+from metric_forge.nebula import _pick_off
 from metric_forge.universal import _net_side
 
 
@@ -622,3 +626,66 @@ def reference_cantor_approx(k: int) -> FiniteMetricSpace:
         tuple(level[(i ^ j).bit_length()] for j in range(2**k)) for i in range(2**k)
     )
     return FiniteMetricSpace(tuple(labels), rows)
+
+
+# ``cover`` from before it counted the separators below each value: it
+# searches the grid indices between every two consecutive values.  Kept
+# verbatim as the oracle for the differential test.
+
+
+def reference_cover(values, q: int) -> Nebula:
+    """Trap a finite value set (containing 0) inside a q-nebula.
+
+    Separator points are chosen just off the set on a dyadic grid of pitch
+    2^-(q+1); runs of set values with no separator between them become the
+    bounded intervals, and everything past the last separator joins the
+    tail.  Every bounded interval has its endpoints in the set.
+    """
+    if not isinstance(q, int) or q < 0:
+        raise ValueError("q must be a nonnegative integer")
+    svals = sorted({as_scalar(v) for v in values})
+    if svals and svals[0] < 0:
+        raise ValueError("values live in [0, oo)")
+    if not svals or svals[0] != 0:
+        raise ValueError("the value set must contain 0")
+
+    step = Fraction(1, 2 ** (q + 1))
+    eta = Fraction(1, 2 ** (q + 3))
+    grid_count = (q + 1) * 2 ** (q + 1)
+
+    def t_of(m: int) -> Fraction:  # m >= 1
+        return _pick_off(m * step, eta, svals, q)
+
+    t_last = t_of(grid_count)
+
+    def separator_between(a: Fraction, b: Fraction) -> bool:
+        # is there a chosen t_m strictly inside (a, b)?
+        m_lo = max(1, math.floor((a - eta) / step) + 1)
+        m_hi = min(grid_count, math.ceil((b + eta) / step) - 1)
+        for m in range(m_lo, m_hi + 1):
+            center = m * step
+            if center - eta > a and center + eta < b:
+                return True  # whole window inside, any pick works
+            t = t_of(m)
+            if a < t < b:
+                return True
+        return False
+
+    body = [s for s in svals if s < t_last]
+    tail_vals = [s for s in svals if s > t_last]
+
+    runs: list[list[Fraction]] = [[body[0]]]
+    for prev, cur in zip(body, body[1:]):
+        if separator_between(prev, cur):
+            runs.append([cur])
+        else:
+            runs[-1].append(cur)
+
+    bounded = tuple((run[0], run[-1]) for run in runs)
+    tail_start = tail_vals[0] if tail_vals else t_last
+    result = Nebula(q, bounded, tail_start)
+    check = validate_nebula(result)
+    if not check.is_valid:
+        raise RuntimeError(f"internal: cover built an invalid nebula: {check.violations}")
+    return result
+

@@ -374,6 +374,18 @@ def test_universal_pairs_values(capsys):
     assert got["dist"][1][3] == "9/2"
 
 
+@pytest.mark.parametrize(
+    "argv", [["universal", "pairs"], ["fragility", "--epsilon", "1/2"]],
+    ids=["pairs", "fragility"],
+)
+def test_pair_values_over_cap_exit_two(capsys, argv):
+    values = ",".join(str(k) for k in range(1, 502))
+    code, out, err = run(capsys, *argv, "--values", values)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 501 pair values exceed the cap of 500\n"
+
+
 def test_universal_funiv(capsys):
     code, out, _ = run(
         capsys, "universal", "funiv", "--n", "1", "--delta", "1/2", "--copies", "2"
@@ -424,7 +436,12 @@ def test_approximate_non_metric_input_exit_two(tmp_path, capsys, eps):
 
 
 @pytest.mark.parametrize(
-    "exc", [RuntimeError("internal: approximation lost metricity"), MemoryError()]
+    "exc",
+    [
+        RuntimeError("internal: approximation lost metricity"),
+        MemoryError(),
+        MemoryError("Unable to allocate 8.00 MiB"),
+    ],
 )
 def test_internal_error_exit_three(tmp_path, capsys, monkeypatch, exc):
     def broken(*args, **kwargs):
@@ -435,7 +452,8 @@ def test_internal_error_exit_three(tmp_path, capsys, monkeypatch, exc):
     code, out, err = run(capsys, "approximate", sp, "--epsilon", "1/2")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error:")
+    # a MemoryError without a message is named; any other message is kept
+    assert err == f"internal error: {str(exc) or 'out of memory'}\n"
 
 
 def test_failed_encode_leaves_output_file(tmp_path, capsys, monkeypatch):

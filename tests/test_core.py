@@ -936,6 +936,8 @@ def test_random_metric_always_validates(n, seed):
         (25, 4, 2**57),
         (12, 6, 4611686018427387905),
         (9, 7, F(2**70 + 1, 3)),
+        # a wide max value: the closure runs on the int64 steps
+        (48, 5, F(10**21, 7)),
     ],
 )
 def test_random_metric_matches_the_fraction_build(n, seed, max_value):

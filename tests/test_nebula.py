@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import count
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from metric_forge import (
     AffineCapped,
@@ -25,7 +27,7 @@ from metric_forge import (
 )
 
 from metric_forge.nebula import _pick_off
-from support import point_set_hausdorff, random_fractions
+from support import point_set_hausdorff, random_fractions, reference_cover
 
 
 def neb(q, bounded, tail):
@@ -210,6 +212,72 @@ def test_cover_walk_refines_the_grid():
     assert got.tail_start == 1
     assert validate_nebula(got).is_valid
     assert all(scan_contains(got.bounded, got.tail_start, v) for v in values)
+
+
+@st.composite
+def cover_inputs(draw):
+    # value sets that hit every branch of the separator choice: grid
+    # centers m 2^-(q+1), the fallback picks center - 2^-(q+3), whole walk
+    # grids of pitch 2^-(q+5) and 2^-(q+6) (one point sometimes left out),
+    # values past the last separator and rationals on fine dyadic grids;
+    # shuffled, with duplicates, ints mixed with Fractions, and now and
+    # then without 0 or with a negative value
+    q = draw(st.integers(0, 20))
+    step, eta = F(1, 2 ** (q + 1)), F(1, 2 ** (q + 3))
+    grid_count = (q + 1) * 2 ** (q + 1)
+    ms = st.lists(
+        st.one_of(
+            st.integers(1, 4),
+            st.integers(grid_count - 2, grid_count + 1),
+            st.integers(1, grid_count + 2),
+        ),
+        max_size=4,
+    )
+    values = [F(m) * step for m in draw(ms)]
+    values += [F(m) * step - eta for m in draw(ms)]
+    for shift in (5, 6):
+        for m in draw(ms):
+            pitch = F(1, 2 ** (q + shift))
+            walk = [m * step - eta + k * pitch for k in range(2 ** (shift - 2) + 1)]
+            if draw(st.booleans()):
+                del walk[draw(st.integers(0, len(walk) - 1))]
+            values += walk
+    for _ in range(draw(st.integers(0, 12))):
+        den = 2 ** draw(st.integers(0, q + 7)) * draw(st.sampled_from([1, 3, 5]))
+        values.append(F(draw(st.integers(0, (q + 3) * den)), den))
+    values += draw(st.lists(st.sampled_from(values), max_size=4)) if values else []
+    values += draw(st.sampled_from([[0], [F(0)], [0, F(0)], [0], [F(0)], [], [-eta, 0]]))
+    values = [
+        int(v) if v.denominator == 1 and draw(st.booleans()) else v
+        for v in map(F, values)
+    ]
+    return draw(st.permutations(values)), q
+
+
+def cover_outcome(build, values, q):
+    try:
+        return build(values, q)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(cover_inputs())
+@example(([0, F(3, 8), F(1, 2)], 0))
+@example(([F(0)] + [F(3, 8) + F(k, 32) for k in range(9)], 0))
+@example(([0, F(1, 2), F(3, 8), 3, F(95, 32), F(7, 2)], 2))  # t_last walks
+def test_cover_matches_the_pairwise_search(case):
+    values, q = case
+    assert cover_outcome(cover, values, q) == cover_outcome(reference_cover, values, q)
+
+
+@pytest.mark.parametrize("q", [0, 3, 6, 9])
+def test_cover_matches_the_pairwise_search_on_a_wide_value_set(q):
+    # every 1 + a/b with b <= 64: the kind of value set whose lcm passes
+    # 2^62, with about 1300 values, many close to the separator grid
+    values = [0] + [1 + F(a, b) for b in range(1, 65) for a in range(b)]
+    got = cover(values, q)
+    assert got == reference_cover(values, q)
+    assert validate_nebula(got).is_valid
 
 
 def random_interval_set(rng, with_tail):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -273,6 +274,25 @@ def test_pair_universal_rejects_bad_values():
         build_pair_universal([F(1, 2), 0])
     with pytest.raises(ValueError):
         build_pair_universal([1, 1])
+
+
+def test_pair_universal_point_cap():
+    # 500 values glue into the 1000 points of the net cap; one more is
+    # refused before any piece or matrix is built (one 1000 x 1000 int64
+    # matrix alone would take 8 MB)
+    values = [F(k, 7) for k in range(1, 501)]
+    D = build_pair_universal(values)
+    assert D.n == 1000
+    assert D.dist[998][999] == F(500, 7)
+    values.append(F(1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^501 pair values exceed the cap of 500$"):
+            build_pair_universal(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 # --- glued nets -------------------------------------------------------------------
