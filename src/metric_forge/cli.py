@@ -5,16 +5,19 @@ stdout), 2 usage or domain errors (an input file over ``_MAX_INPUT_BYTES``,
 or a generated space that would be one, among them), 3 internal errors (a
 failed self-check or running out of memory).  Outputs carry no timestamps,
 so a rerun with the same inputs is byte-identical.
+
+The argument parser is built once per process, on the first ``main``
+call; ``build_parser`` still returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .core import random_metric, cantor_approx, validate_metric
@@ -97,7 +100,8 @@ def render_range_svg(space, nebula=None) -> str:
     inner = width - 2 * mx
 
     def px(v) -> str:
-        return f"{mx + float(Fraction(v) / T) * inner:.2f}"
+        # int true division is correctly rounded, so this is float(Fraction(v) / T)
+        return f"{mx + v.numerator / (v.denominator * T) * inner:.2f}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -122,7 +126,7 @@ def render_range_svg(space, nebula=None) -> str:
                 f'<rect x="{xa}" y="62" width="{w:.2f}" height="16" '
                 f'fill="#9ecae1" data-exact="[{a},{b}]"/>'
             )
-        xt = px(min(nebula.tail_start, Fraction(T)))
+        xt = px(min(nebula.tail_start, T))
         parts.append(
             f'<rect x="{xt}" y="62" width="{width - mx - float(xt):.2f}" '
             f'height="16" fill="#9ecae1" data-exact="[{nebula.tail_start},inf)"/>'
@@ -239,7 +243,7 @@ def _cmd_plot_range(args) -> int:
     nebula = None
     if args.nebula is not None:
         nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
-        _covering_intervals(nebula, space.values())
+        _covering_intervals(nebula, space)
     _emit([render_range_svg(space, nebula)], args.output)
     return 0
 
@@ -366,9 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main uses, built on first use: parsing leaves it unchanged, and
+# argparse reads the terminal width when it formats help or an error
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         code = exc.code
         return code if isinstance(code, int) else 2

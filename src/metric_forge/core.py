@@ -135,8 +135,7 @@ class FiniteMetricSpace:
     def values(self) -> tuple[Fraction, ...]:
         """Sorted distinct distance values, always including 0."""
         arr, denom = self.scaled
-        distinct = sorted(set().union(*arr.tolist(), [0]))
-        return tuple(Fraction(v, denom) for v in distinct)
+        return tuple(Fraction(v, denom) for v in _distinct(arr))
 
     def max_value(self) -> Fraction:
         arr, denom = self.scaled
@@ -236,6 +235,11 @@ def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
     space = object.__new__(FiniteMetricSpace)
     space.__dict__.update(points=tuple(points), scaled=(arr, denom))
     return space
+
+
+def _distinct(arr: np.ndarray) -> list[int]:
+    """Sorted distinct entries of a scaled matrix, 0 included, as Python ints."""
+    return sorted(set().union(*arr.tolist(), [0]))
 
 
 def _peak(arr: np.ndarray) -> int:

@@ -14,9 +14,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from operator import itemgetter
 
-from .core import FiniteMetricSpace, _as_int, as_scalar
+from .core import FiniteMetricSpace, _as_int, _distinct, as_scalar
 
 
 @dataclass(frozen=True)
@@ -88,19 +89,37 @@ def nebula_contains(nebula: Nebula, t) -> bool:
     return t >= nebula.tail_start or _interval_index(nebula.bounded, t) >= 0
 
 
-def _covering_intervals(nebula: Nebula, values) -> list[int]:
-    """Sorted positions of the bounded intervals that hold some value.
+def _covering_intervals(nebula: Nebula, space: FiniteMetricSpace) -> list[int]:
+    """Sorted positions of the bounded intervals that hold some value of space.
 
-    Raises ValueError at the first value (in the given order) that the
-    nebula does not contain.
+    The values come from ``space.scaled``, and they, the interval ends and
+    the tail start are compared as integers on L, the lcm of their
+    denominators.  Raises ValueError at the least value that the nebula
+    does not contain.
     """
+    arr, denom = space.scaled
+    scale = lcm(
+        denom,
+        nebula.tail_start.denominator,
+        *(x.denominator for iv in nebula.bounded for x in iv),
+    )
+
+    def on_scale(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    starts = [on_scale(a) for a, _ in nebula.bounded]
+    stops = [on_scale(b) for _, b in nebula.bounded]
+    tail, factor = on_scale(nebula.tail_start), scale // denom
     used = set()
-    for v in values:
-        if v >= nebula.tail_start:
-            continue
-        i = _interval_index(nebula.bounded, v)
-        if i < 0:
-            raise ValueError(f"metric value {v} lies outside the nebula")
+    for v in _distinct(arr):
+        v *= factor
+        if v >= tail:
+            break
+        i = bisect_right(starts, v) - 1
+        if i < 0 or v > stops[i]:
+            raise ValueError(
+                f"metric value {Fraction(v, scale)} lies outside the nebula"
+            )
         used.add(i)
     return sorted(used)
 
@@ -151,7 +170,14 @@ def cover(values, q: int) -> Nebula:
 
     step = Fraction(1, 2 ** (q + 1))
     eta = Fraction(1, 2 ** (q + 3))
-    t_last = _pick_off(Fraction(q + 1), eta, svals, q)  # m = (q + 1) 2^(q+1)
+    picks: dict[int, Fraction] = {}  # t_m by grid index m, each picked once
+
+    def pick(m: int) -> Fraction:
+        if m not in picks:
+            picks[m] = _pick_off(m * step, eta, svals, q)
+        return picks[m]
+
+    t_last = pick((q + 1) << (q + 1))
 
     def picks_below(x: Fraction) -> int:
         # separators t_m (m >= 1) below x: t_m lies within eta of m * step,
@@ -160,7 +186,7 @@ def cover(values, q: int) -> Nebula:
         m = (2 * u + d) // (2 * d)
         if m == 0 or 4 * abs(u - m * d) > d:
             return u // d
-        return m - 1 + (_pick_off(m * step, eta, svals, q) < x)
+        return m - 1 + (pick(m) < x)
 
     cut = bisect_left(svals, t_last)
     runs = [list(run) for _, run in groupby(svals[:cut], picks_below)]
@@ -312,7 +338,7 @@ def margin(space: FiniteMetricSpace, nebula: Nebula) -> MarginResult:
     check = validate_nebula(nebula)
     if not check.is_valid:
         raise ValueError(f"margin needs a valid nebula: {check.violations}")
-    kept = [nebula.bounded[i] for i in _covering_intervals(nebula, space.values())]
+    kept = [nebula.bounded[i] for i in _covering_intervals(nebula, space)]
     # 0 is always a value and lives in the first interval
     gaps = [a2 - b1 for (_, b1), (a2, _) in zip(kept, kept[1:])]
     gaps.append(nebula.tail_start - kept[-1][1])

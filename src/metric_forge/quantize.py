@@ -9,6 +9,7 @@ a machine-checkable certificate per pair.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -430,6 +431,24 @@ def geometric_levels(eta: Fraction, u: Fraction, floor: Fraction) -> dict:
     return levels
 
 
+# the most decimal digits the level scale den(eta) * b^E may have (r = a/b,
+# E the deepest level exponent): Python's default limit on writing an int
+# as text, so past it D's denominator could not be written anyway
+_MAX_SCALE_DIGITS = 4300
+
+
+def _depth_cap(eta: Fraction, r: Fraction) -> tuple[int, int, int]:
+    """(k, a^k, b^k) for the least k with den(eta) * b^k over the digit cap."""
+    limit, d, b = 10**_MAX_SCALE_DIGITS, eta.denominator, r.denominator
+    # a float estimate, then exact integer steps to the least such k
+    k = max(0, math.ceil((math.log(limit) - math.log(d)) / math.log(b)))
+    while k > 0 and d * b ** (k - 1) >= limit:
+        k -= 1
+    while d * b**k < limit:
+        k += 1
+    return k, r.numerator**k, b**k
+
+
 def approximate(
     space: FiniteMetricSpace, epsilon, r=None
 ) -> ApproximationResult:
@@ -445,7 +464,10 @@ def approximate(
     an input that is not a metric, the ValueError names its first
     violation.
 
-    ``r`` may be overridden with any value in (0, 1) with 2r <= eta.
+    ``r`` may be overridden with any value in (0, 1) with 2r <= eta.  A
+    cluster whose least distance needs a level exponent whose scale
+    den(eta) * b^E passes ``_MAX_SCALE_DIGITS`` digits is refused with a
+    ValueError before any level is built.
 
     The whole construction runs on one scaled-integer matrix: with
     r = a/b and E the deepest level exponent, D * den(eta) * b^E is an
@@ -487,32 +509,44 @@ def approximate(
     home = np.empty(n, dtype=np.intp)
     # level exponent of each pair inside a cluster, -1 everywhere else
     expo = np.full((n, n), -1, dtype=np.intp)
-    # on a metric none of these stages refuses, so a refusal names the
-    # input's first violation
+    # on a metric neither the hub nor the level rounding refuses, so a
+    # refusal there names the input's first violation
     try:
         steps = _grid_steps(arr[np.ix_(reps, reps)], den, eta)
         _check_hub(steps)
-        for ci, cluster in enumerate(plan.clusters):
-            home[list(cluster)] = ci
-            if len(cluster) == 1:
-                continue
-            block = np.ix_(cluster, cluster)
-            sub = _path_closure(arr[block], np.maximum)
-            off = ~np.eye(len(cluster), dtype=bool)
-            values, inverse = np.unique(sub[off], return_inverse=True)
-            values = values.tolist()
-            if values[0] < 0 or values[-1] == 0:
-                raise ValueError("internal: nonpositive distance inside a cluster")
-            floor = next(v for v in values if v > 0)
+    except ValueError as err:
+        raise failure(str(err)) from None
+    cap = None  # _depth_cap(eta, r), once some cluster has two points
+    for ci, cluster in enumerate(plan.clusters):
+        home[list(cluster)] = ci
+        if len(cluster) == 1:
+            continue
+        block = np.ix_(cluster, cluster)
+        sub = _path_closure(arr[block], np.maximum)
+        off = ~np.eye(len(cluster), dtype=bool)
+        values, inverse = np.unique(sub[off], return_inverse=True)
+        values = values.tolist()
+        if values[0] < 0 or values[-1] == 0:
+            raise failure("internal: nonpositive distance inside a cluster")
+        floor = next(v for v in values if v > 0)
+        # floor / den rounds up to level eta * r^E, E the largest k with
+        # eta * r^k >= floor / den; refuse when E reaches the capped depth
+        deepest, a_k, b_k = cap = cap or _depth_cap(eta, r)
+        if eta.numerator * a_k * den >= floor * eta.denominator * b_k:
+            raise ValueError(
+                f"level depth {deepest} or more needed, past the cap:"
+                f" den(eta) * den(r)^{deepest} has over {_MAX_SCALE_DIGITS} digits"
+            )
+        try:
             level_map = geometric_levels(eta, r, Fraction(floor, den))
             up = RoundUpTo((Fraction(0), *level_map))
             # a zero (not a metric) rounds to 0, which has no level: -1 reads as 0
             level = [level_map.get(up.apply(Fraction(v, den)), -1) for v in values]
-            exps = np.full(sub.shape, -1, dtype=np.intp)
-            exps[off] = np.array(level, dtype=np.intp)[inverse.ravel()]
-            expo[block] = exps
-    except ValueError as err:
-        raise failure(str(err)) from None
+        except ValueError as err:
+            raise failure(str(err)) from None
+        exps = np.full(sub.shape, -1, dtype=np.intp)
+        exps[off] = np.array(level, dtype=np.intp)[inverse.ravel()]
+        expo[block] = exps
 
     a, b = r.numerator, r.denominator
     top = max(int(expo.max()), 0)

@@ -322,24 +322,30 @@ def find_isometric_embedding(
     mapping: list[int] = []
     free = np.ones(host.n, dtype=bool)
 
-    def search(idx: int) -> bool:
-        if idx == k:
-            return True
-        fits = free.copy()
+    def fits(idx: int):
+        """The free host points that can take pattern point idx, in index order."""
+        ok = free.copy()
         for prev in range(idx):
-            fits &= np.abs(H[:, mapping[prev]] - P[idx][prev]) <= tol
-        for cand in np.flatnonzero(fits).tolist():
-            free[cand] = False
-            mapping.append(cand)
-            if search(idx + 1):
-                return True
-            mapping.pop()
-            free[cand] = True
-        return False
+            ok &= np.abs(H[:, mapping[prev]] - P[idx][prev]) <= tol
+        return iter(np.flatnonzero(ok).tolist())
 
-    if search(0):
-        return Embedding(tuple(mapping), distortion == 0)
-    return None
+    # depth-first with an explicit stack (a recursive closure would hold
+    # itself, and H, until a cyclic collection): untried candidates of each
+    # pattern point placed so far and of the next one
+    untried = [fits(0)]
+    while len(mapping) < k:
+        cand = next(untried[-1], None)
+        if cand is None:  # every candidate failed: undo the last placement
+            untried.pop()
+            if not mapping:
+                return None
+            free[mapping.pop()] = True
+            continue
+        free[cand] = False
+        mapping.append(cand)
+        if len(mapping) < k:
+            untried.append(fits(len(mapping)))
+    return Embedding(tuple(mapping), distortion == 0)
 
 
 def range_density_gap(space: FiniteMetricSpace, T) -> Fraction:

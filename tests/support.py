@@ -39,7 +39,7 @@ from metric_forge import (
 from metric_forge import core
 from metric_forge.core import _GEN_MAX_POINTS
 from metric_forge.jsonio import parse_scalar
-from metric_forge.nebula import _pick_off
+from metric_forge.nebula import _interval_index, _pick_off
 from metric_forge.universal import _net_side
 
 
@@ -689,3 +689,25 @@ def reference_cover(values, q: int) -> Nebula:
         raise RuntimeError(f"internal: cover built an invalid nebula: {check.violations}")
     return result
 
+
+
+# ``nebula._covering_intervals`` from before it ran on ``space.scaled``: one
+# Fraction bisection per value.  Kept verbatim as the oracle for the
+# differential test.
+
+
+def reference_covering_intervals(nebula: Nebula, values) -> list[int]:
+    """Sorted positions of the bounded intervals that hold some value.
+
+    Raises ValueError at the first value (in the given order) that the
+    nebula does not contain.
+    """
+    used = set()
+    for v in values:
+        if v >= nebula.tail_start:
+            continue
+        i = _interval_index(nebula.bounded, v)
+        if i < 0:
+            raise ValueError(f"metric value {v} lies outside the nebula")
+        used.add(i)
+    return sorted(used)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,6 +8,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metric_forge import (
     FiniteMetricSpace,
@@ -15,6 +18,7 @@ from metric_forge import (
     cantor_approx,
     cli,
     core,
+    cover,
     jsonio,
     random_metric,
     validate_metric,
@@ -248,6 +252,70 @@ def test_usage_error_exit_two(capsys):
     capsys.readouterr()
 
 
+# --- one parser per process ---------------------------------------------------
+
+
+def fresh_parse(capsys, argv):
+    """Exit code, stdout and stderr of a new parser's parse, as main gives them."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["no-such-command"],
+        ["approximate", "--help"],
+        ["approximate", "sp.json"],
+        ["approximate", "sp.json", "--epsilon", "1", "--bogus"],
+        ["nebula"],
+        ["nebula", "cover", "v.json", "--q", "x"],
+        ["plot", "range", "sp.json"],
+        ["gen", "random", "--help"],
+    ],
+)
+def test_main_parses_like_a_new_parser(capsys, argv):
+    cli.main(["--help"])  # the shared parser exists before the call
+    capsys.readouterr()
+    assert cli._parser() is cli._parser() is not cli.build_parser()
+    assert run(capsys, *argv) == fresh_parse(capsys, argv)
+
+
+def test_help_follows_columns_set_after_the_first_call(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run(capsys, "approximate", "--help")
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run(capsys, "approximate", "--help")
+    assert narrow == fresh_parse(capsys, ["approximate", "--help"])
+    assert narrow[1] != wide[1]
+    assert max(map(len, narrow[1].splitlines())) <= 40 < max(map(len, wide[1].splitlines()))
+
+
+def test_parses_in_a_row_share_no_defaults(tmp_path, capsys):
+    sp = write_json(tmp_path / "two.json", TWO_POINT)
+    sequence = [
+        ["approximate", sp, "--epsilon", "5", "--r", "1/4"],
+        ["approximate", sp, "--epsilon", "5"],
+        ["nebula", "cover", sp, "--q", "3"],
+        ["approximate", sp, "--epsilon", "5"],
+    ]
+    for argv in sequence:
+        assert vars(cli._parser().parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv)
+        )
+    assert cli._parser().parse_args(sequence[1]).r is None
+    # end to end: the second run takes the default r = min(1/2, 5/10)
+    rs = [json.loads(run(capsys, *argv)[1])["r"] for argv in sequence[:2]]
+    assert rs == ["1/4", "1/2"]
+
+
 # --- approximate --------------------------------------------------------------
 
 
@@ -274,6 +342,39 @@ def test_approximate_r_override(tmp_path, capsys):
 
 
 # --- nebula -------------------------------------------------------------------
+
+
+def near_pair(tiny):
+    """Points a, b at distance tiny, and c at distance 1 from both."""
+    one = ["0", tiny, "1"], [tiny, "0", "1"], ["1", "1", "0"]
+    return {"points": ["a", "b", "c"], "dist": list(one)}
+
+
+def test_approximate_refuses_a_deep_level_quickly(tmp_path, capsys):
+    # r = 999/1000 would need about 26,000 levels below eta = 200000 to
+    # reach 1/10^6, each an exact power
+    sp = write_json(tmp_path / "sp.json", near_pair("1/1000000"))
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "approximate", sp, "--epsilon", "1000000", "--r", "999/1000"
+    )
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: level depth 1434 or more needed, past the cap:"
+        " den(eta) * den(r)^1434 has over 4300 digits\n"
+    )
+
+
+def test_approximate_keeps_a_distance_of_ten_to_the_minus_4200(tmp_path, capsys):
+    sp = write_json(tmp_path / "sp.json", near_pair(f"1/{10**4200}"))
+    out_path = tmp_path / "result.json"
+    code, _, err = run(capsys, "approximate", sp, "--epsilon", "1/2", "-o", str(out_path))
+    assert (code, err) == (0, "")
+    # rounded up to eta * r^3227 = 1/(10 * 20^3227), whose denominator has
+    # 4200 digits
+    got = json.loads(out_path.read_text())["D"]["dist"][0][1]
+    assert got == f"1/{10 * 20**3227}"
 
 
 def test_nebula_cover_and_check(tmp_path, capsys):
@@ -555,6 +656,46 @@ def test_plot_range_ticks_stay_bounded(tmp_path, capsys, top, step):
     ticks = integer_ticks(svg_path.read_text())
     assert len(ticks) <= 1001
     assert ticks == list(range(0, top + 1, step))
+
+
+@given(st.integers(0, 2**130), st.integers(1, 2**130), st.integers(1, 10**6))
+def test_plot_coordinates_divide_integers_as_the_fraction_did(num, den, T):
+    # render_range_svg's px: int true division is correctly rounded
+    v = F(num, den)
+    assert v.numerator / (v.denominator * T) == float(v / T)
+
+
+def wide_space():
+    """Every 1 + a/b with b <= 64, then 7/3 and 22/7: lcm near 2^90."""
+    vals = sorted({1 + F(a, b) for b in range(1, 65) for a in range(b)})
+    vals += [F(7, 3), F(22, 7)]
+    n = 1
+    while n * (n - 1) // 2 < len(vals):
+        n += 1
+    rows = [[F(0)] * n for _ in range(n)]
+    it = iter(vals)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = next(it, vals[-1])
+    return FiniteMetricSpace([f"p{i}" for i in range(n)], rows)
+
+
+# sha256 of the range SVG of wide_space, bare and with its q = 3 cover,
+# recorded while px still computed float(Fraction(v) / T)
+WIDE_SVG_DIGESTS = [
+    "de3c78344e296fde0cabeae9d7146329aaf939472ffa06884529fedee45d40e1",
+    "0eed9fa12a6f473fa4e14beb9793ff1942c5771ef6ea27b81603e5af3a1379dc",
+]
+
+
+def test_plot_of_an_object_path_space_keeps_its_bytes():
+    space = wide_space()
+    assert space.scaled[0].dtype == object
+    digests = [
+        hashlib.sha256(cli.render_range_svg(space, nebula).encode()).hexdigest()
+        for nebula in (None, cover(space.values(), 3))
+    ]
+    assert digests == WIDE_SVG_DIGESTS
 
 
 def test_plot_with_nebula(tmp_path, capsys):

@@ -26,8 +26,13 @@ from metric_forge import (
     validate_nebula,
 )
 
-from metric_forge.nebula import _pick_off
-from support import point_set_hausdorff, random_fractions, reference_cover
+from metric_forge.nebula import _covering_intervals, _pick_off
+from support import (
+    point_set_hausdorff,
+    random_fractions,
+    reference_cover,
+    reference_covering_intervals,
+)
 
 
 def neb(q, bounded, tail):
@@ -428,6 +433,93 @@ def test_margin_keeps_exactly_the_occupied_intervals():
         want = [(kept[0][0], kept[0][1] + eps)]
         want.extend((a - eps, b + eps) for a, b in kept[1:])
         assert got.fattened.bounded == tuple(want)
+
+
+def space_with_values(values):
+    """A (not necessarily metric) space whose off-diagonal entries are values."""
+    n = 2
+    while n * (n - 1) // 2 < len(values):
+        n += 1
+    rows = [[F(0)] * n for _ in range(n)]
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for (i, j), v in zip(pairs, [*values, *[values[-1]] * n * n]):
+        rows[i][j] = rows[j][i] = v
+    return FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows)
+
+
+# value denominators: 7^23, 2^63 and 3^41 put the scale past 2^62 alone;
+# the interval ends use denominators that divide none of them
+SCAN_DENS = [1, 4, 6, 64, 7**23, 2**63, 3**41]
+END_DENS = [1, 3, 5, 2**70, 11**20]
+
+
+@st.composite
+def scan_inputs(draw):
+    dens = draw(st.lists(st.sampled_from(SCAN_DENS), min_size=1, max_size=3))
+    values = [
+        F(draw(st.integers(0, 3 * d)), d)
+        for d in dens
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    space = space_with_values(values)
+    vals = space.values()
+
+    def near():  # a value of the space, or any point of [0, 3]
+        if draw(st.booleans()):
+            return draw(st.sampled_from(vals))
+        return F(draw(st.integers(0, 3 * 97)), 97)
+
+    def nudge():
+        return F(draw(st.integers(0, 3)), draw(st.sampled_from(END_DENS)))
+
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = near()
+        pieces.append((max(c - nudge(), F(0)), c + nudge()))
+    # the plot reads a nebula it does not validate: unsorted or overlapping
+    # intervals must be scanned the same way
+    if draw(st.booleans()):
+        pieces.sort()
+    tail = near() + nudge()
+    return space, Nebula.make(draw(st.integers(0, 3)), pieces, tail)
+
+
+def scan_outcome(scan, nebula, values):
+    try:
+        return scan(nebula, values)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(scan_inputs())
+@example((two_point(F(1, 2)), neb(1, [(0, 0)], 1)))  # 1/2 lies outside
+@example((two_point(F(1, 7**23)), neb(0, [(0, F(1, 2**70))], F(5, 3))))
+@example((two_point(F(1, 2**63)), neb(0, [(0, 0), (F(1, 2**64), F(1, 3))], 4)))
+def test_covering_scan_matches_the_fraction_scan(case):
+    space, nebula = case
+    got = scan_outcome(_covering_intervals, nebula, space)
+    want = scan_outcome(reference_covering_intervals, nebula, space.values())
+    assert got == want
+
+
+@pytest.mark.parametrize("q", [2, 6])
+def test_covering_scan_on_a_wide_value_set(q):
+    # every 1 + a/b with b <= 64, as in a wide validate input: lcm near 2^90
+    values = [1 + F(a, b) for b in range(1, 65) for a in range(b)]
+    space = space_with_values(values)
+    assert space.scaled[0].dtype == object
+    nebula = cover(space.values(), q)
+    got = _covering_intervals(nebula, space)
+    assert got == reference_covering_intervals(nebula, space.values())
+    assert got == list(range(len(nebula.bounded)))
+    # without the interval of the 7th-least value, both name the same value
+    i = next(k for k, (a, b) in enumerate(nebula.bounded) if b >= space.values()[7])
+    holed = Nebula(q, nebula.bounded[:i] + nebula.bounded[i + 1 :], nebula.tail_start)
+    with pytest.raises(ValueError) as err:
+        _covering_intervals(holed, space)
+    with pytest.raises(ValueError) as ref:
+        reference_covering_intervals(holed, space.values())
+    assert str(err.value) == str(ref.value)
 
 
 def test_margin_requires_containment():

@@ -470,6 +470,40 @@ def test_approximate_names_the_first_violation_of_an_asymmetric_input(rows, mess
     assert str(err.value) == f"input is not a metric: {message}"
 
 
+def near_pair(f):
+    """Points a, b at distance f, and c at distance 1 from both."""
+    return FiniteMetricSpace.from_rows("abc", [[0, f, 1], [f, 0, 1], [1, 1, 0]])
+
+
+def test_approximate_accepts_the_deepest_level_under_the_cap():
+    # epsilon 1: eta = 1/5 and r = 1/10, so the level scale is 5 * 10^E;
+    # f = eta * r^4299 is the deepest level with 4300 digits, the cap
+    f = F(1, 5 * 10**4299)
+    res = approximate(near_pair(f), 1)
+    assert res.D.dist[0][1] == f
+    assert res.certificate(0, 1).n == 4299
+    assert len(str(res.D.scaled[1])) == 4300
+
+
+def test_approximate_refuses_a_level_past_the_cap_before_building_it():
+    import tracemalloc
+
+    space = near_pair(F(1, 5 * 10**4300))  # at eta * r^4300: 4301 digits
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            approximate(space, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "level depth 4300 or more needed, past the cap:"
+        " den(eta) * den(r)^4300 has over 4300 digits"
+    )
+    # approximate one level shallower peaks near 9 MB, this refusal near 12 kB
+    assert peak < 2**17
+
+
 def test_round_up_preserves_ultrametric_property():
     # increasing images of ultrametrics stay ultrametrics
     c = cantor_approx(3)

@@ -458,6 +458,25 @@ def test_search_none_is_exhaustive():
     assert brute_first_embedding(EQUILATERAL, D) is None
 
 
+@pytest.mark.parametrize("found", [True, False], ids=["found", "missing"])
+def test_search_leaves_no_reference_cycle(found):
+    # a recursive closure holds itself through its cell, so the host matrix
+    # and the search state would wait for the cyclic collector
+    import gc
+
+    D = build_pair_universal([F(1, 2), 3])
+    pattern = two_point(F(1, 2)) if found else EQUILATERAL
+    gc.collect()
+    gc.disable()
+    try:
+        got = find_isometric_embedding(pattern, D)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert (got is not None) == found
+    assert freed == 0
+
+
 def test_search_cap_refusal():
     big = random_metric(8, 10, seed=0)
     with pytest.raises(SearchCapExceeded):
