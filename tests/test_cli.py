@@ -341,13 +341,10 @@ def test_approximate_r_override(tmp_path, capsys):
     assert code == 2
 
 
-# --- nebula -------------------------------------------------------------------
-
-
 def near_pair(tiny):
     """Points a, b at distance tiny, and c at distance 1 from both."""
-    one = ["0", tiny, "1"], [tiny, "0", "1"], ["1", "1", "0"]
-    return {"points": ["a", "b", "c"], "dist": list(one)}
+    dist = [["0", tiny, "1"], [tiny, "0", "1"], ["1", "1", "0"]]
+    return {"points": ["a", "b", "c"], "dist": dist}
 
 
 def test_approximate_refuses_a_deep_level_quickly(tmp_path, capsys):
@@ -375,6 +372,9 @@ def test_approximate_keeps_a_distance_of_ten_to_the_minus_4200(tmp_path, capsys)
     # 4200 digits
     got = json.loads(out_path.read_text())["D"]["dist"][0][1]
     assert got == f"1/{10 * 20**3227}"
+
+
+# --- nebula -------------------------------------------------------------------
 
 
 def test_nebula_cover_and_check(tmp_path, capsys):
