@@ -243,6 +243,9 @@ def _cmd_plot_range(args) -> int:
     nebula = None
     if args.nebula is not None:
         nebula = jsonio.nebula_from_obj(_load_json(args.nebula))
+        check = validate_nebula(nebula)
+        if not check.is_valid:
+            raise ValueError(f"plot needs a valid nebula: {check.violations}")
         _covering_intervals(nebula, space)
     _emit([render_range_svg(space, nebula)], args.output)
     return 0

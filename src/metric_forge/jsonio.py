@@ -8,13 +8,14 @@ Every output goes through one encoder, ``encode``.  It writes what the
 stdlib encoder writes with ``indent=2`` and ``sort_keys=True``, plus a
 trailing newline, and a ``Fraction`` as its quoted string.  The
 ``*_chunks`` writers hand it plain dicts; their three large arrays are
-callables that encode each repeated part once: the distance rows quote
-each distinct value once, the certificates encode each distinct tail
-once, and the violations are written from the report's integer table,
-each distinct side quoted and each point index written once, so no
-``Violation`` is built.  The ``*_to_obj`` builders stay: they are the
-oracle the writers are tested against, and the names the benchmark's
-traced run binds.
+callables that encode each repeated part once.  The distance rows quote
+each distinct value once.  The certificates are written from the result's
+index array, each distinct tail encoded and each point index written
+once, so no ``(i, j, cert)`` tuple is built.  The violations are written
+from the report's integer table, each distinct side quoted and each point
+index written once, so no ``Violation`` is built.  The ``*_to_obj``
+builders stay: they are the oracle the writers are tested against, and
+the names the benchmark's traced run binds.
 """
 
 from __future__ import annotations
@@ -290,18 +291,30 @@ def _dist(space: FiniteMetricSpace, nl: str) -> list[str]:
     return [f",{nl}[{cell}{sep.join(map(cells.__getitem__, row))}{nl}]" for row in rows]
 
 
-def _certificates(certs, nl: str) -> list[str]:
-    """Each distinct certificate's "l"/"m"/"n" tail is encoded once."""
+def _certificates(result: ApproximationResult, nl: str) -> list[str]:
+    """One chunk per pair i < j, read from the result's index array.
+
+    Each distinct certificate's "l"/"m"/"n" tail is encoded once and each
+    point index written once; each row is the ``"".join`` of its head, its
+    second index and its tail, so no ``(i, j, cert)`` tuple is built.
+    """
+    rows, index = result.table
     inner = nl + "  "
-
-    def tail(c: RangeCertificate) -> str:
-        n = "null" if c.n is None else c.n
-        m = "null" if c.m is None else c.m
-        return f',{inner}"l": {c.l},{inner}"m": {m},{inner}"n": {n}{nl}}}'
-
-    tails = {key: tail(c) for key, c in {id(c): c for _, _, c in certs}.items()}
-    head, mid = f',{nl}{{{inner}"i": ', f',{inner}"j": '
-    return [f"{head}{i}{mid}{j}{tails[id(c)]}" for i, j, c in certs]
+    tails = [
+        f',{inner}"l": {c.l},{inner}"m": {"null" if c.m is None else c.m}'
+        f',{inner}"n": {"null" if c.n is None else c.n}{nl}}}'
+        for c in rows
+    ]
+    n = result.D.n
+    heads = [f',{nl}{{{inner}"i": {i},{inner}"j": ' for i in range(n)]
+    names = list(map(str, range(n)))
+    iu, ju = np.triu_indices(n, 1)
+    pieces = (
+        map(heads.__getitem__, iu.tolist()),
+        map(names.__getitem__, ju.tolist()),
+        map(tails.__getitem__, index.tolist()),
+    )
+    return list(map("".join, zip(*pieces)))
 
 
 def _violations(blocks, denom: int, nl: str) -> list[str]:
@@ -363,7 +376,7 @@ def approximation_chunks(result: ApproximationResult) -> list[str]:
                 "reps": plan.reps,
                 "radius": plan.radius,
             },
-            "certificates": partial(_certificates, result.certificates),
+            "certificates": partial(_certificates, result),
             "D": _space(result.D),
         }
     )

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -391,30 +392,60 @@ def range_membership(t, params: RangeParams) -> RangeCertificate | None:
 # the dense-approximation construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ApproximationResult:
     """Quantized metric D plus the plan and per-pair certificates.
 
-    ``certificates`` maps each off-diagonal pair (i, j) with i < j to a
-    RangeCertificate valid for RangeParams(eta, r), in row-major order,
-    which lets ``certificate`` find a pair by its index.
+    Every off-diagonal pair (i, j) with i < j has a RangeCertificate valid
+    for RangeParams(eta, r).  They are stored once, as ``table``: the
+    distinct certificates and one index into them per pair, in row-major
+    order, which lets ``certificate`` find a pair by its position.
+    ``certificates`` is their ``(i, j, cert)`` view, built the first time
+    it is read.  ``==``, ``hash`` and ``repr`` go through the view, as for
+    a plain dataclass of D, plan, ``certificates``, eta and r.
     """
 
     D: FiniteMetricSpace
     plan: PartitionPlan
-    certificates: tuple[tuple[int, int, RangeCertificate], ...]
+    # (rows, index): the distinct certificates, and a read-only int array
+    # holding the row of each pair i < j in row-major order
+    table: tuple[tuple[RangeCertificate, ...], np.ndarray]
     eta: Fraction
     r: Fraction
+
+    @cached_property
+    def certificates(self) -> tuple[tuple[int, int, RangeCertificate], ...]:
+        """One (i, j, cert) per pair i < j, in row-major order; built once."""
+        rows, index = self.table
+        iu, ju = np.triu_indices(self.D.n, 1)
+        return tuple(
+            zip(iu.tolist(), ju.tolist(), map(rows.__getitem__, index.tolist()))
+        )
 
     def certificate(self, i: int, j: int) -> RangeCertificate:
         i, j = min(i, j), max(i, j)
         n = self.D.n
         if 0 <= i < j < n:
-            # pairs i < j are stored in row-major order
-            a, b, cert = self.certificates[i * (2 * n - i - 1) // 2 + j - i - 1]
-            if (a, b) == (i, j):
-                return cert
+            rows, index = self.table
+            return rows[index[i * (2 * n - i - 1) // 2 + j - i - 1]]
         raise KeyError((i, j))
+
+    def _key(self):
+        return self.D, self.plan, self.certificates, self.eta, self.r
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(D={self.D!r}, plan={self.plan!r}, "
+            f"certificates={self.certificates!r}, eta={self.eta!r}, r={self.r!r})"
+        )
 
 
 def geometric_levels(eta: Fraction, u: Fraction, floor: Fraction) -> dict:
@@ -566,25 +597,36 @@ def approximate(
     leg = expo[np.minimum(points, rep), np.maximum(points, rep)]
     iu, ju = np.triu_indices(n, 1)
     across = home[iu] != home[ju]
-    triples = zip(
-        np.where(across, steps[home[iu], home[ju]], 0).tolist(),
-        np.where(across, leg[iu], expo[iu, ju]).tolist(),
-        np.where(across, leg[ju], -1).tolist(),
+    # one (l, e, f) per pair, an exponent -1 being a missing summand; l is
+    # factorized first, since the hub steps may be an object array, then
+    # each pair gets one int64 key: under the depth cap e, f <= top and
+    # top + 2 < 2^14, so keys stay below 2^61 while n < 2^17
+    ls, at = np.unique(
+        np.where(across, steps[home[iu], home[ju]], 0), return_inverse=True
     )
-    shared: dict[tuple[int, int, int], int] = {}
-    which = [shared.setdefault(t, len(shared)) for t in triples]
-    distinct = [
-        RangeCertificate(l, None if e < 0 else e, None if f < 0 else f)
-        for l, e, f in shared
-    ]
-    certs = tuple(
-        zip(iu.tolist(), ju.tolist(), map(distinct.__getitem__, which))
+    w = top + 2
+    e = np.where(across, leg[iu], expo[iu, ju])
+    f = np.where(across, leg[ju], -1)
+    keys, which = np.unique(
+        (at.reshape(-1) * w + (e + 1)) * w + (f + 1), return_inverse=True
     )
+    which = which.reshape(-1)  # its shape has differed across numpy releases
+    which.flags.writeable = False
+    ls = ls.tolist()
+
+    def row(key: int) -> RangeCertificate:
+        key, f1 = divmod(key, w)
+        li, e1 = divmod(key, w)
+        return RangeCertificate(
+            ls[li], e1 - 1 if e1 else None, f1 - 1 if f1 else None
+        )
+
+    rows = tuple(map(row, keys.tolist()))
 
     params = RangeParams(eta, r)
     # a value off this scale or beyond int64 matches no entry of D (all >= 0)
     want = []
-    for cert in distinct:
+    for cert in rows:
         v = cert.value(params) * denom
         fits = v.denominator == 1 and (dtype is object or v < _INT64_SAFE)
         want.append(int(v) if fits else -1)
@@ -598,5 +640,5 @@ def approximate(
         raise failure("internal: approximation moved too far")
 
     return ApproximationResult(
-        _from_int_matrix(space.points, D, denom), plan, certs, eta, r
+        _from_int_matrix(space.points, D, denom), plan, (rows, which), eta, r
     )

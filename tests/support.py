@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from itertools import permutations, repeat
 
+import numpy as np
+
 from metric_forge import (
     ApproximationResult,
     FiniteMetricSpace,
@@ -426,7 +428,10 @@ def reference_approximate(
     if sup_distance(space, D) > epsilon:
         raise RuntimeError("internal: approximation moved too far")
 
-    return ApproximationResult(D, plan, tuple(certs), eta, r)
+    shared: dict[RangeCertificate, int] = {}
+    index = [shared.setdefault(cert, len(shared)) for _, _, cert in certs]
+    table = tuple(shared), np.array(index, dtype=np.intp)
+    return ApproximationResult(D, plan, table, eta, r)
 
 
 # The Fraction implementations of ``random_metric``, ``pullback_universal``,

@@ -10,6 +10,7 @@ raises a ValueError naming the input's first violation.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from metric_forge import FiniteMetricSpace, approximate, random_metric
+from metric_forge import FiniteMetricSpace, approximate, jsonio, random_metric
 from metric_forge.core import _from_int_matrix
 
 from support import reference_approximate, triple_loop_is_metric
@@ -46,6 +47,12 @@ def assert_same(space, eps, r=None) -> None:
             approximate(space, eps, r)
         return
     got = approximate(space, eps, r)
+    # one index per pair into distinct rows, each row used, none writable
+    rows, index = got.table
+    assert len(set(rows)) == len(rows)
+    assert index.shape == (space.n * (space.n - 1) // 2,)
+    assert sorted(set(index.tolist())) == list(range(len(rows)))
+    assert not index.flags.writeable
     assert got.D.points == want.D.points
     assert got.D.dist == want.D.dist
     assert got.plan == want.plan
@@ -109,6 +116,89 @@ def clustered_lines(draw):
 @example(line_space([0, F(3, 2**6), F(1, 2**9), 20, 20 + F(1, 2**70)]), F(5), None)
 def test_clustered_inputs_match_reference(space, eps, r):
     assert_same(space, eps, r)
+
+
+# the 10^21/7 space of the installed-script check: its hub steps pass 2^62
+WIDE = random_metric(24, F(10**21, 7))
+
+
+@pytest.mark.parametrize("eps", [F(1, 2), F(5)])
+def test_hub_steps_past_int64_match_reference(eps):
+    assert WIDE.scaled[0].dtype == object
+    assert approximate(WIDE, eps).D.scaled[0].dtype == object
+    assert_same(WIDE, eps)
+
+
+def test_deepest_level_under_the_cap_matches_reference():
+    f = F(1, 5 * 10**4299)  # eta * r^4299 at epsilon 1
+    space = FiniteMetricSpace.from_rows("abc", [[0, f, 1], [f, 0, 1], [1, 1, 0]])
+    assert_same(space, F(1))
+    assert approximate(space, F(1)).certificate(0, 1).n == 4299
+
+
+def test_one_point_has_an_empty_table():
+    space = random_metric(1, 10, seed=0)
+    got = approximate(space, F(1, 2))
+    rows, index = got.table
+    assert rows == () and index.shape == (0,)
+    text = "".join(jsonio.approximation_chunks(got))
+    assert '\n  "certificates": [],\n' in text
+    assert json.loads(text)["certificates"] == []
+    assert got.certificates == reference_approximate(space, F(1, 2)).certificates == ()
+
+
+@pytest.mark.parametrize("eps", [F(1, 2), F(5)])
+def test_certificate_reads_the_table(eps):
+    got = approximate(WIDE, eps)
+    n = WIDE.n
+    found = {
+        (i, j): got.certificate(i, j) for i in range(n) for j in range(n) if i != j
+    }
+    assert "certificates" not in vars(got)  # looked up without the view
+    for i, j, cert in got.certificates:
+        assert found[i, j] is cert and found[j, i] is cert
+    for i, j in ((3, 3), (0, n), (n, 0), (n, n + 1), (-1, 2), (2, -1), (-2, -1)):
+        with pytest.raises(KeyError) as err:
+            got.certificate(i, j)
+        assert err.value.args == ((min(i, j), max(i, j)),)
+
+
+TRIANGLE = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "rows, eps, message",
+    [
+        (TRIANGLE, F(1, 2), "triangle violation at (0, 1, 2) (5 against 2)"),
+        (TRIANGLE, F(5), "triangle violation at (0, 1, 2) (5 against 2)"),
+        (
+            [[0, 1, 2, 9], [1, 0, 1, 2], [2, 1, 0, 1], [9, 2, 1, 0]],
+            F(1, 2),
+            "triangle violation at (0, 1, 3) (9 against 3)",
+        ),
+        # the reference ends in a certificate mismatch at (1, 2)
+        (
+            [[0, F(1, 3), 5], [F(1, 10), 0, 5], [5, 5, 0]],
+            F(5),
+            "symmetry violation at (0, 1) (1/3 against 1/10)",
+        ),
+        # the reference ends in the level rounding and the hub ceiling
+        (
+            [[0, F(1, 100), F(1, 100)], [5, 0, F(1, 100)], [5, F(1, 100), 0]],
+            F(1),
+            "symmetry violation at (0, 1) (1/100 against 5)",
+        ),
+        ([[0, 5], [-1, 0]], F(1), "symmetry violation at (0, 1) (5 against -1)"),
+    ],
+)
+def test_non_metric_inputs_match_reference_with_their_messages(rows, eps, message):
+    space = FiniteMetricSpace.from_rows([f"p{i}" for i in range(len(rows))], rows)
+    with pytest.raises((RuntimeError, ValueError)):
+        reference_approximate(space, eps)
+    assert_same(space, eps)
+    with pytest.raises(ValueError) as err:
+        approximate(space, eps)
+    assert str(err.value) == f"input is not a metric: {message}"
 
 
 ENTRIES = [F(-1), F(0), F(1, 3), F(1), F(2), F(5), F(9)]

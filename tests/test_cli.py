@@ -713,6 +713,40 @@ def test_plot_with_nebula(tmp_path, capsys):
     assert 'data-exact="[3/10,3/10]"' in svg_path.read_text()
 
 
+def test_plot_refuses_an_invalid_nebula(tmp_path, capsys):
+    # [0, 5] holds the value 3, but the nebula is invalid: it is refused
+    # with the validator's list, as margin refuses it, and no SVG is written
+    sp = write_json(
+        tmp_path / "sp.json", {"points": ["x", "y"], "dist": [["0", "3"], ["3", "0"]]}
+    )
+    neb = write_json(
+        tmp_path / "neb.json",
+        {"q": 0, "bounded": [["0", "5"], ["1", "2"]], "tail_start": "7"},
+    )
+    svg_path = tmp_path / "out.svg"
+    code, out, err = run(capsys, "plot", "range", sp, "--nebula", neb, "-o", str(svg_path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: plot needs a valid nebula: ('interval [0, 5] has width 5 >= 2^-0',"
+        " 'interval [1, 2] has width 1 >= 2^-0',"
+        " 'intervals [0, 5] and [1, 2] overlap or touch')\n"
+    )
+    assert not svg_path.exists()
+
+
+def test_plot_with_a_valid_nebula_keeps_its_bytes(tmp_path, capsys):
+    space = wide_space()
+    sp, neb, svg = (tmp_path / name for name in ("sp.json", "neb.json", "out.svg"))
+    sp.write_text("".join(jsonio.space_chunks(space)), encoding="utf-8")
+    neb.write_text(
+        "".join(jsonio.encode(jsonio.nebula_to_obj(cover(space.values(), 3)))),
+        encoding="utf-8",
+    )
+    code, _, _ = run(capsys, "plot", "range", str(sp), "--nebula", str(neb), "-o", str(svg))
+    assert code == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == WIDE_SVG_DIGESTS[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

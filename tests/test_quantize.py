@@ -21,6 +21,7 @@ from metric_forge import (
     approximate,
     cantor_approx,
     ceil_ratio,
+    jsonio,
     quantize_discrete,
     random_metric,
     range_membership,
@@ -368,6 +369,27 @@ def test_approximate_single_point():
     res = approximate(FiniteMetricSpace.from_rows("a", [[0]]), F(1, 2))
     assert res.certificates == ()
     assert res.D.n == 1
+
+
+def test_approximate_holds_one_index_per_pair_not_a_tuple():
+    import gc
+    import tracemalloc
+
+    space = random_metric(600, 10, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = approximate(space, F(1, 2))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # D's int64 matrix (2.9 MB) and the int index of 179,700 pairs (1.4 MB);
+    # an (i, j, cert) tuple per pair held 21.4 MB
+    assert held < 8 * 2**20
+    assert len(result.table[0]) < 10
+    jsonio.approximation_chunks(result)
+    assert "certificates" not in vars(result)
 
 
 def test_certificate_lookup_by_index():
