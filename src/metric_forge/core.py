@@ -10,9 +10,11 @@ Every kernel reads it; ``dist`` is the exact ``Fraction`` view, built on use.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, count
 from math import gcd, lcm
 
 import numpy as np
@@ -55,15 +57,16 @@ def _check_shape(points: tuple, rows) -> None:
         raise ValueError("shape error: distance matrix must be square")
 
 
-def _int_matrix(rows, ints) -> np.ndarray:
-    """``ints(row)`` per row as int64, or Python ints on overflow; one row alive."""
-    arr = np.empty((len(rows), len(rows)), dtype=np.int64)
-    try:
-        for i, row in enumerate(rows):
-            arr[i] = ints(row)
-    except OverflowError:  # an entry outside int64
-        arr = np.array([ints(row) for row in rows], dtype=object)
-    return arr
+def _int_matrix(rows, ratio) -> tuple[np.ndarray, int]:
+    """Flat ``rows`` on the lcm L of each distinct entry's ``ratio`` (p, q); and L."""
+    seen = defaultdict(count().__next__)
+    at = map(seen.__getitem__, chain.from_iterable(rows))
+    codes = np.fromiter(at, np.intp, sum(map(len, rows)))
+    ratios = list(map(ratio, seen))
+    denom = lcm(*(q for _, q in ratios))
+    ints = [p * (denom // q) for p, q in ratios]
+    wide = max(map(abs, ints), default=0) >= _INT64_SAFE
+    return np.array(ints, dtype=object if wide else np.int64)[codes], denom
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -87,10 +90,10 @@ class FiniteMetricSpace:
         _check_shape(points, rows)
         # as_scalar refuses floats and bools, and keeps a Fraction as it is
         rows = tuple(tuple(map(as_scalar, row)) for row in rows)
-        denom = lcm(*{v.denominator for row in rows for v in row})
-        arr = _int_matrix(
-            rows, lambda row: [v.numerator * (denom // v.denominator) for v in row]
-        )
+        # keyed by (p, q) pairs, which hash far faster than Fractions do
+        pairs = [list(map(Fraction.as_integer_ratio, row)) for row in rows]
+        arr, denom = _int_matrix(pairs, tuple)  # a pair is its own ratio
+        arr = arr.reshape(len(rows), -1)
         self.__dict__.update(_from_int_matrix(points, arr, denom).__dict__, dist=rows)
 
     @classmethod
@@ -422,11 +425,10 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
 
 
 def _sup_gap(x: np.ndarray, dx: int, y: np.ndarray, dy: int) -> Fraction:
-    """Max over pairs i < j of |x[i,j]/dx - y[i,j]/dy|, exact."""
+    """Max over all pairs of |x[i,j]/dx - y[i,j]/dy|, exact."""
     scale = lcm(dx, dy)
-    iu, ju = np.triu_indices(len(x), 1)
-    gap = np.abs(_rescale(x[iu, ju], scale // dx) - _rescale(y[iu, ju], scale // dy))
-    return Fraction(int(gap.max()) if gap.size else 0, scale)
+    gap = np.abs(_rescale(x, scale // dx) - _rescale(y, scale // dy))
+    return Fraction(int(gap.max(initial=0)), scale)
 
 
 def sup_distance(d: FiniteMetricSpace, e: FiniteMetricSpace) -> Fraction:

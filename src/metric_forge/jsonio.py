@@ -2,7 +2,7 @@
 
 Readers are strict: decimals, negatives, non-integer counts and indices,
 and asymmetric distance matrices are rejected at parse time so exactness
-survives round-trips.
+survives round-trips.  The space reader builds no Fraction.
 
 Every output goes through one encoder, ``encode``.  It writes what the
 stdlib encoder writes with ``indent=2`` and ``sort_keys=True``, plus a
@@ -23,9 +23,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
+from math import gcd
 
 import numpy as np
 
@@ -39,6 +39,14 @@ from .universal import Embedding, FragilityReport, FUnivApprox
 _SCALAR_RE = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """(p, q) in lowest terms of a "p/q" or integer string."""
+    if not (m := _SCALAR_RE.fullmatch(text)):
+        raise ValueError(f"malformed rational {text!r} (want \"p/q\" or \"n\")")
+    p, q = int(m[1]), int(m[2] or 1)
+    return p // (g := gcd(p, q)), q // g
+
+
 def parse_scalar(text) -> Fraction:
     """Parse a nonnegative rational written as "p/q" or an integer string."""
     if isinstance(text, int) and not isinstance(text, bool):
@@ -47,10 +55,7 @@ def parse_scalar(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    m = _SCALAR_RE.fullmatch(text)
-    if not m:
-        raise ValueError(f"malformed rational {text!r} (want \"p/q\" or \"n\")")
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    return Fraction(*_ratio(text))
 
 
 def scalar_str(value: Fraction) -> str:
@@ -68,10 +73,9 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
-    """Strict reader for a space, built as one scaled-integer matrix.
+    """Strict reader for a space; each distinct string is parsed once, to (p, q).
 
-    Each distinct string is parsed once per call.  Other entries go through
-    ``parse_scalar`` one by one, so bools and floats are still rejected.
+    An entry that is not a string sends every entry through ``parse_scalar``.
     """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError("space JSON needs 'points' and 'dist'")
@@ -80,17 +84,14 @@ def space_from_obj(obj) -> FiniteMetricSpace:
         raise ValueError("space JSON 'points' must be an array of strings")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise ValueError("space JSON 'dist' must be an array of arrays")
-    parsed: dict = {}
-    for row in dist:
-        for v in row:
-            # a string is parsed once, anything else each time, so that a
-            # bool never passes as the integer it equals
-            if not isinstance(v, str) or v not in parsed:
-                parsed[v] = parse_scalar(v)
+    try:  # _ratio raises a TypeError on a key that is not a string
+        arr, denom = _int_matrix(dist, _ratio)
+    except (TypeError, ValueError):  # True shares 1's code, so check each entry
+        for v in chain.from_iterable(dist):
+            parse_scalar(v)  # raises at the first bad entry in row-major order
+        arr, denom = _int_matrix(dist, lambda v: parse_scalar(v).as_integer_ratio())
     _check_shape(tuple(points), dist)
-    denom = lcm(*(v.denominator for v in parsed.values()))
-    scale = {k: v.numerator * (denom // v.denominator) for k, v in parsed.items()}
-    arr = _int_matrix(dist, lambda row: list(map(scale.__getitem__, row)))
+    arr = arr.reshape(len(dist), -1)
     asym = np.triu(arr != arr.T, 1)
     if asym.any():  # the first pair in row-major order
         i, j = np.argwhere(asym)[0].tolist()

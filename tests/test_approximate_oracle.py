@@ -192,6 +192,12 @@ TRIANGLE = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
         ),
         # the reference ends in the hub ceiling
         ([[0, 5], [-1, 0]], F(1), "symmetry violation at (0, 1) (5 against -1)"),
+        # both end in "moved too far": D keeps d(c, b) = 3 where the input has 4
+        (
+            [[0, 2, 3], [2, 0, 3], [3, 4, 0]],
+            F(1, 2),
+            "symmetry violation at (1, 2) (3 against 4)",
+        ),
     ],
 )
 def test_non_metric_inputs_match_reference_with_their_messages(rows, eps, message):

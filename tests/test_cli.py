@@ -56,8 +56,12 @@ def test_parse_scalar_strictness():
     assert jsonio.parse_scalar("2") == 2
     # "2\n" passed a $-anchored match and "\u0663" (Arabic-Indic three) passed \d
     for bad in ("1.5", "-3", "3/-2", "1/0", " 2", "2/4 ", "2\n", "\u0663", "1/1\u0663"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             jsonio.parse_scalar(bad)
+        # the space reader parses its strings with the same grammar
+        with pytest.raises(ValueError) as in_space:
+            jsonio.space_from_obj({"points": ["a"], "dist": [[bad]]})
+        assert str(in_space.value) == str(err.value)
 
 
 def test_space_reader_rejects_asymmetry():

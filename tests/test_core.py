@@ -461,8 +461,9 @@ def test_sup_distance_matches_plain_loop(d, data):
         for _ in range(d.n)
     ]
     e = FiniteMetricSpace.from_rows(d.points, rows)
-    pairs = [(i, j) for i in range(d.n) for j in range(i + 1, d.n)]
-    want = max((abs(d.dist[i][j] - e.dist[i][j]) for i, j in pairs), default=0)
+    # every ordered pair, the diagonal included, as the docstring says
+    pairs = [(i, j) for i in range(d.n) for j in range(d.n)]
+    want = max(abs(d.dist[i][j] - e.dist[i][j]) for i, j in pairs)
     assert sup_distance(d, e) == want
 
 
@@ -563,6 +564,12 @@ def test_sup_distance_two_point():
     d = space("ab", [[0, 1], [1, 0]])
     e = space("ab", [[0, F(3, 2)], [F(3, 2), 0]])
     assert sup_distance(d, e) == F(1, 2)
+
+
+def test_sup_distance_reads_below_the_diagonal():
+    d = FiniteMetricSpace.from_rows("ab", [[0, 1], [1, 0]])
+    e = FiniteMetricSpace.from_rows("ab", [[0, 1], [3, 0]])
+    assert sup_distance(d, e) == sup_distance(e, d) == 2
 
 
 def test_sup_distance_mismatched_points():

@@ -290,5 +290,58 @@ def read(reader, obj):
 @example({"points": ["a", "b"], "dist": [["0", 2**70], [2**70, "0"]]})
 @example({"points": ["a", "b"], "dist": [["0", [1]], ["1", "0"]]})
 @example({"points": list("abc"), "dist": [["0", "1", "1"], ["1", "0", "1/2"], ["1", "1/3", "0"]]})
+# True and 1 (and 1.0 and 1) hash alike, so they share one code whichever
+# comes first; the per-entry check still refuses the bool and the float
+@example({"points": ["a", "b"], "dist": [["0", True], [1, "0"]]})
+@example({"points": ["a", "b"], "dist": [["0", 1], [True, "0"]]})
+@example({"points": ["a", "b"], "dist": [["0", 1], [1.0, "0"]]})
+@example({"points": ["a", "b"], "dist": [["0", {}], ["1", "0"]]})
+# a ragged matrix that also holds a malformed string: the parse error wins
+@example({"points": ["a", "b"], "dist": [["0", "1", "1"], ["1", "1.5"]]})
+@example({"points": ["a", "b"], "dist": [["0", "2/4"], ["1/2", "0"]]})
+@example({"points": ["a", "b"], "dist": [["0", f"{2**64}"], [2**64, "0"]]})
 def test_space_reader_matches_the_fraction_build(obj):
     assert read(jsonio.space_from_obj, obj) == read(reference_space_from_obj, obj)
+
+
+def test_space_reader_peaks_near_two_matrices():
+    import gc
+    import tracemalloc
+
+    n = 512
+    obj = jsonio.space_to_obj(random_metric(n, 10, seed=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        space = jsonio.space_from_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.scaled[0].dtype == np.int64
+    # the codes and the matrix, 8 n^2 bytes each; a list of n^2 Python ints
+    # would add 8 n^2 bytes of pointers plus the ints it points to
+    assert peak < 3 * 8 * n * n
+
+
+def test_space_reader_puts_each_string_in_lowest_terms():
+    import random
+    import tracemalloc
+
+    # "k m/m" with a new m per pair: on the unreduced q's the lcm runs to
+    # thousands of digits, and every value with it, until the final gcd
+    n, rng = 64, random.Random(1)
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = rng.randrange(2, 2**20)
+            rows[i][j] = rows[j][i] = f"{rng.randrange(1, 10) * m}/{m}"
+    obj = {"points": [f"p{i}" for i in range(n)], "dist": rows}
+    tracemalloc.start()
+    try:
+        space = jsonio.space_from_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.scaled[1] == 1 and space == reference_space_from_obj(obj)
+    # 0.3 MB in lowest terms, 5.3 MB on the unreduced q's
+    assert peak < 2**20
