@@ -24,6 +24,13 @@ Scalar = Fraction
 # one addition of two scaled entries must not overflow int64
 _INT64_SAFE = 2**62
 
+# the most decimal digits a scale set by user parameters may have: Python's
+# default limit on writing an int as text, so past it a result could not be
+# written anyway.  approximate's level walk refuses a level scale
+# den(eta) * den(r)^k at 10^_MAX_SCALE_DIGITS, and nebula.MAX_Q keeps 2^q
+# of a cover's and a margin's dyadic scales under it
+_MAX_SCALE_DIGITS = 4300
+
 
 class SearchCapExceeded(ValueError):
     """Raised when a combinatorial search refuses to run (cap exceeded)."""

@@ -17,7 +17,14 @@ from itertools import groupby
 from math import lcm
 from operator import itemgetter
 
-from .core import FiniteMetricSpace, _as_int, _distinct, as_scalar
+from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, _distinct, as_scalar
+
+# the largest q accepted, checked before any 2^q is built: 2^3 < 10, so
+# 2^MAX_Q has 3884 digits, and about 1380 bits are left under the cap for
+# the few extra halvings of a cover's picks and of a margin and for the
+# values' own denominators, so a margin at any accepted q can be written
+MAX_Q = 3 * _MAX_SCALE_DIGITS
+_Q_TOO_LARGE = f"q must be at most {MAX_Q}"
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,9 @@ def validate_nebula(candidate: Nebula) -> NebulaValidation:
     q = candidate.q
     if q < 0:
         problems.append("q must be a nonnegative integer")
+        return NebulaValidation(False, tuple(problems))
+    if q > MAX_Q:
+        problems.append(_Q_TOO_LARGE)
         return NebulaValidation(False, tuple(problems))
     width_cap = Fraction(1, 2**q)
 
@@ -162,6 +172,8 @@ def cover(values, q: int) -> Nebula:
     """
     if not isinstance(q, int) or q < 0:
         raise ValueError("q must be a nonnegative integer")
+    if q > MAX_Q:
+        raise ValueError(_Q_TOO_LARGE)
     svals = sorted(dict.fromkeys(map(as_scalar, values)))
     if svals and svals[0] < 0:
         raise ValueError("values live in [0, oo)")
@@ -203,6 +215,8 @@ def cover_family(values, q_max: int) -> list[Nebula]:
     """Covers of the same value set for q = 0 .. q_max."""
     if q_max < 0:
         raise ValueError("q_max must be nonnegative")
+    if q_max > MAX_Q:
+        raise ValueError(_Q_TOO_LARGE)
     return [cover(values, q) for q in range(q_max + 1)]
 
 

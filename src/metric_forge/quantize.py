@@ -9,7 +9,6 @@ a machine-checkable certificate per pair.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,7 @@ import numpy as np
 
 from .core import (
     _INT64_SAFE,
+    _MAX_SCALE_DIGITS,
     FiniteMetricSpace,
     PartitionPlan,
     _check_hub,
@@ -462,24 +462,6 @@ def geometric_levels(eta: Fraction, u: Fraction, floor: Fraction) -> dict:
     return levels
 
 
-# the most decimal digits the level scale den(eta) * b^E may have (r = a/b,
-# E the deepest level exponent): Python's default limit on writing an int
-# as text, so past it D's denominator could not be written anyway
-_MAX_SCALE_DIGITS = 4300
-
-
-def _depth_cap(eta: Fraction, r: Fraction) -> tuple[int, int, int]:
-    """(k, a^k, b^k) for the least k with den(eta) * b^k over the digit cap."""
-    limit, d, b = 10**_MAX_SCALE_DIGITS, eta.denominator, r.denominator
-    # a float estimate, then exact integer steps to the least such k
-    k = max(0, math.ceil((math.log(limit) - math.log(d)) / math.log(b)))
-    while k > 0 and d * b ** (k - 1) >= limit:
-        k -= 1
-    while d * b**k < limit:
-        k += 1
-    return k, r.numerator**k, b**k
-
-
 def approximate(
     space: FiniteMetricSpace, epsilon, r=None
 ) -> ApproximationResult:
@@ -495,10 +477,11 @@ def approximate(
     an input that is not a metric, the ValueError names its first
     violation.
 
-    ``r`` may be overridden with any value in (0, 1) with 2r <= eta.  A
-    cluster whose least distance needs a level exponent whose scale
-    den(eta) * b^E passes ``_MAX_SCALE_DIGITS`` digits is refused with a
-    ValueError before any level is built.
+    ``r`` may be overridden with any value in (0, 1) with 2r <= eta.  Each
+    cluster's distances find their levels in one exact integer walk from
+    the largest down, which stops with a ValueError as soon as a needed
+    level's scale den(eta) * b^k reaches 10^``_MAX_SCALE_DIGITS``, before
+    any level on it is built.
 
     The whole construction runs on one scaled-integer matrix: with
     r = a/b and E the deepest level exponent, D * den(eta) * b^E is an
@@ -547,7 +530,8 @@ def approximate(
         _check_hub(steps)
     except ValueError as err:
         raise failure(str(err)) from None
-    cap = None  # _depth_cap(eta, r), once some cluster has two points
+    a, b = r.numerator, r.denominator
+    limit = 10**_MAX_SCALE_DIGITS
     for ci, cluster in enumerate(plan.clusters):
         home[list(cluster)] = ci
         if len(cluster) == 1:
@@ -559,27 +543,29 @@ def approximate(
         values = values.tolist()
         if values[0] < 0 or values[-1] == 0:
             raise failure("internal: nonpositive distance inside a cluster")
-        floor = next(v for v in values if v > 0)
-        # floor / den rounds up to level eta * r^E, E the largest k with
-        # eta * r^k >= floor / den; refuse when E reaches the capped depth
-        deepest, a_k, b_k = cap = cap or _depth_cap(eta, r)
-        if eta.numerator * a_k * den >= floor * eta.denominator * b_k:
-            raise ValueError(
-                f"level depth {deepest} or more needed, past the cap:"
-                f" den(eta) * den(r)^{deepest} has over {_MAX_SCALE_DIGITS} digits"
-            )
-        try:
-            level_map = geometric_levels(eta, r, Fraction(floor, den))
-            up = RoundUpTo((Fraction(0), *level_map))
-            # a zero (not a metric) rounds to 0, which has no level: -1 reads as 0
-            level = [level_map.get(up.apply(Fraction(v, den)), -1) for v in values]
-        except ValueError as err:
-            raise failure(str(err)) from None
+        # v / den rounds up to level eta * r^E, E the largest k with
+        # eta * r^k >= v / den.  Walking from the largest value down, level
+        # k is num / scale = eta * r^k * den, on the scale den(eta) * b^k
+        # that the digit cap bounds: E = k - 1 where the walk stops, and a
+        # needed level past the cap is refused before it is built.  A zero
+        # (not a metric) has no level: -1 reads as 0.
+        k, num, scale = 0, eta.numerator * den, eta.denominator
+        level = []
+        for v in reversed(values):
+            while v and num >= v * scale:
+                if scale >= limit:
+                    raise ValueError(
+                        f"level depth {k} or more needed, past the cap:"
+                        f" den(eta) * den(r)^{k} has over {_MAX_SCALE_DIGITS} digits"
+                    )
+                k, num, scale = k + 1, num * a, scale * b
+            level.append(k - 1 if v else -1)
+        if level[0] < 0:
+            raise failure("internal: a cluster distance above eta")
         exps = np.full(sub.shape, -1, dtype=np.intp)
-        exps[off] = np.array(level, dtype=np.intp)[inverse.ravel()]
+        exps[off] = np.array(level[::-1], dtype=np.intp)[inverse.ravel()]
         expo[block] = exps
 
-    a, b = r.numerator, r.denominator
     top = max(int(expo.max()), 0)
     denom = eta.denominator * b**top
     unit = eta.numerator * b**top  # eta on this scale

@@ -113,8 +113,17 @@ def clustered_lines(draw):
     return line_space(positions)
 
 
+def around(level, unit) -> FiniteMetricSpace:
+    """A line whose closure values are level - unit, level and level + unit."""
+    return line_space([0, level - unit, 2 * level - unit, 3 * level])
+
+
 @given(clustered_lines(), st.sampled_from([F(5), F(10), F(1)]), st.sampled_from(RATIOS))
 @example(line_space([F(0), F(1, 2**80)]), F(5), None)
+# closure values at a level eta * r^k and one scale unit either side: the
+# level and the value just below it round to level k, the one above to k - 1
+@example(around(F(4, 49), F(1, 147)), F(5), F(2, 7))
+@example(around(F(1, 16), F(1, 80)), F(5), None)
 @example(line_space([0, F(3, 2**6), F(1, 2**9), 20, 20 + F(1, 2**70)]), F(5), None)
 def test_clustered_inputs_match_reference(space, eps, r):
     assert_same(space, eps, r)
@@ -136,6 +145,31 @@ def test_deepest_level_under_the_cap_matches_reference():
     space = FiniteMetricSpace.from_rows("abc", [[0, f, 1], [f, 0, 1], [1, 1, 0]])
     assert_same(space, F(1))
     assert approximate(space, F(1)).certificate(0, 1).n == 4299
+
+
+@pytest.mark.parametrize(
+    "r, depth",
+    [
+        # eta = 1: the level scale is 7^k, and 7^5088 is the last power of
+        # 7 with 4300 digits
+        (F(2, 7), 5088),
+        # the scale 10^k is exactly 10^4300 one level deeper, already over
+        (F(1, 10), 4299),
+    ],
+)
+def test_deepest_level_under_the_cap_with_an_overridden_ratio(r, depth):
+    f = r**depth
+    space = FiniteMetricSpace.from_rows("abc", [[0, f, 1], [f, 0, 1], [1, 1, 0]])
+    assert_same(space, F(5), r)
+    assert approximate(space, F(5), r).certificate(0, 1).n == depth
+    g = f * r
+    deeper = FiniteMetricSpace.from_rows("abc", [[0, g, 1], [g, 0, 1], [1, 1, 0]])
+    with pytest.raises(ValueError) as err:
+        approximate(deeper, F(5), r)
+    assert str(err.value) == (
+        f"level depth {depth + 1} or more needed, past the cap:"
+        f" den(eta) * den(r)^{depth + 1} has over 4300 digits"
+    )
 
 
 def test_one_point_has_an_empty_table():
@@ -198,6 +232,20 @@ TRIANGLE = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
             F(1, 2),
             "symmetry violation at (1, 2) (3 against 4)",
         ),
+        # the level-rounding case's cluster, and a second cluster whose tiny
+        # distance is past the depth cap: the value above eta in the first
+        # is refused first
+        (
+            [
+                [0, F(1, 100), F(1, 100), 20, 20],
+                [5, 0, F(1, 100), 20, 20],
+                [5, F(1, 100), 0, 20, 20],
+                [20, 20, 20, 0, F(1, 5 * 10**4300)],
+                [20, 20, 20, F(1, 5 * 10**4300), 0],
+            ],
+            F(1),
+            "symmetry violation at (0, 1) (1/100 against 5)",
+        ),
     ],
 )
 def test_non_metric_inputs_match_reference_with_their_messages(rows, eps, message):
@@ -244,8 +292,31 @@ def raw_matrices(draw):
     ),
     F(5),
 )
+# a zero inside a cluster has no level: D keeps it, and the self-check
+# names the input's identity violation
+@example(
+    FiniteMetricSpace.from_rows(
+        "abc", [[0, 0, F(1, 100)], [0, 0, F(1, 100)], [F(1, 100), F(1, 100), 0]]
+    ),
+    F(1),
+)
 def test_non_metric_inputs_match_reference(space, eps):
     assert_same(space, eps)
+
+
+def test_depth_refusal_comes_before_a_value_above_eta():
+    # the closure of this asymmetric cluster holds 5 > eta = 1/5, which the
+    # reference fails to round up, and tiny, a level past the depth cap
+    tiny = F(1, 5 * 10**4300)
+    rows = [[0, F(1, 100), F(1, 100)], [5, 0, tiny], [5, tiny, 0]]
+    space = FiniteMetricSpace.from_rows("abc", rows)
+    assert_same(space, F(1))
+    with pytest.raises(ValueError) as err:
+        approximate(space, F(1))
+    assert str(err.value) == (
+        "level depth 4300 or more needed, past the cap:"
+        " den(eta) * den(r)^4300 has over 4300 digits"
+    )
 
 
 def test_non_metric_input_names_its_first_violation():

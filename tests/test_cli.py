@@ -353,7 +353,8 @@ def near_pair(tiny):
 
 def test_approximate_refuses_a_deep_level_quickly(tmp_path, capsys):
     # r = 999/1000 would need about 26,000 levels below eta = 200000 to
-    # reach 1/10^6, each an exact power
+    # reach 1/10^6; the level walk stops at depth 1434, the first k whose
+    # scale 1000^k reaches 10^4300, and builds no level past it
     sp = write_json(tmp_path / "sp.json", near_pair("1/1000000"))
     t0 = time.perf_counter()
     code, out, err = run(
@@ -423,6 +424,53 @@ def test_nebula_margin(tmp_path, capsys):
     got = json.loads(out)
     assert got["epsilon"] == "3/80"
     assert got["fattened"]["tail_start"] == "157/80"
+
+
+def test_nebula_refuses_q_past_the_cap(tmp_path, capsys):
+    values = write_json(tmp_path / "vals.json", ["0", "3/10"])
+    code, out, err = run(capsys, "nebula", "cover", values, "--q", "12901")
+    assert (code, out, err) == (2, "", "error: q must be at most 12900\n")
+    sp = write_json(
+        tmp_path / "sp.json",
+        {"points": ["x", "y"], "dist": [["0", "3/10"], ["3/10", "0"]]},
+    )
+    neb = write_json(
+        tmp_path / "neb.json",
+        {
+            "q": 10**12,
+            "bounded": [["0", "0"], ["3/10", "3/10"]],
+            "tail_start": str(10**12 + 1),
+        },
+    )
+    code, out, _ = run(capsys, "nebula", "check", neb)
+    assert code == 1
+    report = json.loads(out)
+    assert report == {"valid": False, "violations": ["q must be at most 12900"]}
+    code, out, err = run(capsys, "nebula", "margin", sp, neb)
+    assert (code, out) == (2, "")
+    assert err == "error: margin needs a valid nebula: ('q must be at most 12900',)\n"
+    svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, "plot", "range", sp, "--nebula", neb, "-o", str(svg))
+    assert (code, out) == (2, "")
+    assert err == "error: plot needs a valid nebula: ('q must be at most 12900',)\n"
+    assert not svg.exists()
+
+
+def test_nebula_accepts_q_at_the_cap(tmp_path, capsys):
+    values = write_json(tmp_path / "vals.json", ["0", "3/10"])
+    sp = write_json(
+        tmp_path / "sp.json",
+        {"points": ["x", "y"], "dist": [["0", "3/10"], ["3/10", "0"]]},
+    )
+    neb = tmp_path / "neb.json"
+    code, _, _ = run(capsys, "nebula", "cover", values, "--q", "12900", "-o", str(neb))
+    assert code == 0
+    assert json.loads(neb.read_text())["q"] == 12900
+    code, out, _ = run(capsys, "nebula", "check", str(neb))
+    assert (code, json.loads(out)["valid"]) == (0, True)
+    code, out, _ = run(capsys, "nebula", "margin", sp, str(neb))
+    assert code == 0
+    assert F(json.loads(out)["epsilon"]) == F(1, 2**12902)
 
 
 # --- embed --------------------------------------------------------------------

@@ -38,6 +38,7 @@ from metric_forge import (
     subadditivity_counterexample,
     validate_nebula,
 )
+from metric_forge.nebula import MAX_Q
 
 
 def space(labels, rows):
@@ -186,6 +187,13 @@ NEBULA = [
         "margin needs a valid nebula: ('tail not in (1, oo): starts at 1',"
         " 'tail overlaps the last bounded interval')",
     ),
+    (lambda: cover([0, 1], MAX_Q + 1), "q must be at most 12900"),
+    (lambda: cover([0, 1], 10**12), "q must be at most 12900"),
+    (lambda: cover_family([0, 1], MAX_Q + 1), "q must be at most 12900"),
+    (
+        lambda: margin(PAIR, Nebula.make(10**12, [(0, 0), (1, 1)], 10**12 + 1)),
+        "margin needs a valid nebula: ('q must be at most 12900',)",
+    ),
 ]
 
 
@@ -217,6 +225,8 @@ def test_nebula_input_checks(call, message):
             F(5, 4),
             ("tail overlaps the last bounded interval",),
         ),
+        (MAX_Q + 1, [(0, 0)], MAX_Q + 2, ("q must be at most 12900",)),
+        (10**12, [(0, 0)], 1, ("q must be at most 12900",)),
     ],
 )
 def test_validate_nebula_problems(q, bounded, tail, problems):

@@ -26,7 +26,7 @@ from metric_forge import (
     validate_nebula,
 )
 
-from metric_forge.nebula import _covering_intervals, _pick_off
+from metric_forge.nebula import MAX_Q, _covering_intervals, _pick_off
 from support import (
     point_set_hausdorff,
     random_fractions,
@@ -561,6 +561,46 @@ def test_margin_openness_property():
         for v in range_of_metric(e):
             assert nebula_contains(got.fattened, v)
         assert validate_nebula(got.fattened).is_valid
+
+
+def test_q_past_the_cap_is_refused_before_two_to_the_q_is_built():
+    import tracemalloc
+
+    space = two_point(F(1, 2))
+    big = neb(10**12, [(0, 0), (F(1, 2), F(1, 2))], 10**12 + 1)
+    tracemalloc.start()
+    try:
+        check = validate_nebula(big)
+        with pytest.raises(ValueError) as cover_err:
+            cover(space.values(), 10**12)
+        with pytest.raises(ValueError) as margin_err:
+            margin(space, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.violations == ("q must be at most 12900",)
+    assert str(cover_err.value) == "q must be at most 12900"
+    assert str(margin_err.value) == (
+        "margin needs a valid nebula: ('q must be at most 12900',)"
+    )
+    # 2^(10^12) alone would take 125 GB
+    assert peak < 2**17
+
+
+def test_cover_and_margin_at_the_q_cap_can_be_written():
+    # 3/8 blocks a separator's fallback at small q; at the cap every value
+    # is its own interval, and the margin's denominators fit the digit cap
+    space = FiniteMetricSpace.from_rows(
+        "abc", [[0, F(3, 8), F(1, 2)], [F(3, 8), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]]
+    )
+    got = cover(space.values(), MAX_Q)
+    assert validate_nebula(got).is_valid
+    assert got.bounded == ((0, 0), (F(3, 8), F(3, 8)), (F(1, 2), F(1, 2)))
+    res = margin(space, got)
+    assert validate_nebula(res.fattened).is_valid
+    assert res.epsilon == F(1, 2 ** (MAX_Q + 2))
+    for x in (res.epsilon, res.fattened.tail_start, *res.fattened.bounded[-1]):
+        str(x)  # under Python's 4300-digit limit on writing an int
 
 
 # --- range helpers ------------------------------------------------------------------
