@@ -18,7 +18,6 @@ from metric_forge import (
     margin,
     nebula_contains,
     random_metric,
-    range_of_metric,
     sup_distance,
     transform_metric,
     validate_nebula,
@@ -32,7 +31,7 @@ def show(nebula):
 
 def main():
     space = random_metric(6, 3, seed=5)
-    values = range_of_metric(space)
+    values = space.values()
     print(f"metric range: {[str(v) for v in values]}\n")
 
     for q in (0, 2, 4):
@@ -56,7 +55,7 @@ def main():
     perturbed = transform_metric(space, wiggle)
     moved = sup_distance(space, perturbed)
     print(f"perturbed by {moved} (< {got.epsilon})")
-    ok = all(nebula_contains(got.fattened, v) for v in range_of_metric(perturbed))
+    ok = all(nebula_contains(got.fattened, v) for v in perturbed.values())
     print(f"every perturbed value inside the fattened cover: {ok}")
 
 

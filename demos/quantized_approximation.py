@@ -14,7 +14,6 @@ from metric_forge import (
     approximate,
     random_metric,
     range_membership,
-    range_of_metric,
     sup_distance,
     validate_metric,
 )
@@ -43,13 +42,13 @@ def main():
     print("...")
 
     print("\nindependent membership check over the whole output range:")
-    for value in range_of_metric(result.D):
+    for value in result.D.values():
         found = range_membership(value, params)
         assert found is not None and found.value(params) == value
-    print(f"all {len(range_of_metric(result.D))} distinct values confirmed in range")
+    print(f"all {len(result.D.values())} distinct values confirmed in range")
 
-    before = len(range_of_metric(space))
-    after = len(range_of_metric(result.D))
+    before = len(space.values())
+    after = len(result.D.values())
     print(f"\ndistinct values: {before} before -> {after} after quantization")
 
     # points closer than the ball radius share a cluster: their distance is

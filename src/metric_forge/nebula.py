@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from math import lcm
 from operator import itemgetter
 
@@ -21,8 +21,11 @@ from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, _distinct, as_s
 
 # the largest q accepted, checked before any 2^q is built: 2^3 < 10, so
 # 2^MAX_Q has 3884 digits, and about 1380 bits are left under the cap for
-# the few extra halvings of a cover's picks and of a margin and for the
-# values' own denominators, so a margin at any accepted q can be written
+# the values' own denominators and a few extra halvings, so a cover and a
+# margin at any accepted q can be written.  A cover's picks are ints on
+# 2^-(q+5+k), k <= 20 for any values file under the CLI's 2^25-byte input
+# cap (2^23 + 1 distinct values need more than 2^25 bytes even as short
+# JSON integers), so a pick written as the tail start fits under it too
 MAX_Q = 3 * _MAX_SCALE_DIGITS
 _Q_TOO_LARGE = f"q must be at most {MAX_Q}"
 
@@ -138,27 +141,14 @@ def _covering_intervals(nebula: Nebula, space: FiniteMetricSpace) -> list[int]:
 # covering a finite value set
 
 
-def _pick_off(center: Fraction, eta: Fraction, svals: list, q: int) -> Fraction:
-    """Deterministic point in [center - eta, center + eta] avoiding the set."""
-
-    def in_s(x):
-        i = bisect_left(svals, x)
-        return i < len(svals) and svals[i] == x
-
-    if not in_s(center):
-        return center
-    if not in_s(center - eta):
-        return center - eta
-    # both standard picks collide: walk a dyadic grid, refining until free
-    den = 2 ** (q + 5)
-    while True:
-        step = Fraction(1, den)
-        t = center - eta
-        while t <= center + eta:
-            if not in_s(t):
-                return t
-            t += step
-        den *= 2
+def _check_q(q, negative: str = "q must be a nonnegative integer") -> None:
+    """Refuse a q that is not an int (bools included), is negative or is past MAX_Q."""
+    if isinstance(q, bool) or not isinstance(q, int):
+        raise ValueError("q must be a nonnegative integer")
+    if q < 0:
+        raise ValueError(negative)
+    if q > MAX_Q:
+        raise ValueError(_Q_TOO_LARGE)
 
 
 def cover(values, q: int) -> Nebula:
@@ -169,24 +159,40 @@ def cover(values, q: int) -> Nebula:
     run, each run becomes a bounded interval, and everything past the last
     separator joins the tail.  Every bounded interval has its endpoints in
     the set.
+
+    Separator m is the first point off the set among c = m 2^-(q+1), then
+    c - eta, then the walks over [c - eta, c + eta] at pitch 2^-(q+5),
+    2^-(q+6), ..., 2^-E, with eta = 2^-(q+3).  No window holds 0, and the
+    walk at pitch 2^-(q+5+k) tests 2^(k+3) + 1 points, more than the other
+    N - 1 of N distinct values when k = max(0, bit_length(N - 1) - 3).  So
+    with E = q + 5 + k every pick is an int on 2^-E, and only a value whose
+    denominator divides 2^E can equal one.
     """
-    if not isinstance(q, int) or q < 0:
-        raise ValueError("q must be a nonnegative integer")
-    if q > MAX_Q:
-        raise ValueError(_Q_TOO_LARGE)
-    svals = sorted(dict.fromkeys(map(as_scalar, values)))
-    if svals and svals[0] < 0:
+    _check_q(q)
+    # as_scalar on every value refuses a bool before True == 1 could dedup it
+    vals = sorted(dict.fromkeys(map(as_scalar, values)))
+    if vals and vals[0] < 0:
         raise ValueError("values live in [0, oo)")
-    if not svals or svals[0] != 0:
+    if not vals or vals[0] != 0:
         raise ValueError("the value set must contain 0")
 
-    step = Fraction(1, 2 ** (q + 1))
-    eta = Fraction(1, 2 ** (q + 3))
-    picks: dict[int, Fraction] = {}  # t_m by grid index m, each picked once
+    depth = q + 5 + max(0, (len(vals) - 1).bit_length() - 3)
+    one = 1 << depth
+    members = {
+        x.numerator * (one // x.denominator) for x in vals if one % x.denominator == 0
+    }
+    step, eta = one >> (q + 1), one >> (q + 3)
+    picks: dict[int, int] = {}  # t_m on 2^-depth by grid index m, each picked once
 
-    def pick(m: int) -> Fraction:
+    def pick(m: int) -> int:
         if m not in picks:
-            picks[m] = _pick_off(m * step, eta, svals, q)
+            c = m * step
+            lo, hi = c - eta, c + eta + 1
+            walks = (range(lo, hi, one >> e) for e in range(q + 5, depth + 1))
+            t = next((t for t in chain((c, lo), *walks) if t not in members), None)
+            if t is None:
+                raise RuntimeError(f"internal: no free separator near {Fraction(c, one)}")
+            picks[m] = t
         return picks[m]
 
     t_last = pick((q + 1) << (q + 1))
@@ -194,16 +200,18 @@ def cover(values, q: int) -> Nebula:
     def picks_below(x: Fraction) -> int:
         # separators t_m (m >= 1) below x: t_m lies within eta of m * step,
         # so only the m nearest x / step = u / d can fall on either side
-        u, d = x.numerator << (q + 1), x.denominator
+        n, d = x.numerator, x.denominator
+        u = n << (q + 1)
         m = (2 * u + d) // (2 * d)
         if m == 0 or 4 * abs(u - m * d) > d:
             return u // d
-        return m - 1 + (pick(m) < x)
+        return m - 1 + (pick(m) * d < n << depth)
 
-    cut = bisect_left(svals, t_last)
-    runs = [list(run) for _, run in groupby(svals[:cut], picks_below)]
+    tail = Fraction(t_last, one)
+    cut = bisect_left(vals, tail)
+    runs = [list(run) for _, run in groupby(vals[:cut], picks_below)]
     bounded = tuple((run[0], run[-1]) for run in runs)
-    tail_start = svals[cut] if cut < len(svals) else t_last
+    tail_start = vals[cut] if cut < len(vals) else tail
     result = Nebula(q, bounded, tail_start)
     check = validate_nebula(result)
     if not check.is_valid:
@@ -213,10 +221,8 @@ def cover(values, q: int) -> Nebula:
 
 def cover_family(values, q_max: int) -> list[Nebula]:
     """Covers of the same value set for q = 0 .. q_max."""
-    if q_max < 0:
-        raise ValueError("q_max must be nonnegative")
-    if q_max > MAX_Q:
-        raise ValueError(_Q_TOO_LARGE)
+    _check_q(q_max, "q_max must be nonnegative")
+    values = list(values)
     return [cover(values, q) for q in range(q_max + 1)]
 
 
@@ -321,19 +327,6 @@ def intersect(nebulae) -> IntervalSet:
 class MarginResult:
     epsilon: Fraction
     fattened: Nebula
-
-
-def range_of_metric(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
-    """Alias of ``space.values()``: sorted distinct distance values, 0 included."""
-    return space.values()
-
-
-def gap_near_zero(space: FiniteMetricSpace) -> Fraction | None:
-    """Alias of ``space.min_positive()``: the value-free gap just above 0.
-
-    None for a single point.
-    """
-    return space.min_positive()
 
 
 def margin(space: FiniteMetricSpace, nebula: Nebula) -> MarginResult:

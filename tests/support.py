@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain, permutations, repeat
+from itertools import chain, count, permutations, repeat
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from metric_forge import (
 from metric_forge import core
 from metric_forge.core import _GEN_MAX_POINTS
 from metric_forge.jsonio import parse_scalar
-from metric_forge.nebula import _interval_index, _pick_off
+from metric_forge.nebula import _interval_index
 from metric_forge.universal import _net_side
 
 
@@ -635,8 +635,22 @@ def reference_cantor_approx(k: int) -> FiniteMetricSpace:
 
 
 # ``cover`` from before it counted the separators below each value: it
-# searches the grid indices between every two consecutive values.  Kept
-# verbatim as the oracle for the differential test.
+# searches the grid indices between every two consecutive values, and picks
+# each separator by the plain scans of ``first_free_pick`` on Fractions.
+# The oracle for the differential test.
+
+
+def first_free_pick(center, eta, values, q):
+    """A separator by plain scans: the center, then center - eta, then the
+    first point center - eta + k/2^m off the set, for the least m >= q + 5."""
+    if center not in values:
+        return center
+    if center - eta not in values:
+        return center - eta
+    for m in count(q + 5):
+        for k in range(int(2 * eta * 2**m) + 1):
+            if center - eta + Fraction(k, 2**m) not in values:
+                return center - eta + Fraction(k, 2**m)
 
 
 def reference_cover(values, q: int) -> Nebula:
@@ -659,8 +673,10 @@ def reference_cover(values, q: int) -> Nebula:
     eta = Fraction(1, 2 ** (q + 3))
     grid_count = (q + 1) * 2 ** (q + 1)
 
+    members = set(svals)
+
     def t_of(m: int) -> Fraction:  # m >= 1
-        return _pick_off(m * step, eta, svals, q)
+        return first_free_pick(m * step, eta, members, q)
 
     t_last = t_of(grid_count)
 

@@ -38,7 +38,6 @@ from metric_forge import (
     quantize_discrete,
     random_metric,
     range_membership,
-    range_of_metric,
     subadditivity_counterexample,
     sup_distance,
     transform_metric,
@@ -103,7 +102,7 @@ def _density_runs():
                 params = RangeParams(res.eta, res.r)
                 for i, j, cert in res.certificates:
                     assert cert.value(params) == res.D.dist[i][j]
-                for value in range_of_metric(res.D):
+                for value in res.D.values():
                     confirmed = member(value, res.eta, res.r)
                     assert confirmed is not None
                     assert confirmed.value(params) == value
@@ -133,7 +132,7 @@ def test_criterion_2_openness():
     small = _density_runs()["small"]
     assert len(small) == 3 * SEEDS_PER_SIZE * len(EPS_GRID)
     for space, eps, res in small:
-        values = range_of_metric(res.D)
+        values = res.D.values()
         per_q = []
         for q in range(9):
             nebula = cover(values, q)
@@ -315,7 +314,7 @@ def test_criterion_8_fragility():
     assert report.sup_distance <= eps
     assert report.gap_length >= eps / 10
     assert F(0) <= report.gap_lo < report.gap_hi <= report.max_value
-    after = range_of_metric(report.approximation.D)
+    after = report.approximation.D.values()
     for v in after:
         assert not (report.gap_lo < v < report.gap_hi)
     assert report.lost_values

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from itertools import count
 
 import pytest
 from hypothesis import example, given
@@ -14,20 +13,19 @@ from metric_forge import (
     cantor_approx,
     cover,
     cover_family,
-    gap_near_zero,
     intersect,
     margin,
     nebula_contains,
     nebula_to_intervals,
     random_metric,
-    range_of_metric,
     sup_distance,
     transform_metric,
     validate_nebula,
 )
 
-from metric_forge.nebula import MAX_Q, _covering_intervals, _pick_off
+from metric_forge.nebula import MAX_Q, _covering_intervals
 from support import (
+    first_free_pick,
     point_set_hausdorff,
     random_fractions,
     reference_cover,
@@ -192,17 +190,16 @@ def test_cover_family_origin_always_covered():
         assert meet.contains(0)
 
 
-def first_free_pick(center, eta, values, q):
-    """``_pick_off`` by plain scans: the center, then center - eta, then the
-    first point center - eta + k/2^m off the set, for the least m >= q + 5."""
-    if center not in values:
-        return center
-    if center - eta not in values:
-        return center - eta
-    for m in count(q + 5):
-        for k in range(int(2 * eta * 2**m) + 1):
-            if center - eta + F(k, 2**m) not in values:
-                return center - eta + F(k, 2**m)
+def test_cover_family_reads_an_iterator_once():
+    values = [0, F(1, 2)]
+    assert cover_family(iter(values), 2) == cover_family(values, 2)
+
+
+@pytest.mark.parametrize("build", [cover, cover_family])
+@pytest.mark.parametrize("q", [True, False, 1.5, F(1), "1"])
+def test_cover_refuses_a_q_that_is_not_an_int(build, q):
+    with pytest.raises(ValueError, match="q must be a nonnegative integer"):
+        build([0], q)
 
 
 def test_cover_walk_refines_the_grid():
@@ -210,13 +207,54 @@ def test_cover_walk_refines_the_grid():
     # separator 1/2, so the walk halves its pitch and picks 25/64, which
     # splits 3/8 from 13/32
     values = [F(0)] + [F(3, 8) + F(k, 32) for k in range(9)]
-    pick = _pick_off(F(1, 2), F(1, 8), values, 0)
-    assert pick == first_free_pick(F(1, 2), F(1, 8), set(values), 0) == F(25, 64)
+    assert first_free_pick(F(1, 2), F(1, 8), set(values), 0) == F(25, 64)
     got = cover(values, 0)
     assert got.bounded == ((0, F(3, 8)), (F(13, 32), F(5, 8)))
     assert got.tail_start == 1
     assert validate_nebula(got).is_valid
     assert all(scan_contains(got.bounded, got.tail_start, v) for v in values)
+
+
+@pytest.mark.parametrize("q, center", [(0, F(1, 2)), (4, F(3, 32))])
+@pytest.mark.parametrize("removed", [None, 0, 1, 8, 15, 16])
+def test_cover_walk_depth_bound_at_its_edge(q, center, removed):
+    # 0 and all 17 points of pitch 2^-(q+6) around one separator center: the
+    # walks at pitch 2^-(q+5) and 2^-(q+6) find no free point, so the pick
+    # needs the third pitch, the deepest that 19 values allow (k = 2); with
+    # one point removed, that point is the pick.  1/3 lies in no window: a
+    # walk whose pitch is not a power of 2 would show as a pick off the grid
+    eta, pitch = F(1, 2 ** (q + 3)), F(1, 2 ** (q + 6))
+    window = [center - eta + i * pitch for i in range(17)]
+    if removed is None:
+        sep = center - eta + pitch / 2
+    else:
+        sep = window.pop(removed)
+    values = [0, F(1, 3), *window]
+    assert first_free_pick(center, eta, set(values), q) == sep
+    got = cover(values, q)
+    assert got == reference_cover(values, q)
+    assert not any(a < sep < b for a, b in got.bounded)
+
+
+def test_cover_keeps_coprime_denominators_apart():
+    import tracemalloc
+
+    # 0 and 1/p for the first 3000 primes: their lcm has about 40,000 bits,
+    # so the 3001 values put on that one scale would take about 15 MB
+    sieve = bytearray([1]) * 27450
+    for n in range(2, 166):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, len(sieve), n)))
+    values = [F(0), *(F(1, n) for n in range(2, len(sieve)) if sieve[n])]
+    assert len(values) == 3001
+    tracemalloc.start()
+    try:
+        got = cover(values, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_cover(values, 3)
+    assert peak < 2**20
 
 
 @st.composite
@@ -400,7 +438,7 @@ def test_margin_perturbation_stays_inside():
     e = transform_metric(m, wiggle)
     assert sup_distance(m, e) == F(3, 1000)
     assert sup_distance(m, e) < got.epsilon
-    for v in range_of_metric(e):
+    for v in e.values():
         assert nebula_contains(got.fattened, v)
 
 
@@ -421,7 +459,7 @@ def test_margin_keeps_exactly_the_occupied_intervals():
     rng = random.Random(41)
     for trial in range(20):
         m = random_metric(rng.randint(2, 12), rng.randint(1, 6), seed=trial)
-        vals = range_of_metric(m)
+        vals = m.values()
         # cover extra values too, so some intervals carry no value of m
         extra = random_fractions(rng, rng.randint(0, 20), max_num=4)
         nebula = cover([*vals, *extra], trial % 6)
@@ -534,7 +572,7 @@ def test_margin_uniform_lift_guarantee():
     rng = random.Random(17)
     for trial in range(20):
         m = random_metric(rng.randint(2, 8), 5, seed=trial)
-        neb = cover(range_of_metric(m), rng.randint(0, 5))
+        neb = cover(m.values(), rng.randint(0, 5))
         got = margin(m, neb)
         delta = got.epsilon * F(rng.randint(1, 99), 100)
         rows = tuple(
@@ -543,14 +581,14 @@ def test_margin_uniform_lift_guarantee():
         )
         lifted = FiniteMetricSpace(m.points, rows)
         assert sup_distance(m, lifted) == delta
-        for v in range_of_metric(lifted):
+        for v in lifted.values():
             assert nebula_contains(got.fattened, v)
 
 
 def test_margin_openness_property():
     rng = random.Random(31)
     m = random_metric(8, 3, seed=2)
-    nebula = cover(range_of_metric(m), 2)
+    nebula = cover(m.values(), 2)
     got = margin(m, nebula)
     assert got.epsilon > 0
     for trial in range(100):
@@ -558,7 +596,7 @@ def test_margin_openness_property():
         alpha = got.epsilon * F(rng.randint(1, 50), 100) / cap
         e = transform_metric(m, AffineCapped(alpha, cap))
         assert sup_distance(m, e) < got.epsilon
-        for v in range_of_metric(e):
+        for v in e.values():
             assert nebula_contains(got.fattened, v)
         assert validate_nebula(got.fattened).is_valid
 
@@ -608,20 +646,20 @@ def test_cover_and_margin_at_the_q_cap_can_be_written():
 
 def test_range_of_uniform_space():
     m = FiniteMetricSpace.from_rows("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert range_of_metric(m) == (0, 1)
-    assert gap_near_zero(m) == 1
+    assert m.values() == (0, 1)
+    assert m.min_positive() == 1
 
 
 def test_range_of_cantor():
     c = cantor_approx(2)
-    assert range_of_metric(c) == (0, F(1, 4), F(1, 2))
-    assert gap_near_zero(c) == F(1, 4)
+    assert c.values() == (0, F(1, 4), F(1, 2))
+    assert c.min_positive() == F(1, 4)
 
 
 def test_range_of_single_point():
     m = FiniteMetricSpace.from_rows("a", [[0]])
-    assert range_of_metric(m) == (0,)
-    assert gap_near_zero(m) is None
+    assert m.values() == (0,)
+    assert m.min_positive() is None
 
 
 def test_approximate_roundtrip_through_covers():
@@ -631,7 +669,7 @@ def test_approximate_roundtrip_through_covers():
     for eps in (F(1, 2), F(5)):
         D = approximate(m, eps).D
         for q in range(9):
-            nebula = cover(range_of_metric(D), q)
+            nebula = cover(D.values(), q)
             assert validate_nebula(nebula).is_valid
             got = margin(D, nebula)
             assert got.epsilon > 0

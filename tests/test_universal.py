@@ -23,7 +23,6 @@ from metric_forge import (
     random_metric,
     range_density_gap,
     range_membership,
-    range_of_metric,
     subdominant_ultrametric,
     validate_metric,
 )
@@ -632,5 +631,5 @@ def test_fragility_huge_epsilon_still_consistent():
     values = [F(1, 2), F(5, 2)]
     report = fragility_experiment(values, 50)
     assert report.sup_distance <= 50
-    assert report.max_value == max(range_of_metric(report.approximation.D))
+    assert report.max_value == max(report.approximation.D.values())
     assert report.gap_hi > report.gap_lo
