@@ -58,17 +58,13 @@ def parse_scalar(text) -> Fraction:
     return Fraction(*_ratio(text))
 
 
-def scalar_str(value: Fraction) -> str:
-    return str(value)
-
-
 # --- distance matrices ------------------------------------------------------
 
 
 def space_to_obj(space: FiniteMetricSpace) -> dict:
     return {
         "points": list(space.points),
-        "dist": [[scalar_str(v) for v in row] for row in space.dist],
+        "dist": [[str(v) for v in row] for row in space.dist],
     }
 
 
@@ -107,8 +103,8 @@ def validation_to_obj(report: ValidationReport) -> dict:
             {
                 "kind": v.kind,
                 "witness": list(v.witness),
-                "lhs": scalar_str(v.lhs),
-                "rhs": scalar_str(v.rhs),
+                "lhs": str(v.lhs),
+                "rhs": str(v.rhs),
             }
             for v in report.violations
         ],
@@ -122,7 +118,7 @@ def plan_to_obj(plan: PartitionPlan) -> dict:
     return {
         "clusters": [list(c) for c in plan.clusters],
         "reps": list(plan.reps),
-        "radius": scalar_str(plan.radius),
+        "radius": str(plan.radius),
     }
 
 
@@ -142,8 +138,8 @@ def certificate_to_obj(i: int, j: int, cert: RangeCertificate) -> dict:
 
 def approximation_to_obj(result: ApproximationResult) -> dict:
     return {
-        "eta": scalar_str(result.eta),
-        "r": scalar_str(result.r),
+        "eta": str(result.eta),
+        "r": str(result.r),
         "plan": plan_to_obj(result.plan),
         "certificates": [
             certificate_to_obj(i, j, cert) for i, j, cert in result.certificates
@@ -158,8 +154,8 @@ def approximation_to_obj(result: ApproximationResult) -> dict:
 def nebula_to_obj(nebula: Nebula) -> dict:
     return {
         "q": nebula.q,
-        "bounded": [[scalar_str(a), scalar_str(b)] for a, b in nebula.bounded],
-        "tail_start": scalar_str(nebula.tail_start),
+        "bounded": [[str(a), str(b)] for a, b in nebula.bounded],
+        "tail_start": str(nebula.tail_start),
     }
 
 
@@ -199,19 +195,19 @@ def embedding_to_obj(
 
 def fragility_to_obj(report: FragilityReport) -> dict:
     return {
-        "values": [scalar_str(v) for v in report.values],
-        "epsilon": scalar_str(report.epsilon),
-        "eta": scalar_str(report.eta),
-        "r": scalar_str(report.r),
-        "sup_distance": scalar_str(report.sup_distance),
-        "max_value": scalar_str(report.max_value),
+        "values": [str(v) for v in report.values],
+        "epsilon": str(report.epsilon),
+        "eta": str(report.eta),
+        "r": str(report.r),
+        "sup_distance": str(report.sup_distance),
+        "max_value": str(report.max_value),
         "missed_interval": {
-            "lo": scalar_str(report.gap_lo),
-            "hi": scalar_str(report.gap_hi),
-            "length": scalar_str(report.gap_length),
+            "lo": str(report.gap_lo),
+            "hi": str(report.gap_hi),
+            "length": str(report.gap_length),
         },
-        "lost_values": [scalar_str(v) for v in report.lost_values],
-        "kept_values": [scalar_str(v) for v in report.kept_values],
+        "lost_values": [str(v) for v in report.lost_values],
+        "kept_values": [str(v) for v in report.kept_values],
         "D": space_to_obj(report.approximation.D),
     }
 
@@ -219,7 +215,7 @@ def fragility_to_obj(report: FragilityReport) -> dict:
 def funiv_to_obj(result: FUnivApprox) -> dict:
     return {
         "space": space_to_obj(result.space),
-        "net_points": [[scalar_str(c) for c in p] for p in result.net.points],
+        "net_points": [[str(c) for c in p] for p in result.net.points],
         "copies": result.copies,
     }
 

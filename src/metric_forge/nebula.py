@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
-from math import lcm
+from math import ceil, floor
 from operator import itemgetter
 
 from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, _distinct, as_scalar
@@ -105,33 +105,26 @@ def nebula_contains(nebula: Nebula, t) -> bool:
 def _covering_intervals(nebula: Nebula, space: FiniteMetricSpace) -> list[int]:
     """Sorted positions of the bounded intervals that hold some value of space.
 
-    The values come from ``space.scaled``, and they, the interval ends and
-    the tail start are compared as integers on L, the lcm of their
-    denominators.  Raises ValueError at the least value that the nebula
-    does not contain.
+    The values are the distinct ints v of ``space.scaled``, each v / denom.
+    The ends go onto that scale rounded, a start and the tail start up and
+    a stop down: for an int v, ``v < ceil(x * denom)`` exactly when
+    ``v / denom < x``, and ``v > floor(x * denom)`` exactly when
+    ``v / denom > x``.  So every comparison is the exact one, and no int is
+    wider than an end's numerator times denom.  Raises ValueError at the
+    least value that the nebula does not contain.
     """
     arr, denom = space.scaled
-    scale = lcm(
-        denom,
-        nebula.tail_start.denominator,
-        *(x.denominator for iv in nebula.bounded for x in iv),
-    )
-
-    def on_scale(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    starts = [on_scale(a) for a, _ in nebula.bounded]
-    stops = [on_scale(b) for _, b in nebula.bounded]
-    tail, factor = on_scale(nebula.tail_start), scale // denom
+    starts = [ceil(a * denom) for a, _ in nebula.bounded]
+    stops = [floor(b * denom) for _, b in nebula.bounded]
+    tail = ceil(nebula.tail_start * denom)
     used = set()
     for v in _distinct(arr):
-        v *= factor
         if v >= tail:
             break
         i = bisect_right(starts, v) - 1
         if i < 0 or v > stops[i]:
             raise ValueError(
-                f"metric value {Fraction(v, scale)} lies outside the nebula"
+                f"metric value {Fraction(v, denom)} lies outside the nebula"
             )
         used.add(i)
     return sorted(used)
@@ -210,6 +203,10 @@ def cover(values, q: int) -> Nebula:
     tail = Fraction(t_last, one)
     cut = bisect_left(vals, tail)
     runs = [list(run) for _, run in groupby(vals[:cut], picks_below)]
+    # the runs are consecutive slices of vals[:cut] and vals[cut:] lie in
+    # the tail, so this count confirms that the nebula holds every value
+    if sum(map(len, runs)) != cut:
+        raise RuntimeError("internal: cover's intervals left out a value")
     bounded = tuple((run[0], run[-1]) for run in runs)
     tail_start = vals[cut] if cut < len(vals) else tail
     result = Nebula(q, bounded, tail_start)

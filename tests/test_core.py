@@ -356,6 +356,9 @@ NEAR_STEPS = [F(c * 2**60 + d) for c in (1, 2, 3) for d in (-1, 0, 1)]
         symmetric_weights(POSITIVE_ENTRIES[:4]),
     )
 )
+# with n <= 2 no k lies outside {i, j}, so only the masked diagonal joins
+@example(space("a", [[0]]))
+@example(space("ab", [[0, 1], [1, 0]]))
 @settings(max_examples=200)  # four strategies share the examples
 def test_holds_matches_the_triple_loops(m):
     # on a symmetric matrix with a zero diagonal and positive entries the

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import groupby, takewhile
 
 import pytest
 from hypothesis import example, given
@@ -23,6 +24,7 @@ from metric_forge import (
     validate_nebula,
 )
 
+from metric_forge.cli import render_range_svg
 from metric_forge.nebula import MAX_Q, _covering_intervals
 from support import (
     first_free_pick,
@@ -190,6 +192,17 @@ def test_cover_family_origin_always_covered():
         assert meet.contains(0)
 
 
+def test_cover_counts_every_value_into_a_run(monkeypatch):
+    # a groupby that ends early, as it does when its key raises
+    # StopIteration, leaves out 1/2; the result would still validate
+    def first_run(iterable, key):
+        yield next(groupby(iterable, key))
+
+    monkeypatch.setattr("metric_forge.nebula.groupby", first_run)
+    with pytest.raises(RuntimeError, match="^internal: "):
+        cover([0, F(3, 8), F(1, 2)], 0)
+
+
 def test_cover_family_reads_an_iterator_once():
     values = [0, F(1, 2)]
     assert cover_family(iter(values), 2) == cover_family(values, 2)
@@ -236,17 +249,22 @@ def test_cover_walk_depth_bound_at_its_edge(q, center, removed):
     assert not any(a < sep < b for a, b in got.bounded)
 
 
+def first_primes(k):
+    found = []
+    n = 2
+    while len(found) < k:
+        if all(n % p for p in takewhile(lambda p: p * p <= n, found)):
+            found.append(n)
+        n += 1
+    return found
+
+
 def test_cover_keeps_coprime_denominators_apart():
     import tracemalloc
 
     # 0 and 1/p for the first 3000 primes: their lcm has about 40,000 bits,
     # so the 3001 values put on that one scale would take about 15 MB
-    sieve = bytearray([1]) * 27450
-    for n in range(2, 166):
-        if sieve[n]:
-            sieve[n * n :: n] = bytes(len(range(n * n, len(sieve), n)))
-    values = [F(0), *(F(1, n) for n in range(2, len(sieve)) if sieve[n])]
-    assert len(values) == 3001
+    values = [F(0), *(F(1, p) for p in first_primes(3000))]
     tracemalloc.start()
     try:
         got = cover(values, 3)
@@ -529,7 +547,23 @@ def scan_outcome(scan, nebula, values):
         return str(exc)
 
 
+def at_rounding_edges(test):
+    # a start, a stop and the tail at the space's value 2/3 (denominator 3),
+    # one scale unit and half a unit either side of it, and 1/21 either
+    # side: an end denominator 7, coprime to the space's
+    v = F(2, 3)
+    for x in (v + F(k, 42) for k in (-14, -7, -2, 0, 2, 7, 14)):
+        for nebula in (
+            neb(0, [(0, 0), (x, 1)], 2),
+            neb(0, [(0, 0), (F(1, 7), x)], 2),
+            neb(0, [(0, 0)], x),
+        ):
+            test = example((two_point(v), nebula))(test)
+    return test
+
+
 @given(scan_inputs())
+@at_rounding_edges
 @example((two_point(F(1, 2)), neb(1, [(0, 0)], 1)))  # 1/2 lies outside
 @example((two_point(F(1, 7**23)), neb(0, [(0, F(1, 2**70))], F(5, 3))))
 @example((two_point(F(1, 2**63)), neb(0, [(0, 0), (F(1, 2**64), F(1, 3))], 4)))
@@ -558,6 +592,28 @@ def test_covering_scan_on_a_wide_value_set(q):
     with pytest.raises(ValueError) as ref:
         reference_covering_intervals(holed, space.values())
     assert str(err.value) == str(ref.value)
+
+
+def test_margin_and_plot_keep_coprime_ends_apart():
+    import tracemalloc
+
+    # [0, 0] and [1/p, 1/p] for the first 3000 odd primes: on the lcm of the
+    # ends' denominators, about 40,000 bits, the scan took 30 MiB
+    primes = first_primes(3001)[1:]
+    nebula = neb(1, [(0, 0), *((F(1, p), F(1, p)) for p in reversed(primes))], 2)
+    space = two_point(F(1, 3))
+    space.scaled  # built before the trace: the scan is measured alone
+    tracemalloc.start()
+    try:
+        got = _covering_intervals(nebula, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_covering_intervals(nebula, space.values())
+    assert got == [0, len(primes)]
+    assert peak < 2**20
+    assert margin(space, nebula).fattened.bounded[1][0] < F(1, 3)
+    assert render_range_svg(space, nebula).count('fill="#9ecae1"') == len(primes) + 2
 
 
 def test_margin_requires_containment():
