@@ -101,7 +101,7 @@ class FiniteMetricSpace:
         pairs = [list(map(Fraction.as_integer_ratio, row)) for row in rows]
         arr, denom = _int_matrix(pairs, tuple)  # a pair is its own ratio
         arr = arr.reshape(len(rows), -1)
-        self.__dict__.update(_from_int_matrix(points, arr, denom).__dict__, dist=rows)
+        self.__dict__.update(_store(points, arr, denom).__dict__, dist=rows)
 
     @classmethod
     def from_rows(cls, points, rows) -> "FiniteMetricSpace":
@@ -241,6 +241,15 @@ def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
     if g > 1:
         arr, denom = _widen(arr, g) // g, denom // g  # g may pass int64
     arr = arr.astype(object if _peak(arr) >= _INT64_SAFE else np.int64, copy=False)
+    return _store(points, arr, denom)
+
+
+def _store(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
+    """The space of ``arr / denom``, reduced and on the 2^62 dtype rule; read-only.
+
+    ``_int_matrix`` leaves it so from (p, q) in lowest terms: if r^e exactly
+    divides L it exactly divides some q, and r divides neither p nor L / q.
+    """
     arr.flags.writeable = False
     space = object.__new__(FiniteMetricSpace)
     space.__dict__.update(points=tuple(points), scaled=(arr, denom))
@@ -264,6 +273,12 @@ def _widen(arr: np.ndarray, bound: int) -> np.ndarray:
     can reach, so int64 is kept exactly where it cannot overflow.
     """
     return arr.astype(object, copy=False) if bound >= _INT64_SAFE else arr
+
+
+def _narrow(bound: int):
+    """The narrowest of int16, int32 and int64 (else object) holding ``bound``."""
+    fits = (t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    return next(fits, object)
 
 
 def _rescale(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -297,11 +312,10 @@ def _witnesses(arr: np.ndarray):
     - one block per cheap kind that has a witness (diagonal, symmetry,
       positivity) comes first, from O(n^2) masks read in row-major order;
     - if there are none, the triangle verdict is ``_holds(arr, np.add)``,
-      which decides every d(i,j) <= d(i,k) + d(k,j) on int64 floors of
-      the entries.  It needs the zero diagonal and the nonnegative
+      which decides every d(i,j) <= d(i,k) + d(k,j) on integer floors
+      of the entries.  It needs the zero diagonal and the nonnegative
       entries that the cheap checks have just established; on a matrix
-      with a cheap witness its int64 sums could wrap, so it never runs
-      there;
+      with a cheap witness its sums could wrap, so it never runs there;
     - only on a "no" (a failed triangle verdict or a failed cheap check)
       does ``_triangles`` enumerate the triangle blocks, slab by slab.
     """
@@ -323,23 +337,20 @@ def _witnesses(arr: np.ndarray):
         yield from _triangles(arr)
 
 
-# the floors stay below 2^60, so this mask passes every floor and no join
-# of two masks or floors overflows int64
-_MASK = 2**61
-
-
 def _holds(arr: np.ndarray, join) -> bool:
     """Whether ``arr[i,j] <= join(arr[i,k], arr[k,j])`` for i != j, k not in {i, j}.
 
     ``arr`` is symmetric with a zero diagonal and nonnegative entries
     (int64 or Python ints); ``join`` is ``np.add`` (the triangle
     inequality) or ``np.maximum`` (the ultrametric one).  The verdict is
-    decided on int64 floors ``lo = arr >> s``, with ``s`` the least shift
-    that puts the peak below 2^60 (0 on ordinary int64 input), and
-    ``lo * 2^s <= a < (lo + 1) * 2^s`` for every entry a:
+    decided on integer floors ``lo = arr >> s``, with ``s`` the least
+    shift that puts the peak below 2^60 (0 on ordinary int64 input), and
+    ``lo * 2^s <= a < (lo + 1) * 2^s`` for every entry a.  ``mask``, the
+    least power of two above every floor, is held with them in
+    ``_narrow(2 * mask + 1)``, past every join and ``two +- slack``:
 
     - ``two[i,j]`` is the least ``join(lo[i,k], lo[k,j])`` over k not in
-      {i, j}; a diagonal of ``_MASK`` keeps k = i and k = j out of it;
+      {i, j}; a diagonal of ``mask`` keeps k = i and k = j out of it;
     - yes when every ``lo[i,j] <= two[i,j] - slack``, ``slack`` 1 when
       s > 0 and else 0: ``a_ij < (lo_ij + 1) * 2^s <= two * 2^s``, which
       is at most every ``join(a_ik, a_kj)``;
@@ -351,18 +362,22 @@ def _holds(arr: np.ndarray, join) -> bool:
       closure decides: its entries only fall, so an unchanged closure
       means every inequality held.
 
-    With s = 0 the check is exact.  ``two`` is built k by k in one
-    reused n x n buffer, so memory stays O(n^2).
+    With s = 0 the check is exact.  Python ints, and int64 with a negative
+    entry (outside this contract), keep int64 floors.  ``two`` is built k
+    by k in one reused n x n buffer, so memory stays O(n^2).
     """
-    s = max(0, int(arr.max()).bit_length() - 60)
-    off = (arr >> s).astype(np.int64, copy=False)
-    np.fill_diagonal(off, _MASK)
-    two, via = np.full_like(off, 2 * _MASK), np.empty_like(off)
+    top = int(arr.max())
+    s = max(0, top.bit_length() - 60)
+    mask = 1 << (top >> s).bit_length()
+    wide = arr.dtype == object or arr.min() < 0
+    off = (arr >> s).astype(np.int64 if wide else _narrow(2 * mask + 1), copy=False)
+    np.fill_diagonal(off, mask)
+    two, via = np.full_like(off, 2 * mask), np.empty_like(off)
     for k in range(len(off)):
         join(off[:, k, None], off[None, k, :], out=via)
         np.minimum(two, via, out=two)
     # a diagonal above every entry of off reads as a yes and never as a no
-    np.fill_diagonal(two, 2 * _MASK)
+    np.fill_diagonal(two, 2 * mask)
     slack = 1 if s else 0
     # via takes two -+ slack, so no n x n array is added past the loop's
     if (off <= np.subtract(two, slack, out=via)).all():
@@ -377,25 +392,27 @@ def _triangles(arr: np.ndarray):
 
     Yields one ``("triangle", ikj, d(i,j), d(i,k) + d(k,j))`` block per
     slab that has a violation: ``ikj`` the m x 3 array of witnesses
-    ``(i, k, j)``, the sides length-m arrays on ``arr``'s scale.  Rows i
-    are compared a slab at a time, at most ``_SLAB_CELLS`` cells and at
-    least one row; ``argwhere`` within a slab, slab by slab in i order, is
-    the order of the whole n x n x n comparison without a sort.
+    ``(i, k, j)``, the sides length-m arrays on ``arr``'s scale and of its
+    dtype.  Rows i are compared a slab at a time, at most ``_SLAB_CELLS``
+    cells and at least one row, on a copy in ``_narrow(2 * peak)`` with a
+    zero diagonal (which enters only k in {i, j}) and, where j <= i, a
+    left side that no sum is below.  The verdicts overwrite the slab's sums;
+    ``flatnonzero``, slab by slab in i order, is the witness order.
     """
     n = len(arr)
+    work = arr.astype(_narrow(2 * _peak(arr)))
+    np.fill_diagonal(work, 0)
+    lhs = np.where(~np.tri(n, dtype=bool), work, 2 * work.min())
     rows = max(1, _SLAB_CELLS // max(n * n, 1))
     for start in range(0, n, rows):
-        slab = arr[start : start + rows]
-        # lhs[i,k,j] = d(i,j), rhs[i,k,j] = d(i,k) + d(k,j)
-        bad = slab[:, None, :] > slab[:, :, None] + arr[None, :, :]
-        if not bad.any():  # the common slab; any() is cheaper than argwhere
-            continue
-        ikj = np.argwhere(bad)
-        ikj[:, 0] += start
-        i, k, j = ikj.T
-        ikj = ikj[(i < j) & (k != i) & (k != j)]
-        if len(ikj):  # a negative diagonal alone breaks only k in {i, j}
-            i, k, j = ikj.T
+        slab = work[start : start + rows]
+        # lhs[i,k,j] = d(i,j) > rhs[i,k,j] = d(i,k) + d(k,j)
+        rhs = np.add(slab[:, :, None], work[None, :, :])
+        bad = np.greater(lhs[start : start + rows, None, :], rhs, out=rhs)
+        i, kj = np.divmod(np.flatnonzero(bad), n * n)
+        if len(i):
+            (k, j), i = np.divmod(kj, n), i + start
+            ikj = np.column_stack((i, k, j))
             yield "triangle", ikj, arr[i, j], arr[i, k] + arr[k, j]
 
 
@@ -410,11 +427,11 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     blocks of ``_witnesses``; its ``violations`` are built from it only
     when read.  ``is_ultrametric`` (the max-triangle inequality) is only
     evaluated when all four axioms hold.  Both verdicts come from
-    ``_holds``, with ``+`` and with ``max``: an exact decision on int64
-    floors of ``scaled``, which falls back to the path closure only where
-    a triangle of a matrix past 2^60 is tight to within one floor step.
-    Triangle witnesses are enumerated in slabs only on a "no", so memory
-    stays O(n^2).
+    ``_holds``, with ``+`` and with ``max``: an exact decision on integer
+    floors of ``scaled`` (int16 to int64, as their sums need), which falls
+    back to the path closure only where a triangle of a matrix past 2^60
+    is tight to within one floor step.  Triangle witnesses are enumerated
+    in slabs only on a "no", so memory stays O(n^2).
     """
     arr, denom = space.scaled
     blocks = tuple(_witnesses(arr))
@@ -474,6 +491,12 @@ def _glue(
     return upper + upper.T
 
 
+# the most n^2 * bits(denom) amalgamate glues (2^29, 64 MiB of entries as
+# wide as denom): the pairs of 1/p for the first 200 odd primes (2^28) glue
+# in 130 MB, 300 (2^30) took 360 MB and 500 took 1.6 GB
+_GLUE_MAX_BITS = 2**29
+
+
 def amalgamate(
     plan: PartitionPlan,
     cluster_metrics: list[FiniteMetricSpace],
@@ -484,7 +507,8 @@ def amalgamate(
     Within a cluster the cluster metric is kept exactly; across clusters
     ``D(x, y) = e_i(x, p_i) + h(p_i, p_j) + e_j(p_j, y)``.  The hub must
     have strictly positive off-diagonal entries, otherwise distinct points
-    in different clusters could collapse to distance zero.
+    in different clusters could collapse to distance zero.  n points on a
+    b-bit denominator with n^2 * b past ``_GLUE_MAX_BITS`` are refused.
     """
     k = len(plan.clusters)
     if len(cluster_metrics) != k:
@@ -492,10 +516,13 @@ def amalgamate(
     if hub.n != k:
         raise ValueError("hub must have one point per cluster")
     denom = lcm(*(m.scaled[1] for m in (hub, *cluster_metrics)))
+    total, bits = sum(len(c) for c in plan.clusters), denom.bit_length()
+    if total * total * bits > _GLUE_MAX_BITS:
+        msg = f"{total} x {total} entries on a {bits}-bit denominator exceed"
+        raise ValueError(f"{msg} the cap of {_GLUE_MAX_BITS} bits")
     hub_arr = _rescale(hub.scaled[0], denom // hub.scaled[1])
     _check_hub(hub_arr)
 
-    total = sum(len(c) for c in plan.clusters)
     flat = sorted(idx for c in plan.clusters for idx in c)
     if flat != list(range(total)):
         raise ValueError("clusters must partition the point indices")
@@ -610,14 +637,17 @@ def _path_closure(arr: np.ndarray, join) -> np.ndarray:
     """Floyd-Warshall closure of a scaled-integer matrix, in place.
 
     A path's length is its edges combined by ``join``: ``np.add`` gives
-    shortest paths, ``np.maximum`` minimax paths (single linkage).  One
-    n x n buffer takes every k's candidate paths, so memory stays O(n^2)
-    and no array is allocated per k.
+    shortest paths over nonnegative entries, ``np.maximum`` minimax paths
+    (single linkage), on a copy in ``_narrow`` of the longest candidate
+    (``2 * peak``, ``peak``), written back.  One n x n buffer takes every
+    k's candidate paths, so memory stays O(n^2) and none is made per k.
     """
-    via = np.empty_like(arr)
-    for k in range(len(arr)):
-        join(arr[:, k, None], arr[None, k, :], out=via)
-        np.minimum(arr, via, out=arr)
+    work = arr.astype(_narrow((2 if join is np.add else 1) * _peak(arr)))
+    via = np.empty_like(work)
+    for k in range(len(work)):
+        join(work[:, k, None], work[None, k, :], out=via)
+        np.minimum(work, via, out=work)
+    arr[...] = work
     return arr
 
 

@@ -23,14 +23,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 import numpy as np
 
 from .core import FiniteMetricSpace, PartitionPlan, ValidationReport, _as_int
-from .core import _check_shape, _from_int_matrix, _int_matrix
+from .core import _check_shape, _int_matrix, _store
 from .nebula import Nebula, NebulaValidation
 from .quantize import ApproximationResult, RangeCertificate
 from .universal import Embedding, FragilityReport, FUnivApprox
@@ -92,7 +92,7 @@ def space_from_obj(obj) -> FiniteMetricSpace:
     if asym.any():  # the first pair in row-major order
         i, j = np.argwhere(asym)[0].tolist()
         raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
-    return _from_int_matrix(points, arr, denom)
+    return _store(points, arr, denom)
 
 
 def validation_to_obj(report: ValidationReport) -> dict:
@@ -318,32 +318,30 @@ def _violations(blocks, denom: int, nl: str) -> list[str]:
     """One chunk per row of the report's integer blocks, from cached pieces.
 
     One ``np.unique`` over every side quotes each distinct side once, as
-    ``_dist`` does; each point index is written once; each row is the
-    ``"".join`` of its kind's fixed text, its two quoted sides and its
-    joined witness.
+    ``_dist`` does, bare and behind the ``"rhs"`` key; each point index is
+    written once after the witness's bracket and once after a separator.
+    A row is one ``"".join`` of 5 + w pieces for a witness of width w.
     """
     if not blocks:
         return []
     inner, deep = nl + "  ", nl + "    "
-    values, at = np.unique(
-        np.concatenate([side for *_, lhs, rhs in blocks for side in (lhs, rhs)]),
-        return_inverse=True,
-    )
+    sides = [lhs for *_, lhs, _ in blocks] + [rhs for *_, rhs in blocks]
+    values, at = np.unique(np.concatenate(sides), return_inverse=True)
     cells = np.array([f'"{Fraction(v, denom)}"' for v in values.tolist()], dtype=object)
-    quoted = cells[at].tolist()
-    names = list(map(str, range(1 + max(int(w.max()) for _, w, *_ in blocks))))
-    mid, wit = f',{inner}"rhs": ', f',{inner}"witness": [{deep}'
+    half = len(at) // 2  # every lhs, then every rhs, each block's m in turn
+    lhss = iter(cells[at[:half]].tolist())
+    rhss = iter((f',{inner}"rhs": ' + cells)[at[half:]].tolist())
+    names = range(1 + max(int(w.max()) for _, w, *_ in blocks))
+    firsts = [f',{inner}"witness": [{deep}{i}' for i in names]
+    rests = [f",{deep}{i}" for i in names]
+    lookups = firsts.__getitem__, rests.__getitem__, rests.__getitem__
     tail = f"{inner}]{nl}}}"
     out: list[str] = []
-    sep, start = "," + deep, 0
     for kind, witness, *_ in blocks:
         m = len(witness)
-        lhs, rhs = quoted[start : start + m], quoted[start + m : start + 2 * m]
-        start += 2 * m
         head = f',{nl}{{{inner}"kind": {_quote(kind)},{inner}"lhs": '
-        cols = [map(names.__getitem__, col) for col in witness.T.tolist()]
-        points = map(sep.join, zip(*cols))
-        pieces = repeat(head), lhs, repeat(mid), rhs, repeat(wit), points, repeat(tail)
+        ids = map(map, lookups, witness.T.tolist())  # one piece per index
+        pieces = repeat(head), islice(lhss, m), islice(rhss, m), *ids, repeat(tail)
         out += map("".join, zip(*pieces))
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain, count, permutations, repeat
+from itertools import chain, count, permutations, repeat, takewhile
 
 import numpy as np
 
@@ -733,3 +733,14 @@ def reference_covering_intervals(nebula: Nebula, values) -> list[int]:
             raise ValueError(f"metric value {v} lies outside the nebula")
         used.add(i)
     return sorted(used)
+
+
+def first_primes(k: int) -> list[int]:
+    """The first k primes, by trial division."""
+    found: list[int] = []
+    n = 2
+    while len(found) < k:
+        if all(n % p for p in takewhile(lambda p: p * p <= n, found)):
+            found.append(n)
+        n += 1
+    return found

@@ -24,7 +24,7 @@ from metric_forge import (
     validate_metric,
 )
 
-from support import raw_weights
+from support import first_primes, raw_weights
 
 EQUILATERAL = {
     "points": ["a", "b", "c"],
@@ -537,6 +537,23 @@ def test_pair_values_over_cap_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: 501 pair values exceed the cap of 500\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["universal", "pairs"], ["fragility", "--epsilon", "1/2"]],
+    ids=["pairs", "fragility"],
+)
+def test_coprime_pair_values_exit_two(capsys, argv):
+    # 1/p for the first 500 odd primes: under the value cap, but their
+    # glue would hold a million 5060-bit ints
+    values = ",".join(f"1/{p}" for p in first_primes(501)[1:])
+    code, out, err = run(capsys, *argv, "--values", values)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: 1000 x 1000 entries on a 5060-bit denominator exceed the cap"
+        " of 536870912 bits\n"
+    )
 
 
 def test_universal_funiv(capsys):

@@ -1,5 +1,7 @@
 import operator
 import random
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from unittest.mock import patch
@@ -452,6 +454,172 @@ def test_closure_runs_only_near_a_tight_triangle(monkeypatch):
     assert np.add in calls
 
 
+# --- the narrowed working copies: _narrow ------------------------------------
+
+
+@contextmanager
+def narrowed():
+    """Yields the list of dtypes ``core._narrow`` hands out, in call order."""
+    seen, real = [], core._narrow
+
+    def spy(bound):
+        seen.append(real(bound))
+        return seen[-1]
+
+    with patch.object(core, "_narrow", spy):
+        yield seen
+
+
+def int_space(rows) -> FiniteMetricSpace:
+    return FiniteMetricSpace([f"x{i}" for i in range(len(rows))], rows)
+
+
+def near(peak: int) -> list[int]:
+    # halves and quarters of the peak, one apart: tight and near-tight
+    # triangles whose sums reach twice the peak
+    half, quarter = peak // 2, peak // 4
+    return [peak, peak - 1, half, half + 1, peak - half, peak - half - 1, quarter, 1]
+
+
+# peak floor -> the dtype of _holds' floors: the mask is the least power of
+# two above the peak floor, and the dtype holds 2 * mask + 1; past 2^60 the
+# floors are shifted (s > 0) and stay int64, as on Python ints
+HOLDS_PEAKS = {
+    8191: np.int16,
+    8192: np.int32,
+    2**15 + 3: np.int32,  # two entries add past int16
+    2**29 - 1: np.int32,
+    2**29: np.int64,
+    2**31 + 5: np.int64,  # two entries add past int32
+    2**61 + 1: np.int64,  # s = 1
+    3 * 2**60 - 1: np.int64,  # s = 2
+    2**70 + 1: np.int64,  # Python ints, s = 11
+}
+
+
+@pytest.mark.parametrize("peak", HOLDS_PEAKS, ids=lambda p: f"peak{p}")
+@given(st.data())
+@settings(max_examples=40)
+def test_holds_at_the_dtype_switches(peak, data):
+    # symmetric, zero diagonal, positive, one entry at the peak: the floor
+    # verdict in its narrowed dtype against the triple loops, both joins
+    n = data.draw(st.integers(2, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.sampled_from(near(peak)))
+    rows[0][1] = rows[1][0] = peak
+    m = int_space(rows)
+    with narrowed() as seen:
+        for join, oracle in (
+            (np.add, triple_loop_is_metric),
+            (np.maximum, triple_loop_is_ultrametric),
+        ):
+            assert core._holds(m.scaled[0], join) == oracle(m)
+    if m.scaled[0].dtype == object:
+        # Python-int floors are int64 without asking; a fallback closure
+        # keeps its copy on Python ints
+        assert set(seen) <= {object}
+    else:  # a fallback closure may narrow its own copy after the verdicts
+        assert seen[:2] == [HOLDS_PEAKS[peak]] * 2
+
+
+def test_holds_keeps_int64_for_a_negative_entry():
+    # outside the contract; its int64 sums wrap as they always did
+    arr = np.array([[0, -5, 3], [-5, 0, 3], [3, 3, 0]])
+    with narrowed() as seen:
+        assert not core._holds(arr, np.add)
+    assert seen == []
+
+
+# 2 * peak -> the dtype _triangles compares slabs in
+TRIANGLE_PEAKS = {
+    2**14 - 1: np.int16,
+    2**14: np.int32,
+    2**30 - 1: np.int32,
+    2**30: np.int64,
+}
+
+
+@pytest.mark.parametrize("cells", SLAB_BUDGETS)
+@pytest.mark.parametrize("peak", TRIANGLE_PEAKS, ids=lambda p: f"peak{p}")
+@given(st.data())
+@settings(max_examples=40)
+def test_triangles_at_the_dtype_switches(cells, peak, data):
+    # raw matrices, negative entries and diagonals included, one entry at
+    # -peak or peak: the slab scan against the plain loops
+    n = data.draw(st.integers(2, 5))
+    entries = near(peak) + [-v for v in near(peak)] + [0]
+    rows = [[data.draw(st.sampled_from(entries)) for _ in range(n)] for _ in range(n)]
+    rows[0][1] = data.draw(st.sampled_from([peak, -peak]))
+    cand = int_space(rows)
+    with narrowed() as seen, patch.object(core, "_SLAB_CELLS", cells):
+        found = flat_blocks(core._triangles(cand.scaled[0]))
+    assert found == [v for v in brute_violations(cand) if v[0] == "triangle"]
+    assert seen == [TRIANGLE_PEAKS[peak]]
+
+
+def test_triangles_slab_memory_at_n96():
+    # n = 96 in one slab: at the parent an int64 sum and a bool verdict per
+    # cell, 9 * 96^3 bytes; the int16 copy's sums take the verdicts in place
+    arr = random_metric(96, 10, seed=2).scaled[0].copy()
+    arr[0, 1] = arr[1, 0] = 2 * int(arr.max()) + 1
+    assert core._narrow(2 * core._peak(arr)) is np.int16
+    tracemalloc.start()
+    try:
+        found = flat_blocks(core._triangles(arr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 94
+    assert peak < 9 * 96**3 // 4
+
+
+def plain_floyd_warshall(rows, join) -> list[list[int]]:
+    out = [list(row) for row in rows]
+    n = len(out)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                out[i][j] = min(out[i][j], join(out[i][k], out[k][j]))
+    return out
+
+
+# join, peak -> the dtype _path_closure closes in: 2 * peak for +, peak for max
+CLOSURE_PEAKS = {
+    (np.add, 2**14 - 1): np.int16,
+    (np.add, 2**14): np.int32,
+    (np.add, 2**30 - 1): np.int32,
+    (np.add, 2**30): np.int64,
+    (np.maximum, 2**15 - 1): np.int16,
+    (np.maximum, 2**15): np.int32,
+    (np.maximum, 2**31 - 1): np.int32,
+    (np.maximum, 2**31): np.int64,
+}
+
+
+@pytest.mark.parametrize(
+    "join, peak", CLOSURE_PEAKS, ids=lambda v: getattr(v, "__name__", str(v))
+)
+@given(st.data())
+@settings(max_examples=40)
+def test_path_closure_at_the_dtype_switches(join, peak, data):
+    n = data.draw(st.integers(2, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.sampled_from(near(peak)))
+    rows[0][1] = rows[1][0] = peak
+    arr = np.array(rows, dtype=np.int64)
+    with narrowed() as seen:
+        closed = core._path_closure(arr, join)
+    # closed in place, in the caller's dtype
+    assert closed is arr and arr.dtype == np.int64
+    plain = {np.add: operator.add, np.maximum: max}[join]
+    assert arr.tolist() == plain_floyd_warshall(rows, plain)
+    assert seen == [CLOSURE_PEAKS[join, peak]]
+
+
 @given(
     raw_matrices([F(k, den) for k in (0, 1, 2**40) for den in (1, 3, 2**61 - 1)]),
     st.data(),
@@ -640,6 +808,38 @@ def test_amalgamate_rejects_zero_hub():
     hub = space(["a0", "a1"], [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="discrete"):
         amalgamate(plan, mets, hub)
+
+
+def glue_of_pairs(bits: int):
+    # 500 pairs and their hub all at 1/2^(bits - 1): 1000 points on a
+    # denominator of `bits` bits, whose glued entries still fit int64
+    denom, labels = 2 ** (bits - 1), pair_points(500)
+    reps, pair = range(0, 1000, 2), np.array([[0, 1], [1, 0]])
+    pieces = [core._from_int_matrix(labels[i : i + 2], pair, denom) for i in reps]
+    plan = PartitionPlan(tuple((i, i + 1) for i in reps), tuple(reps), F(1))
+    hub = core._from_int_matrix(labels[::2], 1 - np.eye(500, dtype=np.int64), denom)
+    return plan, pieces, hub
+
+
+def test_amalgamate_refuses_past_its_bit_cap():
+    # n^2 * bits(denom): 1000^2 * 536 is under 2^29, 1000^2 * 537 over it
+    D = amalgamate(*glue_of_pairs(536))
+    assert D.n == 1000 and D.scaled[1].bit_length() == 536
+    assert D.scaled[0].dtype == np.int64 and D.scaled[0][1, 3] == 3  # b0 to b1
+    args = glue_of_pairs(537)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError,
+            match=r"^1000 x 1000 entries on a 537-bit denominator exceed the cap"
+            r" of 536870912 bits$",
+        ):
+            amalgamate(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 1000 x 1000 int64 matrix alone would take 8 MB
+    assert peak < 2**16
 
 
 def test_amalgamate_sup_bound():

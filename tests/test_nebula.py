@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import groupby, takewhile
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given
@@ -28,6 +28,7 @@ from metric_forge.cli import render_range_svg
 from metric_forge.nebula import MAX_Q, _covering_intervals
 from support import (
     first_free_pick,
+    first_primes,
     point_set_hausdorff,
     random_fractions,
     reference_cover,
@@ -247,16 +248,6 @@ def test_cover_walk_depth_bound_at_its_edge(q, center, removed):
     got = cover(values, q)
     assert got == reference_cover(values, q)
     assert not any(a < sep < b for a, b in got.bounded)
-
-
-def first_primes(k):
-    found = []
-    n = 2
-    while len(found) < k:
-        if all(n % p for p in takewhile(lambda p: p * p <= n, found)):
-            found.append(n)
-        n += 1
-    return found
 
 
 def test_cover_keeps_coprime_denominators_apart():

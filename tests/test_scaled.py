@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction as F
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from metric_forge import (
     subdominant_ultrametric,
     validate_metric,
 )
-from metric_forge.core import _from_int_matrix
+from metric_forge.core import _from_int_matrix, _int_matrix
 
 from support import (
     plain_max_value,
@@ -232,6 +232,31 @@ def test_from_int_matrix_is_canonical(arr, denom):
     assert not a.flags.writeable
     assert space == twin and hash(space) == hash(twin)
     assert space.dist == twin.dist and repr(space) == repr(twin)
+
+
+# the reader's strings: unreduced ones, zeros over a denominator, and
+# entries that share a factor with every denominator
+RATIO_TEXTS = ["0", "0/5", "6/4", "2/6", "4/12", "12", "9/3", f"{2**64}", f"6/{2**70}"]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(RATIO_TEXTS), min_size=1, max_size=4), min_size=1)
+)
+@example([["0/5", "6/4"], ["12", "0"]])  # lcm 2, every entry even but one
+@example([["0", f"{2**64}"], ["0", "0"]])  # denom 1, past 2^62
+def test_int_matrix_is_already_reduced(rows):
+    # _int_matrix leaves what _from_int_matrix would keep: the gcd of the
+    # denominator and every entry is 1, and the dtype follows the 2^62 rule,
+    # so the readers store its result as it is
+    for ratio, cells in (
+        (jsonio._ratio, rows),
+        (tuple, [[F(*jsonio._ratio(v)).as_integer_ratio() for v in r] for r in rows]),
+    ):
+        arr, denom = _int_matrix(cells, ratio)
+        ints = arr.tolist()
+        assert gcd(denom, *ints) == 1
+        wide = max(map(abs, ints)) >= 2**62
+        assert arr.dtype == (object if wide else np.int64)
 
 
 # --- the space reader against its Fraction implementation ---------------------

@@ -29,6 +29,7 @@ from metric_forge import (
 
 from support import (
     brute_first_embedding,
+    first_primes,
     random_cn_space,
     reference_build_funiv_approx,
     reference_build_pair_universal,
@@ -292,6 +293,25 @@ def test_pair_universal_point_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_pair_universal_refuses_coprime_values_before_gluing():
+    # 1/p for the first 500 odd primes: 1000 points on a 5060-bit
+    # denominator, which took 1.6 GB to glue; refused before any matrix
+    values = [F(1, p) for p in first_primes(501)[1:]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError,
+            match=r"^1000 x 1000 entries on a 5060-bit denominator exceed the cap"
+            r" of 536870912 bits$",
+        ):
+            build_pair_universal(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 500 two-point pieces take about 4.6 MB; the glue took 1.6 GB
+    assert peak < 2**23
 
 
 # --- glued nets -------------------------------------------------------------------
