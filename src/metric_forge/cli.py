@@ -20,8 +20,8 @@ import os
 import sys
 
 from . import jsonio
-from .core import random_metric, cantor_approx, validate_metric
-from .nebula import _covering_intervals, cover, margin, validate_nebula
+from .core import _distinct, random_metric, cantor_approx, validate_metric
+from .nebula import _cover, _covering_intervals, margin, validate_nebula
 from .quantize import approximate
 from .universal import (
     build_funiv_approx,
@@ -48,12 +48,13 @@ def _load_json(path):
             raise ValueError(
                 f"{path} has {size} bytes, over the cap of {_MAX_INPUT_BYTES}"
             )
-        # a pipe's size reads 0, so the read itself stops one byte past the cap
-        chunks, size = [], 0
-        while size <= _MAX_INPUT_BYTES:
-            chunk = fh.read(min(_READ_CHUNK, _MAX_INPUT_BYTES + 1 - size))
-            if not chunk:
-                break
+        # one read takes a regular file whole, and a join of one bytes object
+        # copies nothing; a pipe (size 0) or a growing file reads on to cap + 1
+        chunks = [fh.read(size + 1)]
+        size = len(chunks[0])
+        while size <= _MAX_INPUT_BYTES and (
+            chunk := fh.read(min(_READ_CHUNK, _MAX_INPUT_BYTES + 1 - size))
+        ):
             chunks.append(chunk)
             size += len(chunk)
         data = b"".join(chunks)
@@ -85,13 +86,14 @@ def render_range_svg(space, nebula=None) -> str:
     """Number line with the metric's range as ticks and nebula bars above.
 
     Pixel coordinates use fixed two-decimal formatting; the exact rational
-    behind every mark is kept in a data-exact attribute.
+    behind every mark is kept in a data-exact attribute.  The value ticks
+    are the distinct ints v of ``space.scaled``: no Fraction per value.
     """
-    vals = space.values()
-    top = vals[-1]
+    arr, denom = space.scaled
+    vals = _distinct(arr)
+    T = max(1, -(-vals[-1] // denom))
     if nebula is not None:
-        top = max(top, nebula.tail_start)
-    T = max(1, math.ceil(top))
+        T = max(T, math.ceil(nebula.tail_start))
     # integer ticks at multiples of the least power of ten giving at most 1001
     step = 1
     while T // step > 1000:
@@ -99,9 +101,9 @@ def render_range_svg(space, nebula=None) -> str:
     width, height, mx = 880, 150, 40
     inner = width - 2 * mx
 
-    def px(v) -> str:
-        # int true division is correctly rounded, so this is float(Fraction(v) / T)
-        return f"{mx + v.numerator / (v.denominator * T) * inner:.2f}"
+    def px(n, d=1) -> str:
+        # int true division is correctly rounded, so this is float(Fraction(n, d) / T)
+        return f"{mx + n / (d * T) * inner:.2f}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -120,22 +122,23 @@ def render_range_svg(space, nebula=None) -> str:
         )
     if nebula is not None:
         for a, b in nebula.bounded:
-            xa, xb = px(a), px(b)
+            xa, xb = px(*a.as_integer_ratio()), px(*b.as_integer_ratio())
             w = max(1.5, float(xb) - float(xa))
             parts.append(
                 f'<rect x="{xa}" y="62" width="{w:.2f}" height="16" '
                 f'fill="#9ecae1" data-exact="[{a},{b}]"/>'
             )
-        xt = px(min(nebula.tail_start, T))
+        xt = px(*min(nebula.tail_start, T).as_integer_ratio())
         parts.append(
             f'<rect x="{xt}" y="62" width="{width - mx - float(xt):.2f}" '
             f'height="16" fill="#9ecae1" data-exact="[{nebula.tail_start},inf)"/>'
         )
     for v in vals:
-        x = px(v)
+        x, g = px(v, denom), math.gcd(v, denom)
+        exact = v // g if g == denom else f"{v // g}/{denom // g}"
         parts.append(
             f'<line x1="{x}" y1="88" x2="{x}" y2="100" stroke="#d62728" '
-            f'stroke-width="1.5" data-exact="{v}"/>'
+            f'stroke-width="1.5" data-exact="{exact}"/>'
         )
     parts.append(
         f'<text x="{mx}" y="30" font-size="13">distance range, '
@@ -168,9 +171,11 @@ def _cmd_nebula_cover(args) -> int:
     raw = _load_json(args.values)
     if not isinstance(raw, list):
         raise ValueError("values file must hold a JSON array of rationals")
-    values = [jsonio.parse_scalar(v) for v in raw]
-    result = cover(values, args.q)
-    _emit(jsonio.encode(jsonio.nebula_to_obj(result)), args.output)
+    ratios = [
+        jsonio._ratio(v) if isinstance(v, str) else jsonio.parse_scalar(v).as_integer_ratio()
+        for v in raw
+    ]
+    _emit(jsonio.encode(jsonio.nebula_to_obj(_cover(ratios, args.q))), args.output)
     return 0
 
 

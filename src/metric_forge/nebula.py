@@ -6,6 +6,9 @@ witnesses that a metric's range is far from filling any interval: the
 ``cover`` construction traps any finite value set, ``margin`` turns a
 cover into an explicit stability radius, and intersections of covers
 reconstruct the value set to resolution 2^-q.
+
+A nebula's ends are Fractions; the work per value and per comparison is on
+Python ints, and no common denominator of the ends is ever built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
-from math import ceil, floor
 from operator import itemgetter
 
 from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, _distinct, as_scalar
@@ -51,7 +53,11 @@ class NebulaValidation:
 
 
 def validate_nebula(candidate: Nebula) -> NebulaValidation:
-    """Check the five defining conditions, reporting each failure."""
+    """Check the five defining conditions, reporting each failure.
+
+    Every comparison cross-multiplies the ends' numerators and (positive)
+    denominators: b - a < 2^-q exactly when (bn ad - an bd) 2^q < ad bd.
+    """
     problems: list[str] = []
     q = candidate.q
     if q < 0:
@@ -60,31 +66,32 @@ def validate_nebula(candidate: Nebula) -> NebulaValidation:
     if q > MAX_Q:
         problems.append(_Q_TOO_LARGE)
         return NebulaValidation(False, tuple(problems))
-    width_cap = Fraction(1, 2**q)
+    bounded = candidate.bounded
+    ends = [(*a.as_integer_ratio(), *b.as_integer_ratio()) for a, b in bounded]
 
-    if not candidate.bounded:
+    if not bounded:
         problems.append("no bounded interval contains 0")
-    else:
-        a0, b0 = candidate.bounded[0]
-        if a0 != 0 or b0 < 0:
-            problems.append("first interval must start at 0")
-    for a, b in candidate.bounded:
-        if a > b:
+    elif ends[0][0] != 0 or ends[0][2] < 0:
+        problems.append("first interval must start at 0")
+    for (a, b), (an, ad, bn, bd) in zip(bounded, ends):
+        if an * bd > bn * ad:
             problems.append(f"interval [{a}, {b}] is not a closed interval")
-        if a < 0:
+        if an < 0:
             problems.append(f"interval [{a}, {b}] leaves [0, oo)")
-        if b - a >= width_cap:
+        if (bn * ad - an * bd) << q >= ad * bd:
             problems.append(
                 f"interval [{a}, {b}] has width {b - a} >= 2^-{q}"
             )
-    for (a1, b1), (a2, b2) in zip(candidate.bounded, candidate.bounded[1:]):
-        if a2 <= b1:
+    pairs = zip(bounded, bounded[1:], ends, ends[1:])
+    for (a1, b1), (a2, b2), (_, _, bn, bd), (an, ad, _, _) in pairs:
+        if an * bd <= bn * ad:
             problems.append(
                 f"intervals [{a1}, {b1}] and [{a2}, {b2}] overlap or touch"
             )
-    if candidate.tail_start <= q:
+    tn, td = candidate.tail_start.as_integer_ratio()
+    if tn <= q * td:
         problems.append(f"tail not in ({q}, oo): starts at {candidate.tail_start}")
-    if candidate.bounded and candidate.tail_start <= candidate.bounded[-1][1]:
+    if bounded and tn * ends[-1][3] <= ends[-1][2] * td:
         problems.append("tail overlaps the last bounded interval")
     return NebulaValidation(not problems, tuple(problems))
 
@@ -114,9 +121,9 @@ def _covering_intervals(nebula: Nebula, space: FiniteMetricSpace) -> list[int]:
     least value that the nebula does not contain.
     """
     arr, denom = space.scaled
-    starts = [ceil(a * denom) for a, _ in nebula.bounded]
-    stops = [floor(b * denom) for _, b in nebula.bounded]
-    tail = ceil(nebula.tail_start * denom)
+    starts = [-(-a.numerator * denom // a.denominator) for a, _ in nebula.bounded]
+    stops = [b.numerator * denom // b.denominator for _, b in nebula.bounded]
+    tail = -(-nebula.tail_start.numerator * denom // nebula.tail_start.denominator)
     used = set()
     for v in _distinct(arr):
         if v >= tail:
@@ -160,20 +167,29 @@ def cover(values, q: int) -> Nebula:
     N - 1 of N distinct values when k = max(0, bit_length(N - 1) - 3).  So
     with E = q + 5 + k every pick is an int on 2^-E, and only a value whose
     denominator divides 2^E can equal one.
+
+    ``_cover`` sorts the reduced pairs (p, d) by floor(p 2^s / d), with s =
+    2 bit_length(D) for the largest d, D.  Distinct values differ by at least
+    1/D^2 > 2^-s, so their keys p 2^s / d differ by more than 1, in order.
     """
-    _check_q(q)
     # as_scalar on every value refuses a bool before True == 1 could dedup it
-    vals = sorted(dict.fromkeys(map(as_scalar, values)))
-    if vals and vals[0] < 0:
+    return _cover(map(Fraction.as_integer_ratio, map(as_scalar, values)), q)
+
+
+def _cover(ratios, q: int) -> Nebula:
+    """``cover`` of reduced pairs (p, d), d >= 1; Fractions only for the ends."""
+    _check_q(q)
+    vals = list(dict.fromkeys(ratios))
+    s = 2 * max((d for _, d in vals), default=1).bit_length()
+    vals.sort(key=lambda r: (r[0] << s) // r[1])
+    if vals and vals[0][0] < 0:
         raise ValueError("values live in [0, oo)")
-    if not vals or vals[0] != 0:
+    if not vals or vals[0][0] != 0:
         raise ValueError("the value set must contain 0")
 
     depth = q + 5 + max(0, (len(vals) - 1).bit_length() - 3)
     one = 1 << depth
-    members = {
-        x.numerator * (one // x.denominator) for x in vals if one % x.denominator == 0
-    }
+    members = {n * (one // d) for n, d in vals if one % d == 0}
     step, eta = one >> (q + 1), one >> (q + 3)
     picks: dict[int, int] = {}  # t_m on 2^-depth by grid index m, each picked once
 
@@ -190,25 +206,25 @@ def cover(values, q: int) -> Nebula:
 
     t_last = pick((q + 1) << (q + 1))
 
-    def picks_below(x: Fraction) -> int:
-        # separators t_m (m >= 1) below x: t_m lies within eta of m * step,
-        # so only the m nearest x / step = u / d can fall on either side
-        n, d = x.numerator, x.denominator
+    def picks_below(x: tuple[int, int]) -> int:
+        # separators t_m (m >= 1) below x = n / d: t_m lies within eta of
+        # m * step, so only the m nearest x / step = u / d can fall on either side
+        n, d = x
         u = n << (q + 1)
         m = (2 * u + d) // (2 * d)
         if m == 0 or 4 * abs(u - m * d) > d:
             return u // d
         return m - 1 + (pick(m) * d < n << depth)
 
-    tail = Fraction(t_last, one)
-    cut = bisect_left(vals, tail)
+    # x >= t_last / one exactly when floor(x * one) >= t_last
+    cut = bisect_left(vals, t_last, key=lambda r: (r[0] << depth) // r[1])
     runs = [list(run) for _, run in groupby(vals[:cut], picks_below)]
     # the runs are consecutive slices of vals[:cut] and vals[cut:] lie in
     # the tail, so this count confirms that the nebula holds every value
     if sum(map(len, runs)) != cut:
         raise RuntimeError("internal: cover's intervals left out a value")
-    bounded = tuple((run[0], run[-1]) for run in runs)
-    tail_start = vals[cut] if cut < len(vals) else tail
+    bounded = tuple((Fraction(*run[0]), Fraction(*run[-1])) for run in runs)
+    tail_start = Fraction(*vals[cut]) if cut < len(vals) else Fraction(t_last, one)
     result = Nebula(q, bounded, tail_start)
     check = validate_nebula(result)
     if not check.is_valid:

@@ -26,6 +26,7 @@ from .core import (
     SearchCapExceeded,
     _from_int_matrix,
     _rescale,
+    _store,
     _widen,
     as_scalar,
     amalgamate,
@@ -238,8 +239,13 @@ def make_net(n: int, delta) -> NetSpace:
     labels = tuple(_coord_label(p) for p in pts)
     # the l-infinity distance of two points is their largest gap in grid steps
     steps = np.array(list(product(range(side), repeat=n)), dtype=np.int64)
-    gaps = np.abs(steps[:, None, :] - steps[None, :, :]).max(axis=2)
-    space = _from_int_matrix(labels, gaps * delta.numerator, delta.denominator)
+    gaps = np.zeros((len(steps),) * 2, dtype=np.int64)
+    for axis in steps.T:
+        np.maximum(gaps, np.abs(np.subtract.outer(axis, axis)), out=gaps)
+    gaps *= delta.numerator
+    # the gaps hold 1 and delta is in lowest terms, so this is already reduced;
+    # its peak n * delta.denominator is far below 2^62 under the point cap
+    space = _store(labels, gaps, delta.denominator)
     return NetSpace(n, delta, pts, space)
 
 
@@ -274,9 +280,7 @@ def build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
     net = make_net(n, delta)
     # every copy shares the net's matrix
     pieces = [
-        _from_int_matrix(
-            tuple(f"K{c}:{label}" for label in net.space.points), *net.space.scaled
-        )
+        _store(tuple(f"K{c}:{label}" for label in net.space.points), *net.space.scaled)
         for c in range(copies)
     ]
     glued = _glue_through_firsts(pieces, 1 + n)

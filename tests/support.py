@@ -35,12 +35,11 @@ from metric_forge import (
     subdominant_ultrametric,
     transform_metric,
     validate_metric,
-    validate_nebula,
 )
 from metric_forge import core
 from metric_forge.core import _GEN_MAX_POINTS
 from metric_forge.jsonio import parse_scalar
-from metric_forge.nebula import _interval_index
+from metric_forge.nebula import MAX_Q, _Q_TOO_LARGE, NebulaValidation, _interval_index
 from metric_forge.universal import _net_side
 
 
@@ -706,11 +705,123 @@ def reference_cover(values, q: int) -> Nebula:
     bounded = tuple((run[0], run[-1]) for run in runs)
     tail_start = tail_vals[0] if tail_vals else t_last
     result = Nebula(q, bounded, tail_start)
-    check = validate_nebula(result)
+    check = reference_validate_nebula(result)
     if not check.is_valid:
         raise RuntimeError(f"internal: cover built an invalid nebula: {check.violations}")
     return result
 
+
+# ``nebula.validate_nebula`` from before it cross-multiplied the ends'
+# numerators and denominators: every check is a Fraction comparison.  Kept
+# verbatim as the oracle for the differential test.
+
+
+def reference_validate_nebula(candidate: Nebula) -> NebulaValidation:
+    """Check the five defining conditions, reporting each failure."""
+    problems: list[str] = []
+    q = candidate.q
+    if q < 0:
+        problems.append("q must be a nonnegative integer")
+        return NebulaValidation(False, tuple(problems))
+    if q > MAX_Q:
+        problems.append(_Q_TOO_LARGE)
+        return NebulaValidation(False, tuple(problems))
+    width_cap = Fraction(1, 2**q)
+
+    if not candidate.bounded:
+        problems.append("no bounded interval contains 0")
+    else:
+        a0, b0 = candidate.bounded[0]
+        if a0 != 0 or b0 < 0:
+            problems.append("first interval must start at 0")
+    for a, b in candidate.bounded:
+        if a > b:
+            problems.append(f"interval [{a}, {b}] is not a closed interval")
+        if a < 0:
+            problems.append(f"interval [{a}, {b}] leaves [0, oo)")
+        if b - a >= width_cap:
+            problems.append(
+                f"interval [{a}, {b}] has width {b - a} >= 2^-{q}"
+            )
+    for (a1, b1), (a2, b2) in zip(candidate.bounded, candidate.bounded[1:]):
+        if a2 <= b1:
+            problems.append(
+                f"intervals [{a1}, {b1}] and [{a2}, {b2}] overlap or touch"
+            )
+    if candidate.tail_start <= q:
+        problems.append(f"tail not in ({q}, oo): starts at {candidate.tail_start}")
+    if candidate.bounded and candidate.tail_start <= candidate.bounded[-1][1]:
+        problems.append("tail overlaps the last bounded interval")
+    return NebulaValidation(not problems, tuple(problems))
+
+
+# ``cli.render_range_svg`` from before it drew the value ticks from
+# ``space.scaled``: one Fraction per value, from ``space.values()``.  Kept
+# verbatim as the oracle for the differential test.
+
+
+def reference_render_range_svg(space, nebula=None) -> str:
+    """Number line with the metric's range as ticks and nebula bars above.
+
+    Pixel coordinates use fixed two-decimal formatting; the exact rational
+    behind every mark is kept in a data-exact attribute.
+    """
+    vals = space.values()
+    top = vals[-1]
+    if nebula is not None:
+        top = max(top, nebula.tail_start)
+    T = max(1, math.ceil(top))
+    # integer ticks at multiples of the least power of ten giving at most 1001
+    step = 1
+    while T // step > 1000:
+        step *= 10
+    width, height, mx = 880, 150, 40
+    inner = width - 2 * mx
+
+    def px(v) -> str:
+        # int true division is correctly rounded, so this is float(Fraction(v) / T)
+        return f"{mx + v.numerator / (v.denominator * T) * inner:.2f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{mx}" y1="100" x2="{width - mx}" y2="100" '
+        'stroke="black" stroke-width="1"/>',
+    ]
+    for k in range(0, T + 1, step):
+        x = px(k)
+        parts.append(
+            f'<line x1="{x}" y1="96" x2="{x}" y2="104" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{x}" y="120" font-size="11" text-anchor="middle">{k}</text>'
+        )
+    if nebula is not None:
+        for a, b in nebula.bounded:
+            xa, xb = px(a), px(b)
+            w = max(1.5, float(xb) - float(xa))
+            parts.append(
+                f'<rect x="{xa}" y="62" width="{w:.2f}" height="16" '
+                f'fill="#9ecae1" data-exact="[{a},{b}]"/>'
+            )
+        xt = px(min(nebula.tail_start, T))
+        parts.append(
+            f'<rect x="{xt}" y="62" width="{width - mx - float(xt):.2f}" '
+            f'height="16" fill="#9ecae1" data-exact="[{nebula.tail_start},inf)"/>'
+        )
+    for v in vals:
+        x = px(v)
+        parts.append(
+            f'<line x1="{x}" y1="88" x2="{x}" y2="100" stroke="#d62728" '
+            f'stroke-width="1.5" data-exact="{v}"/>'
+        )
+    parts.append(
+        f'<text x="{mx}" y="30" font-size="13">distance range, '
+        f"{space.n} points</text>"
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 # ``nebula._covering_intervals`` from before it ran on ``space.scaled``: one

@@ -398,6 +398,37 @@ def test_nebula_cover_and_check(tmp_path, capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_nebula_cover_reads_json_ints_as_their_strings(tmp_path, capsys):
+    # JSON integers and strings mixed, "4/2" equal to 2 and coprime
+    # denominators: the same cover as the file of strings alone
+    values = [0, "3/10", 2, "4/2", "1/3", 7, "22/7", "17/10", "0"]
+    outs = []
+    for name, vals in (("mixed", values), ("strings", [str(v) for v in values])):
+        path = write_json(tmp_path / f"{name}.json", vals)
+        code, out, err = run(capsys, "nebula", "cover", path, "--q", "2")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    want = cover([jsonio.parse_scalar(v) for v in values], 2)
+    assert json.loads(outs[0]) == jsonio.nebula_to_obj(want)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "expected a rational string, got bool"),
+        (-1, "negative value: -1"),
+        ("1.5", "malformed rational '1.5' (want \"p/q\" or \"n\")"),
+    ],
+)
+def test_nebula_cover_refuses_a_value_that_is_not_a_rational(
+    tmp_path, capsys, bad, message
+):
+    path = write_json(tmp_path / "vals.json", ["0", "1/2", bad])
+    code, out, err = run(capsys, "nebula", "cover", path, "--q", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_nebula_check_invalid_exit_one(tmp_path, capsys):
     path = write_json(
         tmp_path / "neb.json",
@@ -885,6 +916,85 @@ def test_input_cap_holds_for_a_pipe(capsys, monkeypatch):
         os.close(r)
     assert (code, out) == (2, "")
     assert err == f"error: /dev/fd/{r} has more than 10 bytes, the cap\n"
+
+
+def spy_on_reads(monkeypatch, before_first_read=None):
+    """Lengths of the reads ``_load_json`` makes, in order."""
+    reads = []
+
+    class Spy:
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def read(self, n):
+            if not reads and before_first_read is not None:
+                before_first_read()
+            reads.append(len(data := self.fh.read(n)))
+            return data
+
+    monkeypatch.setattr(cli, "open", Spy, raising=False)
+    return reads
+
+
+def test_a_regular_file_is_read_in_one_read(tmp_path, capsys, monkeypatch):
+    # a file larger than a pipe's read size still arrives in one read, then
+    # the empty read at its end, so the join has one bytes object to return
+    reads = spy_on_reads(monkeypatch)
+    monkeypatch.setattr(cli, "_READ_CHUNK", 16)
+    path = write_json(tmp_path / "sp.json", EQUILATERAL)
+    assert run(capsys, "validate", path)[0] == 0
+    assert reads == [os.stat(path).st_size, 0]
+
+
+def test_a_pipe_is_read_to_its_end(capsys, monkeypatch):
+    text = json.dumps(EQUILATERAL).encode()
+    reads = spy_on_reads(monkeypatch)
+    r, w = os.pipe()
+    try:
+        os.write(w, text)
+        os.close(w)
+        code, out, err = run(capsys, "validate", f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["is_metric"] is True
+    # a pipe's size reads 0, so the first read asks for one byte
+    assert reads[0] == 1 and sum(reads) == len(text) and reads[-1] == 0
+
+
+def test_a_file_over_the_cap_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch):
+    reads = spy_on_reads(monkeypatch)
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", 100)
+    path = tmp_path / "vals.json"
+    path.write_text(json.dumps(["0"] * 25))
+    assert os.stat(path).st_size == 125
+    code, out, err = run(capsys, "nebula", "cover", str(path), "--q", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} has 125 bytes, over the cap of 100\n"
+    assert reads == []
+
+
+def test_a_file_growing_after_fstat_stops_one_byte_past_the_cap(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "vals.json"
+    path.write_text('["0"]')
+    # the file grows to 2001 bytes between its fstat (5 bytes) and the first read
+    reads = spy_on_reads(monkeypatch, lambda: path.write_text(json.dumps(["0"] * 400)))
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", 100)
+    code, out, err = run(capsys, "nebula", "cover", str(path), "--q", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} has more than 100 bytes, the cap\n"
+    assert reads[0] == 6 and sum(reads) == 101
 
 
 def test_loading_a_small_space_allocates_about_its_size(tmp_path):

@@ -33,6 +33,8 @@ from support import (
     random_fractions,
     reference_cover,
     reference_covering_intervals,
+    reference_render_range_svg,
+    reference_validate_nebula,
 )
 
 
@@ -66,6 +68,65 @@ def test_validate_overlap_fails():
 def test_validate_width_and_zero_membership():
     assert not validate_nebula(neb(2, [(0, F(1, 2))], 3)).is_valid  # too wide
     assert not validate_nebula(neb(0, [(F(1, 4), F(1, 4))], 1)).is_valid  # no 0
+
+
+# end denominators: 1, powers of 2, coprime primes and two past 2^62
+END_DENOMINATORS = [1, 2, 4, 3, 5, 7, 11, 2**61 - 1, 3**41]
+
+
+@st.composite
+def nebula_candidates(draw):
+    # intervals of every kind the checks tell apart: negative ends,
+    # reversed ends, widths of exactly 2^-q and one unit of 1/(3 2^q) or
+    # 1/2^(q+70) below it, ends that touch the previous interval, and a
+    # tail at q, at the last end or near either; sometimes sorted, and
+    # sometimes with int ends that Nebula.make would have made Fractions
+    q = draw(st.sampled_from([0, 0, 1, 2, 3, 6, MAX_Q, -1, MAX_Q + 1]))
+    cap = F(1, 2 ** max(q, 0))
+
+    def point():
+        d = draw(st.sampled_from(END_DENOMINATORS))
+        return F(draw(st.integers(-d, 3 * d)), d)
+
+    bounded = [(F(0), draw(st.sampled_from([F(0), cap / 2, cap, -cap])))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["any", "width", "under", "touch", "reversed"]))
+        a = bounded[-1][1] if kind == "touch" and bounded else point()
+        if kind in ("width", "touch"):
+            b = a + cap
+        elif kind == "under":
+            b = a + cap - F(1, draw(st.sampled_from([3 * 2 ** max(q, 0), 2 ** (q + 70)])))
+        else:
+            b = point()
+            a, b = (max(a, b), min(a, b)) if kind == "reversed" else (a, b)
+        bounded.append((a, b))
+    if draw(st.booleans()):
+        bounded = bounded[draw(st.integers(0, len(bounded))) :]
+    if draw(st.booleans()):
+        bounded.sort()
+    last = bounded[-1][1] if bounded else F(q)
+    tail = draw(st.sampled_from([F(q), F(q) + F(1, 7), last, last + cap, point()]))
+    if draw(st.booleans()):
+        bounded = [(as_int(a), as_int(b)) for a, b in bounded]
+        tail = as_int(tail)
+    return Nebula(q, tuple(bounded), tail)
+
+
+def as_int(x):
+    """x as an int when it is one, else unchanged."""
+    return int(x) if x.denominator == 1 else x
+
+
+@given(nebula_candidates())
+@example(Nebula(0, ((0, 0),), 1))
+@example(Nebula(3, ((0, F(1, 8)),), 4))  # width exactly 2^-3
+@example(Nebula(3, ((0, F(1, 8) - F(1, 2**73)),), 4))
+@example(Nebula(MAX_Q, ((0, F(1, 2**MAX_Q)),), MAX_Q + 1))
+@example(Nebula(MAX_Q, ((0, 0), (F(1, 3), F(1, 3) + F(2, 3 * 2**MAX_Q))), MAX_Q + 1))
+@example(Nebula(1, ((0, 0), (F(1, 3), F(2, 5)), (F(2, 5), F(3, 7))), F(3, 7)))  # touching
+@example(Nebula(1, ((F(-1, 3), -1), (F(1, 2), F(1, 5))), 1))
+def test_validate_matches_the_fraction_checks(candidate):
+    assert validate_nebula(candidate) == reference_validate_nebula(candidate)
 
 
 # --- membership ----------------------------------------------------------------
@@ -317,6 +378,7 @@ def cover_outcome(build, values, q):
 @example(([0, F(3, 8), F(1, 2)], 0))
 @example(([F(0)] + [F(3, 8) + F(k, 32) for k in range(9)], 0))
 @example(([0, F(1, 2), F(3, 8), 3, F(95, 32), F(7, 2)], 2))  # t_last walks
+@example(([0, F(95, 96), F(97, 96)], 0))  # within 2^-5 of the tail start 1, either side
 def test_cover_matches_the_pairwise_search(case):
     values, q = case
     assert cover_outcome(cover, values, q) == cover_outcome(reference_cover, values, q)
@@ -330,6 +392,65 @@ def test_cover_matches_the_pairwise_search_on_a_wide_value_set(q):
     got = cover(values, q)
     assert got == reference_cover(values, q)
     assert validate_nebula(got).is_valid
+
+
+# coprime denominators: small primes, and two Mersenne primes whose squares
+# pass the 2^62 int64 range
+COPRIME_DENOMINATORS = [3, 5, 7, 11, 13, 2**61 - 1, 2**89 - 1]
+
+
+def neighbours(d1, d2):
+    """a/d1 > b/d2 with a d2 - b d1 = 1: 1/(d1 d2) apart, the least gap."""
+    a = pow(d2, -1, d1)
+    return F(a, d1), F((a * d2 - 1) // d1, d2)
+
+
+@st.composite
+def coprime_cover_inputs(draw):
+    # values on denominators 1, 2^k and coprime primes; pairs 1/(p1 p2)
+    # apart, some on either side of a separator center m 2^-(q+1);
+    # neighbours, whose gap 1/(p1 p2) on denominators p1 and p2 is the
+    # least that the sort key must tell apart; and each value with
+    # denominator 1 given once more, as an int if it was a Fraction and
+    # the other way
+    q = draw(st.integers(0, 8))
+    step = F(1, 2 ** (q + 1))
+    values = [0]
+    kinds = ["int", "dyadic", "prime", "apart", "straddle", "neighbours"]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            values.append(draw(st.integers(0, q + 3)))
+        elif kind == "dyadic":
+            d = 2 ** draw(st.integers(0, q + 8))
+            values.append(F(draw(st.integers(0, (q + 3) * d)), d))
+        elif kind == "prime":
+            p = draw(st.sampled_from(COPRIME_DENOMINATORS))
+            values.append(F(draw(st.integers(0, (q + 3) * p)), p))
+        else:
+            primes = st.sampled_from(COPRIME_DENOMINATORS)
+            p1, p2 = draw(st.lists(primes, min_size=2, max_size=2, unique=True))
+            if kind == "neighbours":
+                k = draw(st.integers(0, q + 2))
+                values += [k + x for x in neighbours(p1, p2)]
+                continue
+            if kind == "apart":
+                x = F(draw(st.integers(0, (q + 3) * p1)), p1)
+            else:  # centers from 1 up, so that x stays positive
+                m = draw(st.integers(2 ** (q + 1), (q + 1) * 2 ** (q + 1)))
+                x = m * step - F(1, 2 * p1 * p2)
+            values += [x, x + F(1, p1 * p2)]
+    values += [F(v) if isinstance(v, int) else int(v) for v in values if v == int(v)]
+    return draw(st.permutations(values)), q
+
+
+@given(coprime_cover_inputs())
+@example(([0, 1, F(1), F(1, 3), F(1, 3) + F(1, 15)], 0))
+@example(([0, F(1, 2**61 - 1), F(1, 2**61 - 1) + F(1, (2**61 - 1) * (2**89 - 1))], 3))
+@example(([0, *neighbours(2**61 - 1, 2**89 - 1)], 3))  # the greater one first
+def test_cover_matches_the_pairwise_search_on_coprime_values(case):
+    values, q = case
+    assert cover_outcome(cover, values, q) == cover_outcome(reference_cover, values, q)
 
 
 def random_interval_set(rng, with_tail):
@@ -605,6 +726,34 @@ def test_margin_and_plot_keep_coprime_ends_apart():
     assert peak < 2**20
     assert margin(space, nebula).fattened.bounded[1][0] < F(1, 3)
     assert render_range_svg(space, nebula).count('fill="#9ecae1"') == len(primes) + 2
+
+
+@given(scan_inputs())
+@example((two_point(F(12345, 7)), neb(0, [(0, 0)], F(10**4, 3))))  # T past 1000
+@example((space_with_values([F(1, 3), F(5, 2), F(9, 2), 7]), neb(1, [(0, 0)], 2)))
+def test_plot_matches_the_fraction_plot(case):
+    # values past the tail, unsorted intervals and ends on coprime
+    # denominators, bare and with the nebula
+    space, nebula = case
+    for drawn in (None, nebula):
+        assert render_range_svg(space, drawn) == reference_render_range_svg(space, drawn)
+
+
+@pytest.mark.parametrize("q", [None, 3])
+def test_plot_of_a_wide_value_set_matches_the_fraction_plot(q):
+    # every 1 + a/b with b <= 64 and 10^4 + 1/3: the object path, T past 1000
+    values = [1 + F(a, b) for b in range(1, 65) for a in range(b)] + [10**4 + F(1, 3)]
+    space = space_with_values(values)
+    assert space.scaled[0].dtype == object
+    nebula = None if q is None else cover(space.values(), q)
+    assert render_range_svg(space, nebula) == reference_render_range_svg(space, nebula)
+
+
+def test_plot_of_coprime_ends_matches_the_fraction_plot():
+    primes = first_primes(200)[1:]
+    nebula = neb(1, [(0, 0), *((F(1, p), F(1, p)) for p in reversed(primes))], 2)
+    for space in (two_point(F(1, 3)), space_with_values([F(1, 3), F(17, 5), 3])):
+        assert render_range_svg(space, nebula) == reference_render_range_svg(space, nebula)
 
 
 def test_margin_requires_containment():

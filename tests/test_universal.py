@@ -345,12 +345,35 @@ def small_nets():
     return out
 
 
+def assert_same_scaled(got, want):
+    """Equal entries, denominator and dtype of two spaces' ``scaled``."""
+    (arr, denom), (want_arr, want_denom) = got.scaled, want.scaled
+    assert (denom, arr.dtype, arr.shape) == (want_denom, want_arr.dtype, want_arr.shape)
+    assert (arr == want_arr).all()
+
+
 @pytest.mark.parametrize("n, delta", small_nets())
 def test_net_matches_linf_distance(n, delta):
     net = make_net(n, delta)
     for i, p in enumerate(net.points):
         for j, p2 in enumerate(net.points):
             assert net.space.dist[i][j] == linf_distance(p, p2)
+    # stored without a reduction pass: the one the Fraction rows give
+    assert_same_scaled(net.space, FiniteMetricSpace(net.space.points, net.space.dist))
+
+
+def test_net_of_729_points_builds_in_a_few_matrices():
+    # one 729 x 729 int64 matrix is 4 MiB; the gaps taken over an
+    # N x N x 3 difference array peaked at 24.5 MiB
+    tracemalloc.start()
+    try:
+        net = make_net(3, F(3, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(net.points) == 729
+    assert peak < 2**24
+    assert net.space.dist[0][-1] == 3 and net.space.dist[0][1] == F(3, 8)
 
 
 @pytest.mark.parametrize("n, delta", small_nets())
@@ -452,6 +475,7 @@ def test_funiv_matches_the_fraction_build(n, delta, copies):
     assert got.net.points == want.net.points
     assert got.space.points == want.space.points
     assert got.space.dist == want.space.dist
+    assert_same_scaled(got.space, want.space)
 
 
 # --- embedding search ---------------------------------------------------------------
