@@ -397,7 +397,8 @@ def _triangles(arr: np.ndarray):
     cells and at least one row, on a copy in ``_narrow(2 * peak)`` with a
     zero diagonal (which enters only k in {i, j}) and, where j <= i, a
     left side that no sum is below.  The verdicts overwrite the slab's sums;
-    ``flatnonzero``, slab by slab in i order, is the witness order.
+    one ``argwhere`` per slab, row-major over (i, k, j) and slab by slab in
+    i order, is the witness order and the block's only index array.
     """
     n = len(arr)
     work = arr.astype(_narrow(2 * _peak(arr)))
@@ -409,10 +410,9 @@ def _triangles(arr: np.ndarray):
         # lhs[i,k,j] = d(i,j) > rhs[i,k,j] = d(i,k) + d(k,j)
         rhs = np.add(slab[:, :, None], work[None, :, :])
         bad = np.greater(lhs[start : start + rows, None, :], rhs, out=rhs)
-        i, kj = np.divmod(np.flatnonzero(bad), n * n)
-        if len(i):
-            (k, j), i = np.divmod(kj, n), i + start
-            ikj = np.column_stack((i, k, j))
+        if len(ikj := np.argwhere(bad)):
+            ikj[:, 0] += start
+            i, k, j = ikj.T
             yield "triangle", ikj, arr[i, j], arr[i, k] + arr[k, j]
 
 

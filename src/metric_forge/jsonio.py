@@ -9,13 +9,13 @@ stdlib encoder writes with ``indent=2`` and ``sort_keys=True``, plus a
 trailing newline, and a ``Fraction`` as its quoted string.  The
 ``*_chunks`` writers hand it plain dicts; their three large arrays are
 callables that encode each repeated part once.  The distance rows quote
-each distinct value once.  The certificates are written from the result's
-index array, each distinct tail encoded and each point index written
-once, so no ``(i, j, cert)`` tuple is built.  The violations are written
-from the report's integer table, each distinct side quoted and each point
-index written once, so no ``Violation`` is built.  The ``*_to_obj``
-builders stay: they are the oracle the writers are tested against, and
-the names the benchmark's traced run binds.
+each distinct value once.  The certificates (from the result's index
+array) and the violations (from the report's integer table) encode each
+distinct tail or side and each point index once; ``_joined`` gathers the
+pieces column by column, one chunk per group of ``_JOIN_ROWS`` rows, so
+no ``(i, j, cert)`` tuple, ``Violation`` or per-row string is built.  The
+``*_to_obj`` builders stay: they are the oracle the writers are tested
+against, and the names the benchmark's traced run binds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
@@ -288,12 +288,33 @@ def _dist(space: FiniteMetricSpace, nl: str) -> list[str]:
     return [f",{nl}[{cell}{sep.join(map(cells.__getitem__, row))}{nl}]" for row in rows]
 
 
-def _certificates(result: ApproximationResult, nl: str) -> list[str]:
-    """One chunk per pair i < j, read from the result's index array.
+# rows per chunk of a large array: a group of triangle rows (about 150
+# bytes each) stays under glibc's 128 KiB mmap threshold
+_JOIN_ROWS = 512
 
-    Each distinct certificate's "l"/"m"/"n" tail is encoded once and each
-    point index written once; each row is the ``"".join`` of its head, its
-    second index and its tail, so no ``(i, j, cert)`` tuple is built.
+
+def _joined(tables, columns) -> list[str]:
+    """Row a joins ``tables[c][columns[c][a]]`` over c; one chunk per row group.
+
+    A group of ``_JOIN_ROWS`` rows is gathered column by column into one
+    reused object buffer and written by one ``"".join``.
+    """
+    m = len(columns[0])
+    buf = np.empty((min(m, _JOIN_ROWS), len(tables)), dtype=object)
+    out = []
+    for a in range(0, m, _JOIN_ROWS):
+        part = buf[: min(m - a, _JOIN_ROWS)]
+        for c, (table, column) in enumerate(zip(tables, columns)):
+            part[:, c] = table[column[a : a + len(part)]]
+        out.append("".join(part.ravel().tolist()))
+    return out
+
+
+def _certificates(result: ApproximationResult, nl: str) -> list[str]:
+    """The pairs i < j in row groups, read from the result's index array.
+
+    A row is a head for i, a name for j and the tail of its certificate,
+    each encoded once, so no ``(i, j, cert)`` tuple is built.
     """
     rows, index = result.table
     inner = nl + "  "
@@ -305,22 +326,18 @@ def _certificates(result: ApproximationResult, nl: str) -> list[str]:
     n = result.D.n
     heads = [f',{nl}{{{inner}"i": {i},{inner}"j": ' for i in range(n)]
     names = list(map(str, range(n)))
-    iu, ju = np.triu_indices(n, 1)
-    pieces = (
-        map(heads.__getitem__, iu.tolist()),
-        map(names.__getitem__, ju.tolist()),
-        map(tails.__getitem__, index.tolist()),
-    )
-    return list(map("".join, zip(*pieces)))
+    tables = [np.array(t, dtype=object) for t in (heads, names, tails)]
+    return _joined(tables, (*np.triu_indices(n, 1), index))
 
 
 def _violations(blocks, denom: int, nl: str) -> list[str]:
-    """One chunk per row of the report's integer blocks, from cached pieces.
+    """The report's integer blocks in row groups, from cached pieces.
 
     One ``np.unique`` over every side quotes each distinct side once, as
-    ``_dist`` does, bare and behind the ``"rhs"`` key; each point index is
-    written once after the witness's bracket and once after a separator.
-    A row is one ``"".join`` of 5 + w pieces for a witness of width w.
+    ``_dist`` does, behind each kind's head and behind the ``"rhs"`` key.
+    Each point index is written once after the witness's bracket and once
+    after a separator, the last index with the row's closing brackets, so
+    a row of width w is 2 + w pieces and no per-row string is built.
     """
     if not blocks:
         return []
@@ -328,21 +345,21 @@ def _violations(blocks, denom: int, nl: str) -> list[str]:
     sides = [lhs for *_, lhs, _ in blocks] + [rhs for *_, rhs in blocks]
     values, at = np.unique(np.concatenate(sides), return_inverse=True)
     cells = np.array([f'"{Fraction(v, denom)}"' for v in values.tolist()], dtype=object)
-    half = len(at) // 2  # every lhs, then every rhs, each block's m in turn
-    lhss = iter(cells[at[:half]].tolist())
-    rhss = iter((f',{inner}"rhs": ' + cells)[at[half:]].tolist())
-    names = range(1 + max(int(w.max()) for _, w, *_ in blocks))
-    firsts = [f',{inner}"witness": [{deep}{i}' for i in names]
-    rests = [f",{deep}{i}" for i in names]
-    lookups = firsts.__getitem__, rests.__getitem__, rests.__getitem__
-    tail = f"{inner}]{nl}}}"
-    out: list[str] = []
+    rhss = f',{inner}"rhs": ' + cells
+    top = max(int(w.max()) for _, w, *_ in blocks)
+    names = np.array(list(map(str, range(top + 1))), dtype=object)
+    first, rest = f',{inner}"witness": [{deep}' + names, f",{deep}" + names
+    tables: dict[str, list] = {}  # per kind: head and lhs, rhs, one per index
+    lhs_at, rhs_at = at.reshape(2, -1)  # every lhs, then every rhs, block by block
+    out, lo = [], 0
     for kind, witness, *_ in blocks:
-        m = len(witness)
-        head = f',{nl}{{{inner}"kind": {_quote(kind)},{inner}"lhs": '
-        ids = map(map, lookups, witness.T.tolist())  # one piece per index
-        pieces = repeat(head), islice(lhss, m), islice(rhss, m), *ids, repeat(tail)
-        out += map("".join, zip(*pieces))
+        if kind not in tables:
+            ids = [first] + [rest] * (witness.shape[1] - 1)
+            head = f',{nl}{{{inner}"kind": {_quote(kind)},{inner}"lhs": '
+            tables[kind] = [head + cells, rhss, *ids[:-1], ids[-1] + f"{inner}]{nl}}}"]
+        hi = lo + len(witness)
+        out += _joined(tables[kind], (lhs_at[lo:hi], rhs_at[lo:hi], *witness.T))
+        lo = hi
     return out
 
 

@@ -38,6 +38,7 @@ from support import (
     flat_blocks,
     plain_extend,
     plain_repair_error,
+    raw_weights,
     reference_cantor_approx,
     reference_random_metric,
     triple_loop_is_metric,
@@ -573,6 +574,22 @@ def test_triangles_slab_memory_at_n96():
         tracemalloc.stop()
     assert len(found) == 94
     assert peak < 9 * 96**3 // 4
+
+
+def test_triangles_index_memory_at_n96():
+    # the benchmark's raw input, about 70k witnesses in one int16 slab: the
+    # slab plus eight int64 per witness, where flatnonzero, two divmods and
+    # column_stack held every witness index about ten times over
+    arr = jsonio.space_from_obj(raw_weights(96, 1)).scaled[0]
+    assert core._narrow(2 * core._peak(arr)) is np.int16
+    tracemalloc.start()
+    try:
+        m = sum(len(witness) for _, witness, *_ in core._triangles(arr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m > 60_000
+    assert peak < 2 * 96**3 + 64 * m
 
 
 def plain_floyd_warshall(rows, join) -> list[list[int]]:

@@ -10,9 +10,11 @@ import contextlib
 import hashlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction as F
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from metric_forge import (
     jsonio,
     validate_metric,
 )
+from metric_forge.core import ValidationReport
 
 from support import SLAB_BUDGETS, all_kinds, raw_weights
 
@@ -207,14 +210,105 @@ WIDE_KINDS = all_kinds(F(1, 2**70))
 ONE_DIAGONAL = FiniteMetricSpace.from_rows("ab", [[1, 1], [1, 0]])
 
 
+# the default row group and groups of 1, 2 and 3 rows, which the small
+# reports below cross several times
+JOIN_ROWS = [jsonio._JOIN_ROWS, 1, 2, 3]
+
+
+def written_in_groups(writer, value, rows: int, key: str) -> str:
+    """The writer's text; no chunk holds more than ``rows`` rows of ``key``."""
+    chunks = writer(value)
+    assert max(chunk.count(key) for chunk in chunks) <= rows
+    return "".join(chunks)
+
+
+def validation_written(report: ValidationReport, rows: int) -> str:
+    with patch.object(jsonio, "_JOIN_ROWS", rows):
+        return written_in_groups(jsonio.validation_chunks, report, rows, '"kind": ')
+
+
 @given(st.one_of(metrics(), raw_matrices()))
 @example(ALL_KINDS)
 @example(WIDE_KINDS)
 @example(ONE_DIAGONAL)
 def test_validation_writer(space):
     report = validate_metric(space)
-    got = written(jsonio.validation_chunks, report)
+    want = oracle(jsonio.validation_to_obj(report))
+    for rows in JOIN_ROWS:
+        assert validation_written(report, rows) == want, rows
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_validation_writer_at_a_group_boundary(extra):
+    # R - 1, R and R + 1 triangle rows at the default R: one group, one
+    # full group, and a full group plus a group of one row
+    rows = jsonio._JOIN_ROWS
+    m = rows + extra
+    rng = np.random.default_rng(m)
+    witness = rng.integers(0, 40, size=(m, 3))
+    lhs = rng.integers(-5, 60, size=m)
+    block = ("triangle", witness, lhs, lhs - rng.integers(1, 9, size=m))
+    report = ValidationReport(False, False, ((block,), 3))
+    groups = jsonio._violations(*report.table, "\n  ")
+    assert [c.count('"kind": ') for c in groups] == ([rows, 1] if extra > 0 else [m])
+    got = validation_written(report, rows)
     assert got == oracle(jsonio.validation_to_obj(report))
+
+
+def many_blocks(corner) -> FiniteMetricSpace:
+    """Eight points with every kind of violation and triangles in many rows.
+
+    ``corner`` is d(a, a); 1/2^70 puts the matrix on the object path.
+    """
+    rows = [[F((3 * i + 5 * j) % 7) for j in range(8)] for i in range(8)]
+    for i in range(8):
+        rows[i][i] = F(0)
+    rows[0][0], rows[1][2], rows[2][1], rows[3][4] = corner, F(9), F(1), F(-1)
+    return FiniteMetricSpace.from_rows([f"p{i}" for i in range(8)], rows)
+
+
+@pytest.mark.parametrize("rows", JOIN_ROWS)
+@pytest.mark.parametrize("corner", [F(1), F(1, 2**70)], ids=["int64", "object"])
+def test_validation_writer_over_many_blocks(rows, corner):
+    # the cheap kinds, then one triangle block per slab of one row
+    space = many_blocks(corner)
+    with patch.object(core, "_SLAB_CELLS", 64):
+        report = validate_metric(space)
+    blocks, _ = report.table
+    kinds = [kind for kind, *_ in blocks]
+    assert kinds[:3] == ["diagonal", "symmetry", "positivity"]
+    assert kinds.count("triangle") >= 4 and len({len(b[1]) for b in blocks}) > 2
+    assert (space.scaled[0].dtype == object) == (corner != 1)
+    got = validation_written(report, rows)
+    assert got == oracle(jsonio.validation_to_obj(report))
+
+
+def test_validation_writer_memory_at_n96():
+    # the benchmark's raw input: about 70k triangle rows, 10 MiB of text;
+    # row groups keep the writer's peak near the text it returns, where
+    # one string per row held 1.77 times the text
+    report = validate_metric(jsonio.space_from_obj(raw_weights(96, 1)))
+    tracemalloc.start()
+    try:
+        chunks = jsonio.validation_chunks(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = sum(map(len, chunks))
+    assert len(report.violations) > 60_000 and text > 9 * 2**20
+    assert peak < 1.3 * text
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("m", range(8))
+def test_joined_groups_rows(rows, m):
+    # m rows of three columns, in groups of at most ``rows`` rows
+    tables = [np.array([f"{c}{v}," for v in range(5)], dtype=object) for c in "abc"]
+    columns = [np.arange(m) % 5, (np.arange(m) * 2) % 5, np.full(m, 4)]
+    want = [f"a{a % 5},b{2 * a % 5},c4," for a in range(m)]
+    with patch.object(jsonio, "_JOIN_ROWS", rows):
+        got = jsonio._joined(tables, columns)
+    assert got == ["".join(want[a : a + rows]) for a in range(0, m, rows)]
 
 
 def test_validation_example_has_every_kind():
@@ -253,6 +347,11 @@ def line_space(labels, positions) -> FiniteMetricSpace:
 CLUSTERED = line_space("abcde", [0, F(3, 2**6), F(1, 2**9), 20, 20 + F(1, 2**70)])
 
 
+def approximation_written(result, rows: int) -> str:
+    with patch.object(jsonio, "_JOIN_ROWS", rows):
+        return written_in_groups(jsonio.approximation_chunks, result, rows, '"i": ')
+
+
 @given(
     metrics(),
     st.sampled_from([F(1, 2), F(5), F(1, 10), F(3, 7)]),
@@ -262,7 +361,19 @@ CLUSTERED = line_space("abcde", [0, F(3, 2**6), F(1, 2**9), 20, 20 + F(1, 2**70)
 @example(CLUSTERED, F(5), None)
 def test_approximation_writer(space, eps, r):
     result = approximate(space, eps, r=r)
-    got = written(jsonio.approximation_chunks, result)
+    want = oracle(jsonio.approximation_to_obj(result))
+    for rows in JOIN_ROWS:
+        assert approximation_written(result, rows) == want, rows
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_certificates_at_a_group_boundary(extra):
+    # CLUSTERED's 10 pairs in groups of 11, 10 and 9 rows
+    result = approximate(CLUSTERED, F(5))
+    with patch.object(jsonio, "_JOIN_ROWS", 10 - extra):
+        chunks = jsonio._certificates(result, "\n  ")
+    assert [c.count('"i": ') for c in chunks] == ([10] if extra < 1 else [9, 1])
+    got = approximation_written(result, 10 - extra)
     assert got == oracle(jsonio.approximation_to_obj(result))
 
 
