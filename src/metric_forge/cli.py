@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import jsonio
-from .core import _distinct, random_metric, cantor_approx, validate_metric
+from .core import random_metric, cantor_approx, validate_metric
 from .nebula import _cover, _covering_intervals, margin, validate_nebula
 from .quantize import approximate
 from .universal import (
@@ -87,10 +87,9 @@ def render_range_svg(space, nebula=None) -> str:
 
     Pixel coordinates use fixed two-decimal formatting; the exact rational
     behind every mark is kept in a data-exact attribute.  The value ticks
-    are the distinct ints v of ``space.scaled``: no Fraction per value.
+    are the space's ``levels`` v, each v / denom: no Fraction per value.
     """
-    arr, denom = space.scaled
-    vals = _distinct(arr)
+    vals, denom = space.levels, space.scaled[1]
     T = max(1, -(-vals[-1] // denom))
     if nebula is not None:
         T = max(T, math.ceil(nebula.tail_start))

@@ -4,7 +4,10 @@ Every distance is exact, so inequalities such as ``diameter <= 2 * radius``
 are zero-tolerance assertions rather than floating-point approximations.  A
 space stores one matrix, ``FiniteMetricSpace.scaled``: its distances over a
 common denominator, int64 when the values fit and Python ints otherwise.
-Every kernel reads it; ``dist`` is the exact ``Fraction`` view, built on use.
+Every kernel reads it; ``dist`` is the exact ``Fraction`` view and
+``levels`` the sorted distinct entries, both built on use.  Validation
+decides the triangle inequality on integer floors of that matrix, and the
+ultrametric inequality on Prim's tree, in O(n^2) comparisons.
 """
 
 from __future__ import annotations
@@ -64,16 +67,20 @@ def _check_shape(points: tuple, rows) -> None:
         raise ValueError("shape error: distance matrix must be square")
 
 
-def _int_matrix(rows, ratio) -> tuple[np.ndarray, int]:
-    """Flat ``rows`` on the lcm L of each distinct entry's ``ratio`` (p, q); and L."""
+def _int_matrix(rows, ratio) -> tuple[np.ndarray, int, list[int]]:
+    """Flat ``rows`` on the lcm L of each distinct entry's ``ratio`` (p, q); L; table.
+
+    L is the lcm of the distinct q, and the table holds each distinct
+    entry's p * L / q, the ints the flat matrix is gathered from.
+    """
     seen = defaultdict(count().__next__)
     at = map(seen.__getitem__, chain.from_iterable(rows))
     codes = np.fromiter(at, np.intp, sum(map(len, rows)))
     ratios = list(map(ratio, seen))
-    denom = lcm(*(q for _, q in ratios))
+    denom = lcm(*{q for _, q in ratios})
     ints = [p * (denom // q) for p, q in ratios]
     wide = max(map(abs, ints), default=0) >= _INT64_SAFE
-    return np.array(ints, dtype=object if wide else np.int64)[codes], denom
+    return np.array(ints, dtype=object if wide else np.int64)[codes], denom, ints
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -82,8 +89,8 @@ class FiniteMetricSpace:
 
     The matrix is stored once, as ``scaled``, and may violate the metric
     axioms; ``validate_metric`` is the exhaustive checker.  ``dist`` is
-    its exact Fraction view.  Instances are immutable and safe to share
-    across threads.
+    its exact Fraction view, and ``levels`` its sorted distinct ints.
+    Instances are immutable and safe to share across threads.
     """
 
     points: tuple[str, ...]
@@ -99,9 +106,9 @@ class FiniteMetricSpace:
         rows = tuple(tuple(map(as_scalar, row)) for row in rows)
         # keyed by (p, q) pairs, which hash far faster than Fractions do
         pairs = [list(map(Fraction.as_integer_ratio, row)) for row in rows]
-        arr, denom = _int_matrix(pairs, tuple)  # a pair is its own ratio
+        arr, denom, table = _int_matrix(pairs, tuple)  # a pair is its own ratio
         arr = arr.reshape(len(rows), -1)
-        self.__dict__.update(_store(points, arr, denom).__dict__, dist=rows)
+        self.__dict__.update(_store(points, arr, denom, table).__dict__, dist=rows)
 
     @classmethod
     def from_rows(cls, points, rows) -> "FiniteMetricSpace":
@@ -114,6 +121,18 @@ class FiniteMetricSpace:
         rows = arr.tolist()
         table = {v: Fraction(v, denom) for v in set().union(*rows)}
         return tuple(tuple(map(table.__getitem__, row)) for row in rows)
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """Sorted distinct entries of ``scaled``, 0 included, as Python ints.
+
+        A space that ``_int_matrix`` scaled sorts its table, used once;
+        any other reads the entries off ``scaled``.
+        """
+        table = self.__dict__.pop("_table", None)
+        if table is None:
+            table = set().union(*self.scaled[0].tolist())
+        return tuple(sorted({0, *table}))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -144,8 +163,8 @@ class FiniteMetricSpace:
 
     def values(self) -> tuple[Fraction, ...]:
         """Sorted distinct distance values, always including 0."""
-        arr, denom = self.scaled
-        return tuple(Fraction(v, denom) for v in _distinct(arr))
+        denom = self.scaled[1]
+        return tuple(Fraction(v, denom) for v in self.levels)
 
     def max_value(self) -> Fraction:
         arr, denom = self.scaled
@@ -244,21 +263,19 @@ def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
     return _store(points, arr, denom)
 
 
-def _store(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
+def _store(points, arr: np.ndarray, denom: int, table=None) -> FiniteMetricSpace:
     """The space of ``arr / denom``, reduced and on the 2^62 dtype rule; read-only.
 
     ``_int_matrix`` leaves it so from (p, q) in lowest terms: if r^e exactly
     divides L it exactly divides some q, and r divides neither p nor L / q.
+    Its ``table``, when given, is kept for ``FiniteMetricSpace.levels``.
     """
     arr.flags.writeable = False
     space = object.__new__(FiniteMetricSpace)
     space.__dict__.update(points=tuple(points), scaled=(arr, denom))
+    if table is not None:
+        space.__dict__["_table"] = table
     return space
-
-
-def _distinct(arr: np.ndarray) -> list[int]:
-    """Sorted distinct entries of a scaled matrix, 0 included, as Python ints."""
-    return sorted(set().union(*arr.tolist(), [0]))
 
 
 def _peak(arr: np.ndarray) -> int:
@@ -311,7 +328,7 @@ def _witnesses(arr: np.ndarray):
 
     - one block per cheap kind that has a witness (diagonal, symmetry,
       positivity) comes first, from O(n^2) masks read in row-major order;
-    - if there are none, the triangle verdict is ``_holds(arr, np.add)``,
+    - if there are none, the triangle verdict is ``_holds(arr)``,
       which decides every d(i,j) <= d(i,k) + d(k,j) on integer floors
       of the entries.  It needs the zero diagonal and the nonnegative
       entries that the cheap checks have just established; on a matrix
@@ -333,31 +350,31 @@ def _witnesses(arr: np.ndarray):
         if mask.any():
             cheap = True
             yield kind, np.argwhere(mask), lhs[mask], rhs[mask]
-    if cheap or not _holds(arr, np.add):
+    if cheap or not _holds(arr):
         yield from _triangles(arr)
 
 
-def _holds(arr: np.ndarray, join) -> bool:
-    """Whether ``arr[i,j] <= join(arr[i,k], arr[k,j])`` for i != j, k not in {i, j}.
+def _holds(arr: np.ndarray) -> bool:
+    """Whether ``arr[i,j] <= arr[i,k] + arr[k,j]`` for i != j, k not in {i, j}.
 
     ``arr`` is symmetric with a zero diagonal and nonnegative entries
-    (int64 or Python ints); ``join`` is ``np.add`` (the triangle
-    inequality) or ``np.maximum`` (the ultrametric one).  The verdict is
-    decided on integer floors ``lo = arr >> s``, with ``s`` the least
-    shift that puts the peak below 2^60 (0 on ordinary int64 input), and
-    ``lo * 2^s <= a < (lo + 1) * 2^s`` for every entry a.  ``mask``, the
-    least power of two above every floor, is held with them in
-    ``_narrow(2 * mask + 1)``, past every join and ``two +- slack``:
+    (int64 or Python ints).  The verdict is decided on integer floors
+    ``lo = arr >> s``, with ``s`` the least shift that puts the peak below
+    2^60 (0 on ordinary int64 input), and ``lo * 2^s <= a < (lo + 1) * 2^s``
+    for every entry a.  ``mask``, the least power of two above every floor,
+    is held with them in ``_narrow(2 * mask + 1)``, past every sum and
+    ``two +- slack``:
 
-    - ``two[i,j]`` is the least ``join(lo[i,k], lo[k,j])`` over k not in
+    - ``two[i,j]`` is the least ``lo[i,k] + lo[k,j]`` over k not in
       {i, j}; a diagonal of ``mask`` keeps k = i and k = j out of it;
     - yes when every ``lo[i,j] <= two[i,j] - slack``, ``slack`` 1 when
       s > 0 and else 0: ``a_ij < (lo_ij + 1) * 2^s <= two * 2^s``, which
-      is at most every ``join(a_ik, a_kj)``;
-    - no when some ``lo[i,j] > two[i,j] + slack``: at that pair's best k,
-      ``a_ik + a_kj < (lo_ik + lo_kj + 2) * 2^s`` and
-      ``max(a_ik, a_kj) < (max(lo_ik, lo_kj) + 1) * 2^s``, both at most
-      ``lo_ij * 2^s <= a_ij``;
+      is at most every ``a_ik + a_kj``;
+    - no when some ``lo[i,j] > two[i,j] + slack``: at that pair's k,
+      ``a_ik + a_kj < (lo_ik + lo_kj + 2) * 2^s <= lo_ij * 2^s <= a_ij``.
+      That holds at any k, and a partial minimum only falls, so the "no"
+      is checked once after k = 0 too, and a matrix that fails there
+      skips the other n - 1 steps;
     - otherwise, which needs s > 0 and a near-tight triangle, the exact
       closure decides: its entries only fall, so an unchanged closure
       means every inequality held.
@@ -373,18 +390,55 @@ def _holds(arr: np.ndarray, join) -> bool:
     off = (arr >> s).astype(np.int64 if wide else _narrow(2 * mask + 1), copy=False)
     np.fill_diagonal(off, mask)
     two, via = np.full_like(off, 2 * mask), np.empty_like(off)
-    for k in range(len(off)):
-        join(off[:, k, None], off[None, k, :], out=via)
-        np.minimum(two, via, out=two)
-    # a diagonal above every entry of off reads as a yes and never as a no
-    np.fill_diagonal(two, 2 * mask)
     slack = 1 if s else 0
-    # via takes two -+ slack, so no n x n array is added past the loop's
+    for k in range(len(off)):
+        np.add(off[:, k, None], off[None, k, :], out=via)
+        np.minimum(two, via, out=two)
+        if k == 0:
+            # a diagonal above every entry of off reads as a yes and never
+            # as a no; via takes two + slack, so no n x n array is added
+            np.fill_diagonal(two, 2 * mask)
+            if (off > np.add(two, slack, out=via)).any():
+                return False
+    np.fill_diagonal(two, 2 * mask)
     if (off <= np.subtract(two, slack, out=via)).all():
         return True
     if (off > np.add(two, slack, out=via)).any():
         return False
-    return bool((_path_closure(arr.copy(), join) == arr).all())
+    return bool((_path_closure(arr.copy(), np.add) == arr).all())
+
+
+def _is_ultrametric(arr: np.ndarray) -> bool:
+    """Whether ``arr[i,j] <= max(arr[i,k], arr[k,j])`` for all i, j, k.
+
+    ``arr`` is symmetric with a zero diagonal and nonnegative entries (int64
+    or Python ints), so it is an ultrametric exactly when it equals its
+    subdominant ultrametric U, the minimax path lengths: the largest edge
+    on each path of a minimum spanning tree (single linkage; Gower & Ross
+    1969).  Prim's tree grows from point 0; a point v joining it at its
+    parent p by an edge of weight w has ``U[v,x] = max(w, U[p,x])`` for
+    every x already placed.  Each row is compared as it is placed, and the
+    first that differs is a "no", so every earlier row of U is that row of
+    ``arr`` and is read from ``arr``: no n x n buffer, O(n) per point,
+    O(n^2) in all.  Comparisons only, so exact on either dtype.
+    """
+    n = len(arr)
+    best = arr[0].copy()  # each point's lightest edge into the tree
+    parent = np.zeros(n, dtype=np.intp)
+    placed = np.zeros(n, dtype=bool)
+    placed[0] = True
+    far = int(arr.max()) + 1  # above every edge: a placed point is never picked
+    best[0] = far
+    for _ in range(n - 1):
+        v = int(np.argmin(best))
+        p, w = parent[v], best[v]
+        if not (arr[v, placed] == np.maximum(arr[p, placed], w)).all():
+            return False
+        placed[v], best[v] = True, far
+        closer = (arr[v] < best) & ~placed
+        best[closer] = arr[v, closer]
+        parent[closer] = v
+    return True
 
 
 def _triangles(arr: np.ndarray):
@@ -425,20 +479,21 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     ``(i, k, j)``: the kernel's integers on ``scaled`` over its
     denominator.  The report stores them as that integer table, the
     blocks of ``_witnesses``; its ``violations`` are built from it only
-    when read.  ``is_ultrametric`` (the max-triangle inequality) is only
-    evaluated when all four axioms hold.  Both verdicts come from
-    ``_holds``, with ``+`` and with ``max``: an exact decision on integer
-    floors of ``scaled`` (int16 to int64, as their sums need), which falls
-    back to the path closure only where a triangle of a matrix past 2^60
-    is tight to within one floor step.  Triangle witnesses are enumerated
-    in slabs only on a "no", so memory stays O(n^2).
+    when read.  The triangle verdict comes from ``_holds``: an exact
+    decision on integer floors of ``scaled`` (int16 to int64, as their
+    sums need), which falls back to the path closure only where a triangle
+    of a matrix past 2^60 is tight to within one floor step.  Triangle
+    witnesses are enumerated in slabs only on a "no", so memory stays
+    O(n^2).  ``is_ultrametric`` (the max-triangle inequality) is only
+    evaluated when all four axioms hold, by ``_is_ultrametric``: Prim's
+    tree in O(n^2) comparisons, with no floors and no closure.
     """
     arr, denom = space.scaled
     blocks = tuple(_witnesses(arr))
     for block in blocks:
         for part in block[1:]:
             part.flags.writeable = False
-    is_ultrametric = not blocks and _holds(arr, np.maximum)
+    is_ultrametric = not blocks and _is_ultrametric(arr)
     return ValidationReport(not blocks, is_ultrametric, (blocks, denom))
 
 

@@ -81,18 +81,20 @@ def space_from_obj(obj) -> FiniteMetricSpace:
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise ValueError("space JSON 'dist' must be an array of arrays")
     try:  # _ratio raises a TypeError on a key that is not a string
-        arr, denom = _int_matrix(dist, _ratio)
+        arr, denom, table = _int_matrix(dist, _ratio)
     except (TypeError, ValueError):  # True shares 1's code, so check each entry
         for v in chain.from_iterable(dist):
             parse_scalar(v)  # raises at the first bad entry in row-major order
-        arr, denom = _int_matrix(dist, lambda v: parse_scalar(v).as_integer_ratio())
+        arr, denom, table = _int_matrix(
+            dist, lambda v: parse_scalar(v).as_integer_ratio()
+        )
     _check_shape(tuple(points), dist)
     arr = arr.reshape(len(dist), -1)
     asym = np.triu(arr != arr.T, 1)
     if asym.any():  # the first pair in row-major order
         i, j = np.argwhere(asym)[0].tolist()
         raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
-    return _store(points, arr, denom)
+    return _store(points, arr, denom, table)
 
 
 def validation_to_obj(report: ValidationReport) -> dict:

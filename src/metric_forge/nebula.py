@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, _distinct, as_scalar
+from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, as_scalar
 
 # the largest q accepted, checked before any 2^q is built: 2^3 < 10, so
 # 2^MAX_Q has 3884 digits, and about 1380 bits are left under the cap for
@@ -112,7 +112,7 @@ def nebula_contains(nebula: Nebula, t) -> bool:
 def _covering_intervals(nebula: Nebula, space: FiniteMetricSpace) -> list[int]:
     """Sorted positions of the bounded intervals that hold some value of space.
 
-    The values are the distinct ints v of ``space.scaled``, each v / denom.
+    The values are the space's ``levels`` v, each v / denom.
     The ends go onto that scale rounded, a start and the tail start up and
     a stop down: for an int v, ``v < ceil(x * denom)`` exactly when
     ``v / denom < x``, and ``v > floor(x * denom)`` exactly when
@@ -120,12 +120,12 @@ def _covering_intervals(nebula: Nebula, space: FiniteMetricSpace) -> list[int]:
     wider than an end's numerator times denom.  Raises ValueError at the
     least value that the nebula does not contain.
     """
-    arr, denom = space.scaled
+    denom = space.scaled[1]
     starts = [-(-a.numerator * denom // a.denominator) for a, _ in nebula.bounded]
     stops = [b.numerator * denom // b.denominator for _, b in nebula.bounded]
     tail = -(-nebula.tail_start.numerator * denom // nebula.tail_start.denominator)
     used = set()
-    for v in _distinct(arr):
+    for v in space.levels:
         if v >= tail:
             break
         i = bisect_right(starts, v) - 1

@@ -198,6 +198,17 @@ def test_validate_failure_exit_one(tmp_path, capsys):
     assert report["violations"][0]["kind"] == "triangle"
 
 
+def test_validate_of_the_largest_cantor_space_is_ultrametric(tmp_path, capsys):
+    # 1024 points on 10 distances: the verdict on Prim's tree, end to end
+    path = tmp_path / "cantor.json"
+    assert run(capsys, "gen", "cantor", "--k", "10", "-o", str(path)) == (0, "", "")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["is_metric"], report["is_ultrametric"]) == (True, True)
+    assert report["violations"] == []
+
+
 def test_validate_builds_no_violation_objects(tmp_path, capsys, monkeypatch):
     # the benchmark's raw input: 96 points, about 70k triangle violations,
     # written from the report's integer table

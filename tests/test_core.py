@@ -309,14 +309,14 @@ def test_cheap_witnesses_keep_the_floor_verdict_out():
     # triangles below listed at all
     cand = space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]])
     arr, denom = cand.scaled
-    assert core._holds(arr, np.add)
+    assert core._holds(arr)
     found = flat_blocks(core._witnesses(arr))
     assert {kind for kind, *_ in found} == {"positivity", "triangle"}
     want = brute_violations(cand)
     assert found == [(kind, w, lhs * denom, rhs * denom) for kind, w, lhs, rhs in want]
 
 
-# --- the floor verdict: _holds -----------------------------------------------
+# --- the verdicts: _holds on floors, _is_ultrametric on Prim's tree ---------
 
 
 @st.composite
@@ -367,8 +367,8 @@ def test_holds_matches_the_triple_loops(m):
     # on a symmetric matrix with a zero diagonal and positive entries the
     # triple loops decide the triangles alone; k in {i, j} always holds
     arr = m.scaled[0]
-    assert core._holds(arr, np.add) == triple_loop_is_metric(m)
-    assert core._holds(arr, np.maximum) == triple_loop_is_ultrametric(m)
+    assert core._holds(arr) == triple_loop_is_metric(m)
+    assert core._is_ultrametric(arr) == triple_loop_is_ultrametric(m)
 
 
 def test_holds_at_the_widths_the_strategies_reach():
@@ -383,8 +383,8 @@ def test_holds_at_the_widths_the_strategies_reach():
     assert int(near.scaled[0].max()).bit_length() == 62
     for m in (widest, near):
         arr = m.scaled[0]
-        assert core._holds(arr, np.add) == triple_loop_is_metric(m)
-        assert core._holds(arr, np.maximum) == triple_loop_is_ultrametric(m)
+        assert core._holds(arr) == triple_loop_is_metric(m)
+        assert core._is_ultrametric(arr) == triple_loop_is_ultrametric(m)
 
 
 def tight_triangle(rows, join):
@@ -411,18 +411,116 @@ def tight_triangle(rows, join):
 def test_holds_one_unit_off_a_tight_triangle(m, delta):
     # d(i,j) moved one unit of the scaled matrix off d(i,k) + d(k,j), and,
     # on the subdominant ultrametric, off max(d(i,k), d(k,j))
-    for join, plain, oracle, base in (
-        (np.add, operator.add, triple_loop_is_metric, m),
-        (np.maximum, max, triple_loop_is_ultrametric, subdominant_ultrametric(m)),
+    ultra = subdominant_ultrametric(m)
+    for verdict, plain, oracle, base in (
+        (core._holds, operator.add, triple_loop_is_metric, m),
+        (core._is_ultrametric, max, triple_loop_is_ultrametric, ultra),
     ):
         arr, denom = base.scaled
         rows = arr.tolist()
         i, k, j = tight_triangle(rows, plain)
         rows[i][j] = rows[j][i] = rows[i][j] + delta
         moved = FiniteMetricSpace(m.points, [[F(v, denom) for v in r] for r in rows])
-        assert core._holds(moved.scaled[0], join) == oracle(moved)
+        assert verdict(moved.scaled[0]) == oracle(moved)
         if delta == 1:
             assert not oracle(moved)
+
+
+def scaled_up(m: FiniteMetricSpace) -> FiniteMetricSpace:
+    # every distance times (2^70 + 1) / 3: the same verdicts, on Python ints
+    c = F(2**70 + 1, 3)
+    out = FiniteMetricSpace(m.points, [[v * c for v in row] for row in m.dist])
+    assert out.scaled[0].dtype == object
+    return out
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_is_ultrametric_on_cantor_ties(k, wide):
+    # 2^k points on k distances: Prim's picks tie at every step
+    m = scaled_up(cantor_approx(k)) if wide else cantor_approx(k)
+    assert core._is_ultrametric(m.scaled[0]) is triple_loop_is_ultrametric(m) is True
+    assert validate_metric(m).is_ultrametric
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        space("a", [[0]]),
+        space("ab", [[0, 3], [3, 0]]),
+        space("ab", [[0, 2**70], [2**70, 0]]),
+    ],
+    ids=["n1", "n2-int64", "n2-object"],
+)
+def test_is_ultrametric_below_three_points(m):
+    # no third point, so no triangle: Prim's tree is the pair's one edge
+    assert core._is_ultrametric(m.scaled[0]) is triple_loop_is_ultrametric(m) is True
+    assert validate_metric(m).is_ultrametric
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "m",
+    [
+        cantor_approx(3),
+        subdominant_ultrametric(random_metric(8, 10, seed=5)),
+        subdominant_ultrametric(random_metric(8, F(10**25, 7), seed=5)),
+    ],
+    ids=["cantor", "int64", "object"],
+)
+def test_is_ultrametric_one_unit_off_the_subdominant(m, delta):
+    # each pair in turn moved one unit of the scaled matrix; a move to 0
+    # fails positivity, which validate_metric reports first
+    arr, denom = m.scaled
+    for i in range(m.n):
+        for j in range(i + 1, m.n):
+            rows = arr.tolist()
+            rows[i][j] = rows[j][i] = rows[i][j] + delta
+            moved = FiniteMetricSpace(m.points, [[F(v, denom) for v in r] for r in rows])
+            want = triple_loop_is_ultrametric(moved)
+            assert validate_metric(moved).is_ultrametric == want
+            if delta == 0:
+                assert want
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        space("abc", [[0, 1, 3], [1, 0, 1], [3, 1, 0]]),
+        scaled_up(space("abc", [[0, 1, 3], [1, 0, 1], [3, 1, 0]])),
+        # an ultrametric on points 0..3 whose last point breaks a triangle
+        space(
+            "abcde",
+            [[0, 1, 2, 2, 9], [1, 0, 2, 2, 9], [2, 2, 0, 1, 9], [2, 2, 1, 0, 1],
+             [9, 9, 9, 1, 0]],
+        ),
+        jsonio.space_from_obj(raw_weights(96, 1)),
+    ],
+    ids=["int64", "object", "late-row", "raw96"],
+)
+def test_is_ultrametric_on_symmetric_non_metrics(m):
+    # symmetric, zero diagonal, positive: a failed triangle is a failed
+    # max-triangle, so the tree verdict reads no without the axiom pass
+    assert not triple_loop_is_metric(m)
+    assert core._is_ultrametric(m.scaled[0]) is False
+
+
+def test_ultrametric_verdict_memory_at_n1024():
+    # validate_metric in O(n^2), its tree verdict in O(n): no n x n buffer
+    m = cantor_approx(10)
+    arr = m.scaled[0]
+    tracemalloc.start()
+    try:
+        report = validate_metric(m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert core._is_ultrametric(arr)
+        tree_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_metric and report.is_ultrametric
+    assert peak < 3 * arr.nbytes
+    assert tree_peak < 128 * len(arr)
 
 
 def test_closure_runs_only_near_a_tight_triangle(monkeypatch):
@@ -503,7 +601,8 @@ HOLDS_PEAKS = {
 @settings(max_examples=40)
 def test_holds_at_the_dtype_switches(peak, data):
     # symmetric, zero diagonal, positive, one entry at the peak: the floor
-    # verdict in its narrowed dtype against the triple loops, both joins
+    # verdict in its narrowed dtype, and the tree verdict, against the
+    # triple loops
     n = data.draw(st.integers(2, 5))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -512,24 +611,62 @@ def test_holds_at_the_dtype_switches(peak, data):
     rows[0][1] = rows[1][0] = peak
     m = int_space(rows)
     with narrowed() as seen:
-        for join, oracle in (
-            (np.add, triple_loop_is_metric),
-            (np.maximum, triple_loop_is_ultrametric),
-        ):
-            assert core._holds(m.scaled[0], join) == oracle(m)
+        assert core._holds(m.scaled[0]) == triple_loop_is_metric(m)
+        assert core._is_ultrametric(m.scaled[0]) == triple_loop_is_ultrametric(m)
     if m.scaled[0].dtype == object:
         # Python-int floors are int64 without asking; a fallback closure
         # keeps its copy on Python ints
         assert set(seen) <= {object}
-    else:  # a fallback closure may narrow its own copy after the verdicts
-        assert seen[:2] == [HOLDS_PEAKS[peak]] * 2
+    else:  # a fallback closure may narrow its own copy after the verdict
+        assert seen[:1] == [HOLDS_PEAKS[peak]]
+
+
+class CountingNumpy:
+    """numpy, with the calls of ``minimum`` counted."""
+
+    def __init__(self):
+        self.minimum_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def minimum(self, *args, **kwargs):
+        self.minimum_calls += 1
+        return np.minimum(*args, **kwargs)
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["k0", "k3"])
+@pytest.mark.parametrize("peak", HOLDS_PEAKS, ids=lambda p: f"peak{p}")
+def test_holds_says_no_after_the_first_step(peak, late, monkeypatch):
+    # d(i,j) = peak against d(i,0) + d(0,j) = 2, or only against
+    # d(i,3) + d(3,j) = 2: more than a floor step apart either way, so no
+    # fallback closure runs, and a "no" at k = 0 skips the other steps
+    n = 6
+    hop = 3 if late else 0
+    rows = [[0 if i == j else peak for j in range(n)] for i in range(n)]
+    for j in range(n):
+        if j != hop:
+            rows[hop][j] = rows[j][hop] = 1
+    m = int_space(rows)
+    arr = m.scaled[0]
+
+    def closure(arr, join):
+        raise AssertionError("the fallback closure ran")
+
+    spy = CountingNumpy()
+    monkeypatch.setattr(core, "_path_closure", closure)
+    monkeypatch.setattr(core, "np", spy)
+    with narrowed() as seen:
+        assert core._holds(arr) is triple_loop_is_metric(m) is False
+    assert spy.minimum_calls == (n if late else 1)
+    assert seen == ([] if arr.dtype == object else [HOLDS_PEAKS[peak]])
 
 
 def test_holds_keeps_int64_for_a_negative_entry():
     # outside the contract; its int64 sums wrap as they always did
     arr = np.array([[0, -5, 3], [-5, 0, 3], [3, 3, 0]])
     with narrowed() as seen:
-        assert not core._holds(arr, np.add)
+        assert not core._holds(arr)
     assert seen == []
 
 

@@ -28,21 +28,27 @@ from metric_forge import (
     build_funiv_approx,
     build_pair_universal,
     cantor_approx,
+    cover,
     find_isometric_embedding,
     jsonio,
+    margin,
     metric_repair,
     quantize_discrete,
     random_metric,
     subdominant_ultrametric,
     validate_metric,
 )
+from metric_forge.cli import render_range_svg
 from metric_forge.core import _from_int_matrix, _int_matrix
+from metric_forge.nebula import _covering_intervals
 
 from support import (
     plain_max_value,
     plain_min_positive,
     plain_values,
     reference_approximate,
+    reference_covering_intervals,
+    reference_render_range_svg,
     reference_space_from_obj,
 )
 
@@ -247,16 +253,18 @@ RATIO_TEXTS = ["0", "0/5", "6/4", "2/6", "4/12", "12", "9/3", f"{2**64}", f"6/{2
 def test_int_matrix_is_already_reduced(rows):
     # _int_matrix leaves what _from_int_matrix would keep: the gcd of the
     # denominator and every entry is 1, and the dtype follows the 2^62 rule,
-    # so the readers store its result as it is
+    # so the readers store its result as it is, and its table holds every
+    # entry
     for ratio, cells in (
         (jsonio._ratio, rows),
         (tuple, [[F(*jsonio._ratio(v)).as_integer_ratio() for v in r] for r in rows]),
     ):
-        arr, denom = _int_matrix(cells, ratio)
+        arr, denom, table = _int_matrix(cells, ratio)
         ints = arr.tolist()
         assert gcd(denom, *ints) == 1
         wide = max(map(abs, ints)) >= 2**62
         assert arr.dtype == (object if wide else np.int64)
+        assert set(table) == set(ints)
 
 
 # --- the space reader against its Fraction implementation ---------------------
@@ -370,3 +378,64 @@ def test_space_reader_puts_each_string_in_lowest_terms():
     assert space.scaled[1] == 1 and space == reference_space_from_obj(obj)
     # 0.3 MB in lowest terms, 5.3 MB on the unreduced q's
     assert peak < 2**20
+
+
+# --- levels: the sorted distinct ints of scaled ---------------------------------
+
+
+def plain_levels(space) -> list[int]:
+    return sorted(set(space.scaled[0].ravel().tolist()) | {0})
+
+
+def assert_levels(space):
+    assert list(space.levels) == plain_levels(space)
+    assert all(type(v) is int for v in space.levels)
+    assert list(space.values()) == plain_values(space)
+    assert space.min_positive() == plain_min_positive(space)
+
+
+# "1/2" and "2/4" are two strings of one value; a JSON int sends every
+# entry through parse_scalar; 2^64 and 1/2^70 put the matrix on Python ints
+LEVEL_FILES = {
+    "strings": [["0", "1/2", "2/4"], ["2/4", "0", "3"], ["1/2", "3", "0"]],
+    "json-ints": [[0, "1/2", "2/4"], ["2/4", "0", 3], ["1/2", "3", 0]],
+    "object": [
+        ["0", "1/2", f"{2**64}"],
+        ["2/4", "0", f"1/{2**70}"],
+        [f"{2**64}", f"1/{2**70}", "0"],
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", LEVEL_FILES.values(), ids=list(LEVEL_FILES))
+def test_reader_seeds_levels(rows):
+    obj = {"points": ["a", "b", "c"], "dist": rows}
+    space = jsonio.space_from_obj(obj)
+    assert "_table" in vars(space)  # kept for levels, so scaled is not rescanned
+    assert_levels(space)
+    assert "_table" not in vars(space)
+    wide = rows is LEVEL_FILES["object"]
+    assert space.scaled[0].dtype == (object if wide else np.int64)
+    nebula = cover(plain_values(space), 2)
+    want = reference_covering_intervals(nebula, plain_values(space))
+    assert _covering_intervals(nebula, space) == want
+    assert margin(space, nebula) == margin(reference_space_from_obj(obj), nebula)
+    for drawn in (None, nebula):
+        assert render_range_svg(space, drawn) == reference_render_range_svg(space, drawn)
+
+
+@given(raw_spaces())
+@example(ONE_POINT)
+def test_levels_of_every_build(space):
+    # the constructor keeps its table for levels; _from_int_matrix and
+    # restrict read them off scaled
+    assert "_table" in vars(space)
+    assert_levels(space)
+    arr, denom = space.scaled
+    built = _from_int_matrix(space.points, arr * 3, denom * 3)
+    assert "_table" not in vars(built)
+    assert built.levels == space.levels
+    assert_levels(built)
+    sub = space.restrict(range(space.n - 1, -1, -2))
+    assert "_table" not in vars(sub)
+    assert_levels(sub)
