@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import jsonio
-from .core import random_metric, cantor_approx, validate_metric
+from .core import _rational, random_metric, cantor_approx, validate_metric
 from .nebula import _cover, _covering_intervals, margin, validate_nebula
 from .quantize import approximate
 from .universal import (
@@ -133,11 +133,10 @@ def render_range_svg(space, nebula=None) -> str:
             f'height="16" fill="#9ecae1" data-exact="[{nebula.tail_start},inf)"/>'
         )
     for v in vals:
-        x, g = px(v, denom), math.gcd(v, denom)
-        exact = v // g if g == denom else f"{v // g}/{denom // g}"
+        x = px(v, denom)
         parts.append(
             f'<line x1="{x}" y1="88" x2="{x}" y2="100" stroke="#d62728" '
-            f'stroke-width="1.5" data-exact="{exact}"/>'
+            f'stroke-width="1.5" data-exact="{_rational(v, denom)}"/>'
         )
     parts.append(
         f'<text x="{mx}" y="30" font-size="13">distance range, '

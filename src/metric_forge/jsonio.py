@@ -30,7 +30,7 @@ from math import gcd
 import numpy as np
 
 from .core import FiniteMetricSpace, PartitionPlan, ValidationReport, _as_int
-from .core import _check_shape, _int_matrix, _store
+from .core import _check_shape, _factorize, _int_matrix, _rational, _store
 from .nebula import Nebula, NebulaValidation
 from .quantize import ApproximationResult, RangeCertificate
 from .universal import Embedding, FragilityReport, FUnivApprox
@@ -284,7 +284,7 @@ def _dist(space: FiniteMetricSpace, nl: str) -> list[str]:
     """One chunk per row; each distinct value is quoted once."""
     arr, denom = space.scaled
     rows = arr.tolist()
-    cells = {v: f'"{Fraction(v, denom)}"' for v in set().union(*rows)}
+    cells = {v: f'"{_rational(v, denom)}"' for v in set().union(*rows)}
     cell = nl + "  "
     sep = "," + cell
     return [f",{nl}[{cell}{sep.join(map(cells.__getitem__, row))}{nl}]" for row in rows]
@@ -335,7 +335,7 @@ def _certificates(result: ApproximationResult, nl: str) -> list[str]:
 def _violations(blocks, denom: int, nl: str) -> list[str]:
     """The report's integer blocks in row groups, from cached pieces.
 
-    One ``np.unique`` over every side quotes each distinct side once, as
+    One ``_factorize`` over every side quotes each distinct side once, as
     ``_dist`` does, behind each kind's head and behind the ``"rhs"`` key.
     Each point index is written once after the witness's bracket and once
     after a separator, the last index with the row's closing brackets, so
@@ -345,8 +345,8 @@ def _violations(blocks, denom: int, nl: str) -> list[str]:
         return []
     inner, deep = nl + "  ", nl + "    "
     sides = [lhs for *_, lhs, _ in blocks] + [rhs for *_, rhs in blocks]
-    values, at = np.unique(np.concatenate(sides), return_inverse=True)
-    cells = np.array([f'"{Fraction(v, denom)}"' for v in values.tolist()], dtype=object)
+    values, at = _factorize(np.concatenate(sides))
+    cells = np.array([f'"{_rational(v, denom)}"' for v in values.tolist()], dtype=object)
     rhss = f',{inner}"rhs": ' + cells
     top = max(int(w.max()) for _, w, *_ in blocks)
     names = np.array(list(map(str, range(top + 1))), dtype=object)

@@ -22,6 +22,7 @@ from .core import (
     FiniteMetricSpace,
     PartitionPlan,
     _check_hub,
+    _factorize,
     _from_int_matrix,
     _glue,
     _partition,
@@ -539,7 +540,7 @@ def approximate(
         block = np.ix_(cluster, cluster)
         sub = _path_closure(arr[block], np.maximum)
         off = ~np.eye(len(cluster), dtype=bool)
-        values, inverse = np.unique(sub[off], return_inverse=True)
+        values, inverse = _factorize(sub[off])
         values = values.tolist()
         if values[0] < 0 or values[-1] == 0:
             raise failure("internal: nonpositive distance inside a cluster")
@@ -563,7 +564,7 @@ def approximate(
         if level[0] < 0:
             raise failure("internal: a cluster distance above eta")
         exps = np.full(sub.shape, -1, dtype=np.intp)
-        exps[off] = np.array(level[::-1], dtype=np.intp)[inverse.ravel()]
+        exps[off] = np.array(level[::-1], dtype=np.intp)[inverse]
         expo[block] = exps
 
     top = max(int(expo.max()), 0)
@@ -587,16 +588,11 @@ def approximate(
     # factorized first, since the hub steps may be an object array, then
     # each pair gets one int64 key: under the depth cap e, f <= top and
     # top + 2 < 2^14, so keys stay below 2^61 while n < 2^17
-    ls, at = np.unique(
-        np.where(across, steps[home[iu], home[ju]], 0), return_inverse=True
-    )
+    ls, at = _factorize(np.where(across, steps[home[iu], home[ju]], 0))
     w = top + 2
     e = np.where(across, leg[iu], expo[iu, ju])
     f = np.where(across, leg[ju], -1)
-    keys, which = np.unique(
-        (at.reshape(-1) * w + (e + 1)) * w + (f + 1), return_inverse=True
-    )
-    which = which.reshape(-1)  # its shape has differed across numpy releases
+    keys, which = _factorize((at * w + (e + 1)) * w + (f + 1))
     which.flags.writeable = False
     ls = ls.tolist()
 

@@ -523,6 +523,21 @@ def test_ultrametric_verdict_memory_at_n1024():
     assert tree_peak < 128 * len(arr)
 
 
+def test_witnesses_hold_no_matrix_of_zeros_at_n1024():
+    # the cheap checks' zero sides come from one broadcast zero; a zeros_like
+    # held an 8 MiB matrix while _holds ran, a peak of 2.6 times the matrix
+    m = cantor_approx(10)
+    arr = m.scaled[0]
+    tracemalloc.start()
+    try:
+        report = validate_metric(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_metric and arr.dtype == np.int64
+    assert peak < 2 * arr.nbytes
+
+
 def test_closure_runs_only_near_a_tight_triangle(monkeypatch):
     # entries 1 + a/b with b <= 64, on the object path, like the wide
     # metrics validate_metric meets most: every triangle holds with room

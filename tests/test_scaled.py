@@ -4,7 +4,9 @@ The matrix is checked against the Fraction rows it stands for, on the
 int64 path and the object path, in the one canonical form whichever way
 the space was built.  The kernels are checked to read it without writing
 to it, and the readers, the writers, the kernels and the universal
-builders to run without building the ``dist`` view.
+builders to run without building the ``dist`` view.  The two helpers
+over scaled ints, ``_factorize`` and ``_rational``, are checked against
+``np.unique`` and ``str(Fraction)``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 from fractions import Fraction as F
 from functools import cached_property
 from math import gcd, lcm
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -39,7 +42,8 @@ from metric_forge import (
     validate_metric,
 )
 from metric_forge.cli import render_range_svg
-from metric_forge.core import _from_int_matrix, _int_matrix
+from metric_forge.core import _COUNT_SPAN, _factorize, _from_int_matrix, _int_matrix
+from metric_forge.core import _rational
 from metric_forge.nebula import _covering_intervals
 
 from support import (
@@ -439,3 +443,91 @@ def test_levels_of_every_build(space):
     sub = space.restrict(range(space.n - 1, -1, -2))
     assert "_table" not in vars(sub)
     assert_levels(sub)
+
+
+# --- factorizing and writing scaled ints --------------------------------------
+
+
+@st.composite
+def factor_inputs(draw):
+    # int16 to int64 with spans on both sides of the counting rule, up to
+    # the whole dtype, and Python ints past 2^64 in object arrays
+    size = draw(st.integers(0, 30))
+    if draw(st.integers(0, 3)) == 0:
+        vals = draw(st.lists(st.integers(-(2**80), 2**80), min_size=size, max_size=size))
+        return np.array(vals, dtype=object)
+    info = np.iinfo(draw(st.sampled_from([np.int16, np.int32, np.int64])))
+    low, full = int(info.min), int(info.max) - int(info.min)
+    spans = [0, size, _COUNT_SPAN * size, _COUNT_SPAN * size + 1, full]
+    span = min(full, draw(st.sampled_from(spans)))
+    lo = draw(st.sampled_from([low, low + full - span]) | st.integers(low, low + full - span))
+    vals = draw(st.lists(st.integers(lo, lo + span), min_size=size, max_size=size))
+    vals[:2] = [lo, lo + span][: len(vals)]  # the span exactly, from two entries
+    return np.array(vals, dtype=info.dtype)
+
+
+@given(factor_inputs())
+# 64768 apart: offsets taken in int16 wrap, and three distinct values came
+# back as -32768, -767 and 31233
+@example(np.array([-32768, 32000, 0] * 10**4, dtype=np.int16))
+@example(np.array([], dtype=np.int64))
+@example(np.array([], dtype=object))
+@example(np.array([-(2**63)], dtype=np.int64))
+@example(np.array([-(2**63), 2**63 - 1, 0, 2**63 - 1], dtype=np.int64))
+@example(np.array([2**63 - 1, 2**63 - 3, 2**63 - 1], dtype=np.int64))
+@example(np.array([-(2**63) + 2, -(2**63), -(2**63) + 2], dtype=np.int64))
+@example(np.array([2**64 + 1, -(2**65), 2**64 + 1, 0], dtype=object))
+def test_factorize_matches_unique(flat):
+    values, at = _factorize(flat)
+    want, want_at = np.unique(flat, return_inverse=True)
+    assert values.dtype == want.dtype and values.tolist() == want.tolist()
+    assert at.dtype == np.intp and at.shape == flat.shape
+    assert at.tolist() == want_at.reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint64, object])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-rule", "past-rule"])
+def test_factorize_counts_up_to_the_span_rule(dtype, past):
+    # a span of _COUNT_SPAN * len counts, one more sorts; uint64, which intp
+    # does not hold, and object arrays always sort
+    m = 50
+    lo = 0 if dtype is np.uint64 else -(2**15)
+    flat = np.array([lo + 7] * (m - 2) + [lo, lo + _COUNT_SPAN * m + past], dtype=dtype)
+    with patch.object(np, "unique", wraps=np.unique) as spy:
+        values, at = _factorize(flat)
+    assert spy.called == (dtype in (np.uint64, object) or bool(past))
+    assert values.tolist() == [lo, lo + 7, lo + _COUNT_SPAN * m + past]
+    assert at.tolist() == [1] * (m - 2) + [0, 2]
+
+
+@pytest.mark.parametrize("span", [_COUNT_SPAN * 4096, 4096 // 2, 2**22])
+def test_factorize_memory_is_linear_in_the_length(span):
+    # the counting table has span + 1 slots, so the rule caps it at
+    # _COUNT_SPAN slots per entry: about 66 bytes per entry at the cap,
+    # against about 48 for the sort; a span of 2^22 on 4096 entries sorts,
+    # where a table would take 36 MiB
+    import tracemalloc
+
+    m = 4096
+    flat = np.random.default_rng(span).integers(0, span + 1, m)
+    flat[:2] = 0, span
+    tracemalloc.start()
+    try:
+        _factorize(flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * m
+
+
+@given(st.integers(1, 2**70), st.integers(-(2**70), 2**70), st.booleans())
+@example(1, 0, False)
+@example(7, 0, False)
+@example(6, -4, False)
+@example(6, -4, True)  # -24 / 6
+@example(2**64 + 1, 3, True)  # a multiple of a denominator past 2^64
+@example(3, 2**64 + 1, False)
+def test_rational_matches_fraction(denom, v, multiple):
+    if multiple:
+        v *= denom
+    assert _rational(v, denom) == str(F(v, denom))
