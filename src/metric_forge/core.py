@@ -6,8 +6,12 @@ space stores one matrix, ``FiniteMetricSpace.scaled``: its distances over a
 common denominator, int64 when the values fit and Python ints otherwise.
 Every kernel reads it; ``dist`` is the exact ``Fraction`` view and
 ``levels`` the sorted distinct entries, both built on use.  Validation
-decides the triangle inequality on integer floors of that matrix, and the
-ultrametric inequality on Prim's tree, in O(n^2) comparisons.
+decides the triangle inequality on integer floors of that matrix: in O(n^2)
+when each d(i,j) is at most the sum of the least off-diagonal entries of
+rows i and j (the nearest-neighbour certificate, which a metric with
+entries in some [a, 2a] meets, always below 2^60), and otherwise by an
+O(n^3) min-plus loop.  The ultrametric inequality is decided on Prim's
+tree, in O(n^2) comparisons.
 """
 
 from __future__ import annotations
@@ -379,9 +383,11 @@ def _witnesses(arr: np.ndarray):
       positivity) comes first, from O(n^2) masks read in row-major order;
     - if there are none, the triangle verdict is ``_holds(arr)``,
       which decides every d(i,j) <= d(i,k) + d(k,j) on integer floors
-      of the entries.  It needs the zero diagonal and the nonnegative
-      entries that the cheap checks have just established; on a matrix
-      with a cheap witness its sums could wrap, so it never runs there;
+      of the entries, in O(n^2) where each row's nearest neighbour
+      certifies every pair and by the O(n^3) loop elsewhere.  It needs
+      the symmetry, the zero diagonal and the nonnegative entries that
+      the cheap checks have just established; on a matrix with a cheap
+      witness its sums could wrap, so it never runs there;
     - only on a "no" (a failed triangle verdict or a failed cheap check)
       does ``_triangles`` enumerate the triangle blocks, slab by slab.
     """
@@ -411,15 +417,24 @@ def _holds(arr: np.ndarray) -> bool:
     (int64 or Python ints).  The verdict is decided on integer floors
     ``lo = arr >> s``, with ``s`` the least shift that puts the peak below
     2^60 (0 on ordinary int64 input), and ``lo * 2^s <= a < (lo + 1) * 2^s``
-    for every entry a.  ``mask``, the least power of two above every floor,
-    is held with them in ``_narrow(2 * mask + 1)``, past every sum and
-    ``two +- slack``:
+    for every entry a; ``slack`` is 1 when s > 0 and else 0.  ``mask``,
+    the least power of two above every floor, is held with them in
+    ``_narrow(2 * mask + 1)``, past every sum and ``two +- slack``.
+
+    First a certificate in O(n^2): ``near[i]``, the least ``lo[i,k]`` over
+    k != i, has ``lo[i,k] + lo[k,j] >= near[i] + near[j]`` at every k not
+    in {i, j} (``lo[k,j] = lo[j,k]``), so a pair with
+    ``lo[i,j] <= near[i] + near[j] - slack`` holds at every k:
+    ``a_ij < (lo_ij + 1) * 2^s <= (near_i + near_j) * 2^s <= a_ik + a_kj``
+    when s > 0, and with s = 0 ``a_ij <= near_i + near_j`` is the same
+    bound exactly.  If every pair passes, as every pair of entries in some
+    [a, 2a] does when s = 0, the answer is yes with no k-loop and no
+    closure.  Otherwise the k-loop decides:
 
     - ``two[i,j]`` is the least ``lo[i,k] + lo[k,j]`` over k not in
       {i, j}; a diagonal of ``mask`` keeps k = i and k = j out of it;
-    - yes when every ``lo[i,j] <= two[i,j] - slack``, ``slack`` 1 when
-      s > 0 and else 0: ``a_ij < (lo_ij + 1) * 2^s <= two * 2^s``, which
-      is at most every ``a_ik + a_kj``;
+    - yes when every ``lo[i,j] <= two[i,j] - slack``: ``a_ij < (lo_ij +
+      1) * 2^s <= two * 2^s``, which is at most every ``a_ik + a_kj``;
     - no when some ``lo[i,j] > two[i,j] + slack``: at that pair's k,
       ``a_ik + a_kj < (lo_ik + lo_kj + 2) * 2^s <= lo_ij * 2^s <= a_ij``.
       That holds at any k, and a partial minimum only falls, so the "no"
@@ -430,17 +445,25 @@ def _holds(arr: np.ndarray) -> bool:
       means every inequality held.
 
     With s = 0 the check is exact.  Python ints, and int64 with a negative
-    entry (outside this contract), keep int64 floors.  ``two`` is built k
-    by k in one reused n x n buffer, so memory stays O(n^2).
+    entry (outside this contract), keep int64 floors.  The certificate's
+    sums go into ``via``, one n x n buffer, which the loop reuses beside
+    ``two``, built k by k, so memory stays O(n^2).
     """
     top = int(arr.max())
     s = max(0, top.bit_length() - 60)
     mask = 1 << (top >> s).bit_length()
     wide = arr.dtype == object or arr.min() < 0
-    off = (arr >> s).astype(np.int64 if wide else _narrow(2 * mask + 1), copy=False)
+    dtype = np.int64 if wide else _narrow(2 * mask + 1)
+    # unshifted, arr is cast straight into the copy, with no int64 shift first
+    off = (arr >> s).astype(dtype, copy=False) if s else arr.astype(dtype)
     np.fill_diagonal(off, mask)
-    two, via = np.full_like(off, 2 * mask), np.empty_like(off)
     slack = 1 if s else 0
+    near = off.min(axis=1)  # the diagonal's mask is above every floor
+    via = np.add(near[:, None], near)
+    np.fill_diagonal(via, mask + slack)  # i = j is no pair
+    if np.subtract(via, off, out=via).min() >= slack:
+        return True
+    two = np.full_like(off, 2 * mask)
     for k in range(len(off)):
         np.add(off[:, k, None], off[None, k, :], out=via)
         np.minimum(two, via, out=two)
@@ -531,12 +554,16 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     blocks of ``_witnesses``; its ``violations`` are built from it only
     when read.  The triangle verdict comes from ``_holds``: an exact
     decision on integer floors of ``scaled`` (int16 to int64, as their
-    sums need), which falls back to the path closure only where a triangle
-    of a matrix past 2^60 is tight to within one floor step.  Triangle
-    witnesses are enumerated in slabs only on a "no", so memory stays
-    O(n^2).  ``is_ultrametric`` (the max-triangle inequality) is only
-    evaluated when all four axioms hold, by ``_is_ultrametric``: Prim's
-    tree in O(n^2) comparisons, with no floors and no closure.
+    sums need).  It returns yes in O(n^2) when every d(i,j) is at most
+    the sum of the least entries of rows i and j (by one floor step, past
+    2^60), as on entries in some [a, 2a]; otherwise an O(n^3) min-plus
+    loop runs, which stops after its first step on a clear "no" and falls
+    back to the path closure only where a triangle of a matrix past 2^60
+    is tight to within one floor step.  Triangle witnesses are enumerated
+    in slabs only on a "no", so memory stays O(n^2).  ``is_ultrametric``
+    (the max-triangle inequality) is only evaluated when all four axioms
+    hold, by ``_is_ultrametric``: Prim's tree in O(n^2) comparisons, with
+    no floors and no closure.
     """
     arr, denom = space.scaled
     blocks = tuple(_witnesses(arr))

@@ -1,7 +1,9 @@
-"""The ``validate`` report checks that CI once ran as shell on the console script.
+"""The checks that CI once ran as shell on the console script.
 
-Each check writes its input file, runs one ``metric-forge`` command and
-judges the exit code and the report against a plain triple loop.  A
+Each check writes its input file, runs ``metric-forge`` commands and
+judges the exit codes and the outputs against a plain oracle: a triple
+loop for a ``validate`` report, a ``Fraction`` rebuild for the
+certificates of an ``approximate`` result.  A
 command runs through ``cli.main`` in this process, unless the environment
 variable ``METRIC_FORGE_EXE`` names an executable: then it runs that, in
 a child process.  CI sets it to the installed ``metric-forge``:
@@ -15,6 +17,7 @@ import os
 import random
 import subprocess
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 
 EXE = os.environ.get("METRIC_FORGE_EXE")
 
@@ -98,3 +101,59 @@ def test_thousands_of_rows_over_several_row_groups(tmp_path):
     assert code == 1
     want = triple_loop(rows)
     assert reported(out) == want and len(want) > 3000
+
+
+# a 10^21/7 scale puts gen random's entries past 2^62, onto Python ints
+WIDE = ("gen", "random", "--n", 24, "--max-value", "1000000000000000000000/7")
+
+
+def rebuild_problems(path) -> str | None:
+    """None when every pair i < j has exactly one certificate and each rebuilds D.
+
+    A certificate (i, j, l, n, m) rebuilds ``eta * (l + r^n + r^m)``, a
+    ``null`` exponent adding nothing, which must be ``D[i][j]`` exactly.
+    """
+    res = json.loads(path.read_text(encoding="utf-8"))
+    eta, r, dist = F(res["eta"]), F(res["r"]), res["D"]["dist"]
+    certs = res["certificates"]
+    pairs = sorted((c["i"], c["j"]) for c in certs)
+    want = [(i, j) for i in range(len(dist)) for j in range(i + 1, len(dist))]
+    bad = [
+        c
+        for c in certs
+        if eta * (c["l"] + sum(r ** c[k] for k in "nm" if c[k] is not None))
+        != F(dist[c["i"]][c["j"]])
+    ]
+    return None if pairs == want and not bad else f"{len(pairs)} pairs, {bad[:3]}"
+
+
+def test_wide_random_space_validates(tmp_path):
+    # its entries pass 2^62, so validate decides on shifted int64 floors;
+    # path repair leaves triangles tight to the unit, so neither the
+    # nearest-neighbour certificate nor the floors settle every pair, and
+    # the exact closure decides: exit 0
+    path = tmp_path / "w.json"
+    assert run(*WIDE, "-o", path)[0] == 0
+    code, out, _ = run("validate", path)
+    assert code == 0 and json.loads(out)["is_metric"] is True
+
+
+def test_certificates_rebuild_a_wide_approximation(tmp_path):
+    # approximate on that space: its hub steps pass 2^62, the object path;
+    # every pair i < j has exactly one certificate, and eta * (l + r^n +
+    # r^m) is D[i][j] exactly
+    space, result = tmp_path / "w.json", tmp_path / "wres.json"
+    assert run(*WIDE, "-o", space)[0] == 0
+    assert run("approximate", space, "--epsilon", "1/2", "-o", result)[0] == 0
+    assert rebuild_problems(result) is None
+
+
+def test_certificates_rebuild_a_distance_at_level_152(tmp_path):
+    # a 1/10^200 distance rounds up to level 152, eta * r^152 =
+    # 1/(10 * 20^152): a scale of 199 digits, under the walk's cap
+    t = "1/1" + "0" * 200
+    obj = {"points": ["a", "b", "c"], "dist": [["0", t, "1"], [t, "0", "1"], ["1", "1", "0"]]}
+    space, result = tmp_path / "deep.json", tmp_path / "deepres.json"
+    space.write_text(json.dumps(obj), encoding="utf-8")
+    assert run("approximate", space, "--epsilon", "1/2", "-o", result)[0] == 0
+    assert rebuild_problems(result) is None

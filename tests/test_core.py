@@ -351,18 +351,41 @@ def widest_weights():
 NEAR_STEPS = [F(c * 2**60 + d) for c in (1, 2, 3) for d in (-1, 0, 1)]
 
 
+@st.composite
+def bounded_ratio_weights(draw):
+    # entries in [a, 2a], a on the scale of every HOLDS_PEAKS switch (s > 0
+    # and Python ints included): each pair is at most near_i + near_j, the
+    # nearest-neighbour certificate; one pair may be pushed past it
+    n = draw(st.integers(1, 6))
+    a = draw(st.sampled_from([1, 2, 3, *(peak // 2 for peak in HOLDS_PEAKS)]))
+    entry = st.one_of(st.sampled_from([a, a + 1, 2 * a - 1, 2 * a]), st.integers(a, 2 * a))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    if n >= 3 and draw(st.booleans()):
+        # d(i,j) one unit past near_i + near_j, each the least entry of its
+        # row outside the pair, so neither near moves: the certificate fails
+        # at (i, j) by exactly one unit and the k-loop decides
+        i, j = draw(st.permutations(range(n)))[:2]
+        near = [min(rows[x][k] for k in range(n) if k not in (i, j)) for x in (i, j)]
+        rows[i][j] = rows[j][i] = sum(near) + 1
+    return int_space(rows)
+
+
 @given(
     st.one_of(
         wide_weights(),
         symmetric_weights(NEAR_STEPS),
         symmetric_weights(),
         symmetric_weights(POSITIVE_ENTRIES[:4]),
+        bounded_ratio_weights(),
     )
 )
 # with n <= 2 no k lies outside {i, j}, so only the masked diagonal joins
 @example(space("a", [[0]]))
 @example(space("ab", [[0, 1], [1, 0]]))
-@settings(max_examples=200)  # four strategies share the examples
+@settings(max_examples=250)  # five strategies share the examples
 def test_holds_matches_the_triple_loops(m):
     # on a symmetric matrix with a zero diagonal and positive entries the
     # triple loops decide the triangles alone; k in {i, j} always holds
@@ -619,11 +642,24 @@ def test_holds_at_the_dtype_switches(peak, data):
     # verdict in its narrowed dtype, and the tree verdict, against the
     # triple loops
     n = data.draw(st.integers(2, 5))
+    # or entries in [a, peak], a = ceil(peak / 2): certified on floors
+    # unless s > 0 takes a step, and with d(0,1) = peak optionally one unit
+    # past the nearest entries x, y of its rows (x + y = peak - 1, both
+    # at most a), at one k or at two
+    a = peak - peak // 2
+    bounded = data.draw(st.booleans())
+    entry = st.integers(a, peak) if bounded else st.sampled_from(near(peak))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = data.draw(st.sampled_from(near(peak)))
+            rows[i][j] = rows[j][i] = data.draw(entry)
     rows[0][1] = rows[1][0] = peak
+    if bounded and n >= 3 and data.draw(st.booleans()):
+        hop = st.integers(2, n - 1)
+        k0, k1 = data.draw(hop), data.draw(hop)
+        x = (peak - 1) // 2
+        rows[0][k0] = rows[k0][0] = x
+        rows[1][k1] = rows[k1][1] = peak - 1 - x
     m = int_space(rows)
     with narrowed() as seen:
         assert core._holds(m.scaled[0]) == triple_loop_is_metric(m)
@@ -683,6 +719,139 @@ def test_holds_keeps_int64_for_a_negative_entry():
     with narrowed() as seen:
         assert not core._holds(arr)
     assert seen == []
+
+
+# --- the nearest-neighbour certificate of _holds -----------------------------
+
+
+@contextmanager
+def kernel_calls():
+    """Yields a ``CountingNumpy`` patched into core that counts closures too."""
+    spy, closure = CountingNumpy(), core._path_closure
+    spy.closures = 0
+
+    def counting(arr, join):
+        spy.closures += 1
+        return closure(arr, join)
+
+    with patch.object(core, "np", spy), patch.object(core, "_path_closure", counting):
+        yield spy
+
+
+# floors of d(0,2) and d(1,2), the nearest entries of rows 0 and 1, on a
+# shift of S = 11 bits: d(0,1) is about 2^70, so its floors are shifted
+L1, L2, S = 2**58 + 3, 2**58 + 5, 11
+
+
+def floors_apart(step, r01):
+    # object entries past 2^62 whose d(0,1) sits `step` floors past
+    # L1 + L2 - 1, the last floor the certificate accepts; below the floor
+    # d(0,1) holds against d(0,2) + d(1,2) exactly when r01 <= 300
+    d02, d12 = (L1 << S) + 100, (L2 << S) + 200
+    d01 = ((L1 + L2 - 1 + step) << S) + r01
+    return [[0, d01, d02], [d01, 0, d12], [d02, d12, 0]]
+
+
+@pytest.mark.parametrize(
+    "rows, verdict, loop, closures",
+    [
+        # d(0,2) = 2 = near_0 + near_2: at the bound, exact on s = 0
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], True, False, 0),
+        # d(0,1) = 5, one past near_0 + near_1 = 2 + 2, which sit at two
+        # different k: every two-hop path through a third point is 5
+        ([[0, 5, 2, 3], [5, 0, 3, 2], [2, 3, 0, 3], [3, 2, 3, 0]], True, True, 0),
+        # the same one unit past, but near_0 and near_1 sit at the same k
+        ([[0, 5, 2], [5, 0, 2], [2, 2, 0]], False, True, 0),
+        # near_0 and near_1 attained at the pair (0, 1) itself
+        ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], True, False, 0),
+        # the same past 2^62: near_0's floor is 0 there, one step short, so
+        # the loop runs, and d(0,2) within a floor step of d(0,1) + d(1,2)
+        # sends it on to the closure
+        ([[0, 1, 2**70], [1, 0, 2**70], [2**70, 2**70, 0]], True, True, 1),
+        # no third point: every pair holds
+        ([[0]], True, False, 0),
+        ([[0, 3], [3, 0]], True, False, 0),
+        ([[0, 2**70], [2**70, 0]], True, False, 0),
+        # one floor step from the bound, on Python ints: the last floor
+        # certified, then the first floor past it, tight and one unit over
+        (floors_apart(0, 2**S - 1), True, False, 0),
+        (floors_apart(1, 300), True, True, 1),
+        (floors_apart(1, 301), False, True, 1),
+    ],
+    ids=[
+        "at-the-bound", "one-past-held", "one-past-broken", "near-at-j",
+        "near-at-j-zero-floor", "n1", "n2", "n2-object", "last-floor",
+        "floor-past-tight", "floor-past-broken",
+    ],
+)
+def test_holds_at_the_nearest_neighbour_bound(rows, verdict, loop, closures):
+    # the certificate decides alone, or the k-loop (np.minimum calls) and
+    # the closure run after it, always agreeing with the triple loop
+    m = int_space(rows)
+    with kernel_calls() as spy:
+        assert core._holds(m.scaled[0]) is triple_loop_is_metric(m) is verdict
+    assert (spy.minimum_calls > 0, spy.closures) == (loop, closures)
+
+
+def approx_fine_d(n=32):
+    # approximate's D on a 10/32 grid with every entry in [5, 10], which
+    # needs no repair: the metric approximate's self-check validates
+    rng = random.Random(2)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = F(10, 32) * rng.randint(16, 32)
+    points = [f"p{i}" for i in range(n)]
+    return approximate(FiniteMetricSpace.from_rows(points, rows), F(1, 2)).D
+
+
+def one_plus_fractions():
+    # the wide 1 + a/b metric of test_closure_runs_only_near_a_tight_triangle
+    rng = random.Random(5)
+    rows = [[F(0)] * 24 for _ in range(24)]
+    for i in range(24):
+        for j in range(i + 1, 24):
+            b = rng.randint(1, 64)
+            rows[i][j] = rows[j][i] = 1 + F(rng.randrange(b), b)
+    return FiniteMetricSpace.from_rows([f"p{i}" for i in range(24)], rows)
+
+
+def test_certified_metrics_run_no_loop():
+    # entries within a factor of two of each row's least: the certificate
+    # settles every pair, so no min-plus step and no closure runs
+    wide = one_plus_fractions()
+    assert wide.scaled[0].dtype == object
+    for m in (approx_fine_d(), wide):
+        with kernel_calls() as spy:
+            assert validate_metric(m).is_metric
+        assert (spy.minimum_calls, spy.closures) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "m", [cantor_approx(5), random_metric(24, 10)], ids=["cantor5", "random24"]
+)
+def test_uncertified_metrics_run_every_step(m):
+    # ratios past two leave pairs uncertified: the loop's n steps decide
+    with kernel_calls() as spy:
+        assert core._holds(m.scaled[0])
+    assert (spy.minimum_calls, spy.closures) == (m.n, 0)
+
+
+def test_certified_verdict_memory_at_n1024():
+    # entries in [4000, 8000] on int16 floors, every pair certified: the
+    # verdict holds the floors and one matrix of sums, under 2.5 int16
+    # matrices; the k-loop's two and via, beside the floors and a bool
+    # verdict, would take 3.5 (and an int64 shift of the input 5)
+    n = 1024
+    w = np.triu(np.random.default_rng(7).integers(4000, 8001, size=(n, n)), 1)
+    arr = w + w.T
+    tracemalloc.start()
+    try:
+        assert core._holds(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * np.dtype(np.int16).itemsize
 
 
 # 2 * peak -> the dtype _triangles compares slabs in
