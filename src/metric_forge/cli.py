@@ -166,13 +166,7 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_nebula_cover(args) -> int:
-    raw = _load_json(args.values)
-    if not isinstance(raw, list):
-        raise ValueError("values file must hold a JSON array of rationals")
-    ratios = [
-        jsonio._ratio(v) if isinstance(v, str) else jsonio.parse_scalar(v).as_integer_ratio()
-        for v in raw
-    ]
+    ratios = jsonio.values_from_obj(_load_json(args.values))
     _emit(jsonio.encode(jsonio.nebula_to_obj(_cover(ratios, args.q))), args.output)
     return 0
 
@@ -257,7 +251,7 @@ def _cmd_plot_range(args) -> int:
 def _emit_space(space, path=None) -> None:
     """``_emit`` a generated space, refused if the reader would refuse it."""
     chunks = jsonio.space_chunks(space)
-    size = sum(len(chunk.encode("utf-8")) for chunk in chunks)
+    size = sum(map(len, chunks))  # the encoder writes ASCII only
     if size > _MAX_INPUT_BYTES:
         raise ValueError(
             f"the space would take {size} bytes, over the input cap of"

@@ -83,8 +83,8 @@ def _int_matrix(rows, ratio) -> tuple[np.ndarray, int, list[int]]:
     ratios = list(map(ratio, seen))
     denom = lcm(*{q for _, q in ratios})
     ints = [p * (denom // q) for p, q in ratios]
-    wide = max(map(abs, ints), default=0) >= _INT64_SAFE
-    return np.array(ints, dtype=object if wide else np.int64)[codes], denom, ints
+    dtype = _dtype_for(max(map(abs, ints), default=0))
+    return np.array(ints, dtype=dtype)[codes], denom, ints
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -263,7 +263,7 @@ def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
     g = gcd(denom, int(np.gcd.reduce(arr, axis=None)))
     if g > 1:
         arr, denom = _widen(arr, g) // g, denom // g  # g may pass int64
-    arr = arr.astype(object if _peak(arr) >= _INT64_SAFE else np.int64, copy=False)
+    arr = arr.astype(_dtype_for(_peak(arr)), copy=False)
     return _store(points, arr, denom)
 
 
@@ -287,13 +287,23 @@ def _peak(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
+def _dtype_for(bound: int):
+    """object (Python ints) when ``bound`` reaches 2^62, else int64.
+
+    This is the one storage rule: an array whose entries reach at most
+    ``bound`` in magnitude stays int64 exactly while one addition of two
+    entries cannot overflow.
+    """
+    return object if bound >= _INT64_SAFE else np.int64
+
+
 def _widen(arr: np.ndarray, bound: int) -> np.ndarray:
     """``arr`` as Python ints when ``bound`` reaches 2^62, else unchanged.
 
     ``bound`` is the largest magnitude the caller's arithmetic on ``arr``
     can reach, so int64 is kept exactly where it cannot overflow.
     """
-    return arr.astype(object, copy=False) if bound >= _INT64_SAFE else arr
+    return arr.astype(object, copy=False) if _dtype_for(bound) is object else arr
 
 
 def _narrow(bound: int):
@@ -675,7 +685,7 @@ def amalgamate(
 
     blocks = [_rescale(m.scaled[0], denom // m.scaled[1]) for m in cluster_metrics]
     peak = 2 * max((_peak(b) for b in blocks), default=0) + _peak(hub_arr)
-    dtype = object if peak >= _INT64_SAFE else np.int64
+    dtype = _dtype_for(peak)
     inner = np.zeros((total, total), dtype=dtype)
     for cluster, block in zip(plan.clusters, blocks):
         inner[np.ix_(cluster, cluster)] = block

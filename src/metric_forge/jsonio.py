@@ -58,6 +58,20 @@ def parse_scalar(text) -> Fraction:
     return Fraction(*_ratio(text))
 
 
+def values_from_obj(obj) -> list[tuple[int, int]]:
+    """Strict reader for a values array; (p, q) in lowest terms per entry.
+
+    A string is parsed straight to its pair; any other entry goes through
+    ``parse_scalar``, which takes a JSON integer and refuses the rest.
+    """
+    if not isinstance(obj, list):
+        raise ValueError("values file must hold a JSON array of rationals")
+    return [
+        _ratio(v) if isinstance(v, str) else parse_scalar(v).as_integer_ratio()
+        for v in obj
+    ]
+
+
 # --- distance matrices ------------------------------------------------------
 
 

@@ -17,11 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    _INT64_SAFE,
     _MAX_SCALE_DIGITS,
     FiniteMetricSpace,
     PartitionPlan,
     _check_hub,
+    _dtype_for,
     _factorize,
     _from_int_matrix,
     _glue,
@@ -570,7 +570,7 @@ def approximate(
     top = max(int(expo.max()), 0)
     denom = eta.denominator * b**top
     unit = eta.numerator * b**top  # eta on this scale
-    dtype = object if unit * (_peak(steps) + 2) >= _INT64_SAFE else np.int64
+    dtype = _dtype_for(unit * (_peak(steps) + 2))
     levels = np.array(
         [eta.numerator * a**k * b ** (top - k) for k in range(top + 1)] + [0],
         dtype=dtype,
@@ -610,7 +610,7 @@ def approximate(
     want = []
     for cert in rows:
         v = cert.value(params) * denom
-        fits = v.denominator == 1 and (dtype is object or v < _INT64_SAFE)
+        fits = v.denominator == 1 and (dtype is object or _dtype_for(v) is dtype)
         want.append(int(v) if fits else -1)
     wrong = np.flatnonzero(D[iu, ju] != np.array(want, dtype=dtype)[which])
     if wrong.size:

@@ -20,11 +20,11 @@ from math import lcm
 import numpy as np
 
 from .core import (
-    _INT64_SAFE,
     FiniteMetricSpace,
     PartitionPlan,
     SearchCapExceeded,
     _from_int_matrix,
+    _peak,
     _rescale,
     _store,
     _widen,
@@ -319,8 +319,8 @@ def find_isometric_embedding(
     denom = lcm(distortion.denominator, dh, dp)
     H, P = _rescale(H, denom // dh), _rescale(P, denom // dp)
     tol = distortion.numerator * (denom // distortion.denominator)
-    if H.dtype != object and (P.dtype == object or tol >= _INT64_SAFE):
-        H = H.astype(object)
+    # a difference of two entries below 2^62 fits int64
+    H = _widen(H, max(tol, _peak(P)))
     P = P.tolist()
     k = pattern.n
     mapping: list[int] = []

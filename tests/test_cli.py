@@ -2,8 +2,6 @@ import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
 
@@ -25,6 +23,7 @@ from metric_forge import (
 )
 
 from support import first_primes, raw_weights
+from test_console_checks import run_limited
 
 EQUILATERAL = {
     "points": ["a", "b", "c"],
@@ -1050,16 +1049,23 @@ def test_gen_refuses_a_space_its_reader_would(tmp_path, capsys, monkeypatch, arg
         assert not out_path.exists()
 
 
+def test_space_chunks_are_ascii_so_their_length_is_the_file_size(tmp_path):
+    # _emit_space sizes a space by the chunks' total length: the encoder
+    # escapes every non-ASCII label, so each character is one byte
+    space = FiniteMetricSpace(
+        ["a", "\u00e9", "\U0001d4b3"], [[0, 1, F(1, 2)], [1, 0, 1], [F(1, 2), 1, 0]]
+    )
+    chunks = jsonio.space_chunks(space)
+    assert all(chunk.isascii() for chunk in chunks)
+    path = tmp_path / "sp.json"
+    cli._emit(chunks, path)
+    assert sum(map(len, chunks)) == path.stat().st_size
+    assert jsonio.space_from_obj(cli._load_json(path)).points == space.points
+
+
 def test_largest_generated_space_checks_in_bounded_memory(tmp_path):
     # each command runs in its own child under a 1 GiB address-space limit;
     # an n x n x n check at n = 1024 would ask for 8 GiB and exit 3
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     space_path, result_path = tmp_path / "space.json", tmp_path / "result.json"
     outputs = []
     for argv in (
@@ -1067,18 +1073,12 @@ def test_largest_generated_space_checks_in_bounded_memory(tmp_path):
         ["validate", space_path],
         ["approximate", space_path, "--epsilon", "1/2", "-o", result_path],
     ):
-        done = subprocess.run(
-            [sys.executable, "-m", "metric_forge.cli", *map(str, argv)],
-            env=env,
-            preexec_fn=limit,
-            capture_output=True,
-            timeout=120,
-        )
-        assert (done.returncode, done.stderr) == (0, b""), argv
-        outputs.append(done.stdout)
+        code, out, err = run_limited(*argv)
+        assert (code, err) == (0, ""), argv
+        outputs.append(out)
     report = json.loads(outputs[1])
     assert (report["is_metric"], report["violations"]) == (True, [])
-    assert outputs[2] == b"" and result_path.stat().st_size > 0
+    assert outputs[2] == "" and result_path.stat().st_size > 0
 
 
 def test_missing_file_exit_two(capsys):

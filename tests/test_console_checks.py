@@ -1,10 +1,24 @@
-"""The checks that CI once ran as shell on the console script.
+"""Checks of the ``metric-forge`` console script, each on its own input file.
 
-Each check writes its input file, runs ``metric-forge`` commands and
-judges the exit codes and the outputs against a plain oracle: a triple
-loop for a ``validate`` report, a ``Fraction`` rebuild for the
-certificates of an ``approximate`` result.  A
-command runs through ``cli.main`` in this process, unless the environment
+Each check writes its input, runs ``metric-forge`` commands and judges the
+exit codes and the outputs against a plain oracle.  They cover:
+
+- ``validate``'s reports: one broken triangle, int16 sums past 16383, and
+  40 raw points over several row groups, each against a triple loop; a
+  10^21/7-scaled random space validated through the exact closure;
+- the reader's per-entry path: JSON ints and "2/4" pass, a JSON ``true``
+  is refused with exit 2;
+- the certificate rebuilds of ``approximate`` on that wide space and on a
+  1/10^200 distance, against a ``Fraction`` rebuild;
+- ``nebula cover``'s separator picks (13/32, and 25/64 after a refinement),
+  its cover of mixed JSON ints and strings on coprime denominators, and
+  ``cover``, ``margin`` and ``plot`` on a space whose lcm passes 2^62,
+  against the plot's ticks;
+- bounded memory: ``margin`` and ``plot`` on a 20,000-end coprime nebula,
+  and the refusal of ``universal pairs`` on 500 coprime values, each in a
+  child under a 1 GiB address-space limit (``run_limited``).
+
+A command runs through ``cli.main`` in this process, unless the environment
 variable ``METRIC_FORGE_EXE`` names an executable: then it runs that, in
 a child process.  CI sets it to the installed ``metric-forge``:
 
@@ -13,9 +27,12 @@ a child process.  CI sets it to the installed ``metric-forge``:
 
 import io
 import json
+import math
 import os
 import random
+import re
 import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -36,11 +53,49 @@ def run(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def run_limited(*argv) -> tuple[int, str, str]:
+    """``run`` in a child under a 1 GiB address-space limit.
+
+    The child is ``METRIC_FORGE_EXE`` when it is set, else ``python -m
+    metric_forge.cli`` on the package this process imports.  numpy's
+    thread pools get one thread each, so their stacks stay out of the limit.
+    """
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    if EXE:
+        cmd = [EXE]
+    else:
+        import metric_forge
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(metric_forge.__file__)))
+        env["PYTHONPATH"] = src
+        cmd = [sys.executable, "-m", "metric_forge.cli"]
+    done = subprocess.run(
+        [*cmd, *map(str, argv)],
+        env=env,
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def write_json(path, obj):
+    """``obj`` as ``json.dump`` writes it."""
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
 def write_space(path, points, rows):
     """A space file of ``points`` and integer ``rows``, each entry a string."""
     obj = {"points": list(points), "dist": [[str(v) for v in row] for row in rows]}
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    return path
+    return write_json(path, obj)
 
 
 def triple_loop(rows) -> list[tuple]:
@@ -153,7 +208,129 @@ def test_certificates_rebuild_a_distance_at_level_152(tmp_path):
     # 1/(10 * 20^152): a scale of 199 digits, under the walk's cap
     t = "1/1" + "0" * 200
     obj = {"points": ["a", "b", "c"], "dist": [["0", t, "1"], [t, "0", "1"], ["1", "1", "0"]]}
-    space, result = tmp_path / "deep.json", tmp_path / "deepres.json"
-    space.write_text(json.dumps(obj), encoding="utf-8")
+    space, result = write_json(tmp_path / "deep.json", obj), tmp_path / "deepres.json"
     assert run("approximate", space, "--epsilon", "1/2", "-o", result)[0] == 0
     assert rebuild_problems(result) is None
+
+
+def test_validate_reads_json_ints_and_an_unreduced_string(tmp_path):
+    # the reader's per-entry path, taken when an entry is not a string:
+    # JSON integers pass and "2/4" equals "1/2"
+    path = tmp_path / "half.json"
+    path.write_text('{"points": ["a", "b"], "dist": [[0, "2/4"], ["1/2", 0]]}\n')
+    assert run("validate", path)[0] == 0
+
+
+def test_validate_refuses_a_json_true(tmp_path):
+    # a JSON true, whose hash equals 1's, is refused with exit 2
+    path = tmp_path / "bool.json"
+    path.write_text('{"points": ["a", "b"], "dist": [[0, true], [true, 0]]}\n')
+    code, _, err = run("validate", path)
+    assert code == 2 and "expected a rational string" in err
+
+
+def cover_of(tmp_path, values_path, q):
+    """The ``nebula cover`` file of ``values_path`` at ``q``, as an object."""
+    out = tmp_path / f"{values_path.stem}-cover.json"
+    assert run("nebula", "cover", values_path, "--q", q, "-o", out)[0] == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_cover_picks_13_32_past_a_blocked_fallback(tmp_path):
+    # at q = 0, 1/2 is a separator center and 3/8 blocks the fallback
+    # 1/2 - 1/8, so the dyadic walk picks 13/32: 0 and 3/8 share an
+    # interval, 1/2 has its own, and the tail starts at 1
+    path = tmp_path / "vals.json"
+    path.write_text('["0", "3/8", "1/2"]\n')
+    c = cover_of(tmp_path, path, 0)
+    assert (c["bounded"], c["tail_start"]) == ([["0", "3/8"], ["1/2", "1/2"]], "1")
+
+
+def test_cover_refines_to_pitch_1_64_when_the_walk_is_full(tmp_path):
+    # 3/8 .. 5/8 at pitch 1/32 fill the whole walk around the separator
+    # 1/2 at q = 0, so the walk refines to pitch 1/64 and picks 25/64,
+    # which splits 3/8 from 13/32
+    fine = ["0"] + [str(F(12 + k, 32)) for k in range(9)]
+    path = write_json(tmp_path / "fine.json", fine)
+    c = cover_of(tmp_path, path, 0)
+    assert (c["bounded"], c["tail_start"]) == ([["0", "3/8"], ["13/32", "5/8"]], "1")
+
+
+# a red tick of the plot, one per distinct value of the space
+TICK = re.compile(r'stroke="#d62728" stroke-width="1.5" data-exact="([^"]*)"')
+
+
+def test_wide_space_covers_margins_and_plots(tmp_path):
+    # a space whose lcm 6 (2^61 - 1) is past 2^62, all its values below
+    # q + 1 = 2: margin and the plot scan the values as Python ints, and
+    # the plot draws one tick per value
+    v = ["0", "1/3", "1/2", str(F(2, 3) + F(1, 2**61 - 1))]
+    values = write_json(tmp_path / "wvals.json", v)
+    rows = [[v[0], v[1], v[3]], [v[1], v[0], v[2]], [v[3], v[2], v[0]]]
+    space = write_json(tmp_path / "wide.json", {"points": ["a", "b", "c"], "dist": rows})
+    cover, svg = tmp_path / "wcover.json", tmp_path / "wide.svg"
+    assert run("nebula", "cover", values, "--q", 1, "-o", cover)[0] == 0
+    assert run("nebula", "margin", space, cover, "-o", tmp_path / "wmargin.json")[0] == 0
+    assert run("plot", "range", space, "--nebula", cover, "-o", svg)[0] == 0
+    ticks = TICK.findall(svg.read_text(encoding="utf-8"))
+    assert sorted(ticks) == sorted(v)
+    # each tick's value is written from the space's scaled ints: in order,
+    # every data-exact is str(Fraction) of a distinct value
+    assert ticks == [str(x) for x in sorted({F(x) for row in rows for x in row})]
+
+
+def test_cover_of_json_ints_and_strings_on_coprime_denominators(tmp_path):
+    # cover reads JSON integers and strings straight to (p, q) pairs: with
+    # 2 given as 2 and as "4/2", every value lies in exactly one interval
+    # or in the tail, and every end is a value
+    raw = [0, 3, "1/3", "2/5", "5/7", "1/2", 2, "7/3", "22/7", "1/11", "4/2", "3"]
+    c = cover_of(tmp_path, write_json(tmp_path / "mixed.json", raw), 2)
+    vals = {F(x) for x in raw}
+    ivs = [(F(a), F(b)) for a, b in c["bounded"]]
+    tail = F(c["tail_start"])
+    hits = [sum(a <= x <= b for a, b in ivs) + (x >= tail) for x in vals]
+    assert hits == [1] * len(vals)
+    assert {x for iv in ivs for x in iv} <= vals
+
+
+def odd_primes(count: int, below: int) -> list[int]:
+    """The first ``count`` odd primes, all below ``below``, from a sieve."""
+    sieve = bytearray([1]) * below
+    for p in range(2, math.isqrt(below) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, below, p)))
+    found = [p for p in range(3, below) if sieve[p]][:count]
+    assert len(found) == count
+    return found
+
+
+def test_margin_and_plot_of_20000_coprime_ends_in_1_gib(tmp_path):
+    # [0, 0] and [1/p, 1/p] for the first 20,000 odd primes (0.6 MB): the
+    # lcm of the ends' denominators would have about 300,000 bits, and
+    # 20,000 ends on it would take about 1.5 GiB; margin and the plot
+    # round each end onto the space's scale 1/3 instead
+    ends = [["0", "0"]] + [[f"1/{p}"] * 2 for p in reversed(odd_primes(20000, 230000))]
+    nebula = write_json(
+        tmp_path / "coprime.json", {"q": 1, "bounded": ends, "tail_start": "2"}
+    )
+    third = {"points": ["a", "b"], "dist": [["0", "1/3"], ["1/3", "0"]]}
+    space = write_json(tmp_path / "third.json", third)
+    for argv in (
+        ["nebula", "margin", space, nebula, "-o", tmp_path / "coprime-margin.json"],
+        ["plot", "range", space, "--nebula", nebula, "-o", tmp_path / "coprime.svg"],
+    ):
+        code, _, err = run_limited(*argv)
+        assert code == 0, err
+
+
+def test_500_coprime_pair_values_refused_in_1_gib():
+    # 1/p for the first 500 odd primes: under the 500-value cap, but
+    # gluing their pairs would hold a million 5060-bit ints (1.6 GB);
+    # refused with exit 2 before any matrix is built
+    values = ",".join(f"1/{p}" for p in odd_primes(500, 4000))
+    code, _, err = run_limited("universal", "pairs", "--values", values)
+    assert code == 2
+    assert (
+        "1000 x 1000 entries on a 5060-bit denominator exceed the cap of 536870912 bits"
+        in err
+    )
