@@ -59,12 +59,17 @@ def _as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _check_shape(points: tuple, rows) -> None:
-    """Refuse no points, repeated labels and a matrix that is not n x n."""
+def _check_labels(points) -> None:
+    """Refuse no points and repeated labels, as every space does."""
     if len(points) == 0:
         raise ValueError("a space needs at least one point")
     if len(set(points)) != len(points):
         raise ValueError("point labels must be distinct")
+
+
+def _check_shape(points: tuple, rows) -> None:
+    """Refuse no points, repeated labels and a matrix that is not n x n."""
+    _check_labels(points)
     if len(rows) != len(points):
         raise ValueError(f"shape error: {len(rows)} rows for {len(points)} points")
     if any(len(row) != len(points) for row in rows):
@@ -159,10 +164,11 @@ class FiniteMetricSpace:
         return self.points.index(label)
 
     def restrict(self, indices) -> "FiniteMetricSpace":
-        """Subspace on the given point indices, in the given order."""
+        """Subspace on the given point indices, in order: some, none repeated."""
         indices = list(indices)
-        arr, denom = self.scaled
         pts = tuple(self.points[i] for i in indices)
+        _check_labels(pts)
+        arr, denom = self.scaled
         return _from_int_matrix(pts, arr[np.ix_(indices, indices)], denom)
 
     def values(self) -> tuple[Fraction, ...]:
@@ -172,7 +178,7 @@ class FiniteMetricSpace:
 
     def max_value(self) -> Fraction:
         arr, denom = self.scaled
-        return Fraction(int(arr.max()) if arr.size else 0, denom)
+        return Fraction(int(arr.max()), denom)
 
     def min_positive(self) -> Fraction | None:
         return next((v for v in self.values() if v > 0), None)
@@ -454,16 +460,14 @@ def _holds(arr: np.ndarray) -> bool:
       closure decides: its entries only fall, so an unchanged closure
       means every inequality held.
 
-    With s = 0 the check is exact.  Python ints, and int64 with a negative
-    entry (outside this contract), keep int64 floors.  The certificate's
-    sums go into ``via``, one n x n buffer, which the loop reuses beside
-    ``two``, built k by k, so memory stays O(n^2).
+    With s = 0 the check is exact.  The certificate's sums go into
+    ``via``, one n x n buffer, which the loop reuses beside ``two``, built
+    k by k, so memory stays O(n^2).
     """
     top = int(arr.max())
     s = max(0, top.bit_length() - 60)
     mask = 1 << (top >> s).bit_length()
-    wide = arr.dtype == object or arr.min() < 0
-    dtype = np.int64 if wide else _narrow(2 * mask + 1)
+    dtype = _narrow(2 * mask + 1)
     # unshifted, arr is cast straight into the copy, with no int64 shift first
     off = (arr >> s).astype(dtype, copy=False) if s else arr.astype(dtype)
     np.fill_diagonal(off, mask)
@@ -488,7 +492,7 @@ def _holds(arr: np.ndarray) -> bool:
         return True
     if (off > np.add(two, slack, out=via)).any():
         return False
-    return bool((_path_closure(arr.copy(), np.add) == arr).all())
+    return bool((_path_closure(arr, np.add) == arr).all())
 
 
 def _is_ultrametric(arr: np.ndarray) -> bool:
@@ -682,6 +686,7 @@ def amalgamate(
         rep_pos = cluster.index(plan.reps[ci])
         if hub.points[ci] != cluster_metrics[ci].points[rep_pos]:
             raise ValueError(f"hub label {ci} does not match its representative")
+    _check_labels(labels)  # labels only: no matrix is read or built before it
 
     blocks = [_rescale(m.scaled[0], denom // m.scaled[1]) for m in cluster_metrics]
     peak = 2 * max((_peak(b) for b in blocks), default=0) + _peak(hub_arr)
@@ -766,31 +771,30 @@ def metric_repair(candidate: FiniteMetricSpace) -> FiniteMetricSpace:
         if arr[i, j] != arr[j, i]:
             raise ValueError(f"matrix must be symmetric at ({i}, {j})")
         raise ValueError(f"off-diagonal entry ({i}, {j}) must be positive")
-    return _from_int_matrix(candidate.points, _path_closure(arr.copy(), np.add), denom)
+    return _from_int_matrix(candidate.points, _path_closure(arr, np.add), denom)
 
 
 def subdominant_ultrametric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Largest ultrametric below the metric (single-linkage / minimax paths)."""
     arr, denom = space.scaled
-    return _from_int_matrix(space.points, _path_closure(arr.copy(), np.maximum), denom)
+    return _from_int_matrix(space.points, _path_closure(arr, np.maximum), denom)
 
 
 def _path_closure(arr: np.ndarray, join) -> np.ndarray:
-    """Floyd-Warshall closure of a scaled-integer matrix, in place.
+    """Floyd-Warshall closure of a scaled-integer matrix, as a new array.
 
     A path's length is its edges combined by ``join``: ``np.add`` gives
     shortest paths over nonnegative entries, ``np.maximum`` minimax paths
     (single linkage), on a copy in ``_narrow`` of the longest candidate
-    (``2 * peak``, ``peak``), written back.  One n x n buffer takes every
-    k's candidate paths, so memory stays O(n^2) and none is made per k.
+    (``2 * peak``, ``peak``), cast back to ``arr``'s dtype.  One n x n buffer
+    takes every k's candidate paths, so memory stays O(n^2) and none is made per k.
     """
     work = arr.astype(_narrow((2 if join is np.add else 1) * _peak(arr)))
     via = np.empty_like(work)
     for k in range(len(work)):
         join(work[:, k, None], work[None, k, :], out=via)
         np.minimum(work, via, out=work)
-    arr[...] = work
-    return arr
+    return work.astype(arr.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -840,10 +844,11 @@ def cantor_approx(k: int) -> FiniteMetricSpace:
         raise ValueError(f"2^{k} points exceed the cap of {_GEN_MAX_POINTS}")
     labels = tuple(format(i, f"0{k}b") for i in range(2**k))
     # strings i != j first differ at position k - b, b the bit length of
-    # i ^ j, so their distance is top[i ^ j] / 2^k, top[x] the top bit of x
-    top = np.array([0] + [1 << (x.bit_length() - 1) for x in range(1, 2**k)])
+    # i ^ j, so their distance is top[i ^ j] / 2^k, top[x] the top bit of
+    # x; reduced as built, since d(0, 1) is 1 / 2^k
+    top = np.array([0] + [1 << (x.bit_length() - 1) for x in range(1, 2**k)], np.int64)
     ids = np.arange(2**k)
-    return _from_int_matrix(labels, top[ids[:, None] ^ ids[None, :]], 2**k)
+    return _store(labels, top[ids[:, None] ^ ids[None, :]], 2**k)
 
 
 def pair_points(count: int) -> tuple[str, ...]:

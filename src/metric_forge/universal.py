@@ -132,10 +132,9 @@ def _glue_through_firsts(pieces, far: int) -> FiniteMetricSpace:
         reps=tuple(starts[:-1]),
         radius=max(p.max_value() for p in pieces),
     )
-    k = len(pieces)
-    hub = _from_int_matrix(
-        tuple(p.points[0] for p in pieces), far - far * np.eye(k, dtype=np.int64), 1
-    )
+    # over 1, so reduced, and int64 while far stays below 2^62
+    hub = far - far * np.eye(len(pieces), dtype=np.int64)
+    hub = _store(tuple(p.points[0] for p in pieces), hub, 1)
     return amalgamate(plan, pieces, hub)
 
 

@@ -18,6 +18,7 @@ from metric_forge import (
     core,
     cover,
     jsonio,
+    quantize,
     random_metric,
     validate_metric,
 )
@@ -665,6 +666,15 @@ def test_internal_error_exit_three(tmp_path, capsys, monkeypatch, exc):
     assert out == ""
     # a MemoryError without a message is named; any other message is kept
     assert err == f"internal error: {str(exc) or 'out of memory'}\n"
+
+
+def test_failed_self_check_on_a_metric_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quantize, "_sup_gap", lambda *args: F(1, 2) + 1)
+    sp = write_json(tmp_path / "s.json", EQUILATERAL)
+    code, out, err = run(capsys, "approximate", sp, "--epsilon", "1/2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: internal: approximation moved too far\n"
 
 
 def test_failed_encode_leaves_output_file(tmp_path, capsys, monkeypatch):

@@ -114,6 +114,16 @@ def test_from_rows_rejects_floats_and_bools(odd):
         FiniteMetricSpace.from_rows("ab", [[F(0), odd], [odd, F(0)]])
 
 
+def test_restrict_refuses_what_the_constructor_refuses():
+    # with the constructor's messages (tests/test_input_checks.py)
+    m = random_metric(4)
+    assert m.restrict([2, 0]).points == ("p2", "p0")
+    with pytest.raises(ValueError, match="^a space needs at least one point$"):
+        m.restrict([])
+    with pytest.raises(ValueError, match="^point labels must be distinct$"):
+        m.restrict([0, 0])
+
+
 ODD_ENTRIES = [F(-1), F(0), F(1, 3), F(1), F(5), F(7, 2**70), F(2**65 + 1, 3)]
 
 
@@ -303,17 +313,28 @@ def test_approximate_failure_stops_at_the_first_witness(monkeypatch):
     assert pulled and all(count == 1 for count in pulled)
 
 
-def test_cheap_witnesses_keep_the_floor_verdict_out():
-    # -2^63 fits int64, so the floor verdict's sums wrap around to 0 and it
-    # reads yes; only because it never runs beside a cheap witness are the
-    # triangles below listed at all
-    cand = space("abc", [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]])
-    arr, denom = cand.scaled
-    assert core._holds(arr)
-    found = flat_blocks(core._witnesses(arr))
-    assert {kind for kind, *_ in found} == {"positivity", "triangle"}
-    want = brute_violations(cand)
-    assert found == [(kind, w, lhs * denom, rhs * denom) for kind, w, lhs, rhs in want]
+def test_cheap_witnesses_keep_the_floor_verdict_out(monkeypatch):
+    # _holds needs the symmetry, zero diagonal and positive entries the
+    # cheap checks establish, so beside a cheap witness it never runs and
+    # the triangles are enumerated in full: on -2^63, which fits int64 and
+    # would wrap a floor verdict's sums around to 0, and on a negative entry
+
+    def holds(arr):
+        raise AssertionError("_holds ran beside a cheap witness")
+
+    monkeypatch.setattr(core, "_holds", holds)
+    for rows in (
+        [[0, -(2**63), -1], [-(2**63), 0, -(2**63)], [-1, -(2**63), 0]],
+        [[0, -5, 3], [-5, 0, 3], [3, 3, 0]],
+    ):
+        cand = space("abc", rows)
+        arr, denom = cand.scaled
+        found = flat_blocks(core._witnesses(arr))
+        assert {kind for kind, *_ in found} == {"positivity", "triangle"}
+        want = brute_violations(cand)
+        assert found == [
+            (kind, w, lhs * denom, rhs * denom) for kind, w, lhs, rhs in want
+        ]
 
 
 # --- the verdicts: _holds on floors, _is_ultrametric on Prim's tree ---------
@@ -620,7 +641,7 @@ def near(peak: int) -> list[int]:
 
 # peak floor -> the dtype of _holds' floors: the mask is the least power of
 # two above the peak floor, and the dtype holds 2 * mask + 1; past 2^60 the
-# floors are shifted (s > 0) and stay int64, as on Python ints
+# floors are shifted (s > 0) below 2^60, so int64, Python ints included
 HOLDS_PEAKS = {
     8191: np.int16,
     8192: np.int32,
@@ -664,12 +685,8 @@ def test_holds_at_the_dtype_switches(peak, data):
     with narrowed() as seen:
         assert core._holds(m.scaled[0]) == triple_loop_is_metric(m)
         assert core._is_ultrametric(m.scaled[0]) == triple_loop_is_ultrametric(m)
-    if m.scaled[0].dtype == object:
-        # Python-int floors are int64 without asking; a fallback closure
-        # keeps its copy on Python ints
-        assert set(seen) <= {object}
-    else:  # a fallback closure may narrow its own copy after the verdict
-        assert seen[:1] == [HOLDS_PEAKS[peak]]
+    # a fallback closure may narrow its own copy after the verdict
+    assert seen[:1] == [HOLDS_PEAKS[peak]]
 
 
 class CountingNumpy:
@@ -710,15 +727,7 @@ def test_holds_says_no_after_the_first_step(peak, late, monkeypatch):
     with narrowed() as seen:
         assert core._holds(arr) is triple_loop_is_metric(m) is False
     assert spy.minimum_calls == (n if late else 1)
-    assert seen == ([] if arr.dtype == object else [HOLDS_PEAKS[peak]])
-
-
-def test_holds_keeps_int64_for_a_negative_entry():
-    # outside the contract; its int64 sums wrap as they always did
-    arr = np.array([[0, -5, 3], [-5, 0, 3], [3, 3, 0]])
-    with narrowed() as seen:
-        assert not core._holds(arr)
-    assert seen == []
+    assert seen == [HOLDS_PEAKS[peak]]
 
 
 # --- the nearest-neighbour certificate of _holds -----------------------------
@@ -949,12 +958,14 @@ def test_path_closure_at_the_dtype_switches(join, peak, data):
             rows[i][j] = rows[j][i] = data.draw(st.sampled_from(near(peak)))
     rows[0][1] = rows[1][0] = peak
     arr = np.array(rows, dtype=np.int64)
+    arr.flags.writeable = False  # only read: a write into it raises
     with narrowed() as seen:
         closed = core._path_closure(arr, join)
-    # closed in place, in the caller's dtype
-    assert closed is arr and arr.dtype == np.int64
+    # a new array, in the caller's dtype; the input is left as it was
+    assert closed is not arr and closed.dtype == np.int64
+    assert arr.tolist() == rows
     plain = {np.add: operator.add, np.maximum: max}[join]
-    assert arr.tolist() == plain_floyd_warshall(rows, plain)
+    assert closed.tolist() == plain_floyd_warshall(rows, plain)
     assert seen == [CLOSURE_PEAKS[join, peak]]
 
 
@@ -1141,6 +1152,21 @@ def test_amalgamate_reads_legs_row_then_column():
     )
 
 
+def test_amalgamate_refuses_colliding_labels(monkeypatch):
+    # every hub label matches its representative, yet the glued points
+    # would read a, b, b, a; refused from the labels, before any glue
+    plan = PartitionPlan(clusters=((0, 1), (2, 3)), reps=(0, 2), radius=F(1))
+    pieces = [space("ab", [[0, 1], [1, 0]]), space("ba", [[0, 1], [1, 0]])]
+    hub = space("ab", [[0, 1], [1, 0]])
+
+    def glue(*args):
+        raise AssertionError("a colliding glue was built")
+
+    monkeypatch.setattr(core, "_glue", glue)
+    with pytest.raises(ValueError, match="^point labels must be distinct$"):
+        amalgamate(plan, pieces, hub)
+
+
 def test_amalgamate_rejects_zero_hub():
     plan, mets, _ = two_cluster_fixture()
     hub = space(["a0", "a1"], [[0, 0], [0, 0]])
@@ -1304,6 +1330,8 @@ def test_extend_matches_plain_loop(d, data):
     got = extend_metric(d, points)
     assert got.points == tuple(points)
     assert got.dist == plain_extend(d, points)
+    # the stored form too: a zeroed diagonal may free a common factor
+    assert got == FiniteMetricSpace.from_rows(points, plain_extend(d, points))
 
 
 def test_extend_far_value_past_int64():
@@ -1447,6 +1475,9 @@ def test_cantor_matches_the_fraction_build(k):
     assert got.scaled[1] == want.scaled[1] == 2**k
     assert got.scaled[0].dtype == want.scaled[0].dtype
     assert (got.scaled[0] == want.scaled[0]).all()
+    # stored as built: the reduction and the dtype rule leave it unchanged
+    again = core._from_int_matrix(got.points, got.scaled[0].copy(), 2**k)
+    assert got == again and got.scaled[0].dtype == again.scaled[0].dtype == np.int64
 
 
 def test_random_metric_deterministic_and_valid():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from metric_forge import (
     cantor_approx,
     ceil_ratio,
     jsonio,
+    quantize,
     quantize_discrete,
     random_metric,
     range_membership,
@@ -407,6 +409,31 @@ def test_certificate_lookup_by_index():
     for i, j in ((-1, 2), (2, -1), (0, m.n), (m.n, m.n + 1), (-2, -1)):
         with pytest.raises(KeyError):
             res.certificate(i, j)
+
+
+def test_approximation_result_eq_hash_repr():
+    m = random_metric(9, 10, seed=5)
+    res = approximate(m, 5)
+    # the same as a plain frozen dataclass of D, plan, the view, eta and r
+    twin = approximate(FiniteMetricSpace.from_rows(m.points, m.dist), 5)
+    assert twin == res and hash(twin) == hash(res)
+    assert twin != approximate(m, 1) and res != res.D
+    assert res.__eq__(res.D) is NotImplemented
+    assert repr(res) == (
+        f"ApproximationResult(D={res.D!r}, plan={res.plan!r}, "
+        f"certificates={res.certificates!r}, eta={res.eta!r}, r={res.r!r})"
+    )
+    for name in ("D", "plan", "table", "eta", "r"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(res, name, getattr(res, name))
+
+
+def test_approximate_raises_an_internal_error_on_a_metric(monkeypatch):
+    # a self-check that fails on a metric has no input violation to name
+    monkeypatch.setattr(quantize, "_sup_gap", lambda *args: F(1, 2) + 1)
+    with pytest.raises(RuntimeError) as err:
+        approximate(random_metric(9, 10, seed=5), F(1, 2))
+    assert str(err.value) == "internal: approximation moved too far"
 
 
 def test_approximate_intra_cluster_certificates():
