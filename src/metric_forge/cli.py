@@ -152,7 +152,7 @@ def render_range_svg(space, nebula=None) -> str:
 def _cmd_validate(args) -> int:
     space = jsonio.space_from_obj(_load_json(args.space))
     report = validate_metric(space)
-    _emit(jsonio.validation_chunks(report))
+    _emit(jsonio.encode(jsonio.validation_to_obj(report)))
     return 0 if report.is_metric else 1
 
 
@@ -161,7 +161,7 @@ def _cmd_approximate(args) -> int:
     eps = jsonio.parse_scalar(args.epsilon)
     r = None if args.r is None else jsonio.parse_scalar(args.r)
     result = approximate(space, eps, r=r)
-    _emit(jsonio.approximation_chunks(result), args.output)
+    _emit(jsonio.encode(jsonio.approximation_to_obj(result)), args.output)
     return 0
 
 
@@ -215,7 +215,7 @@ def _cmd_embed_search(args) -> int:
 
 def _cmd_universal_pairs(args) -> int:
     space = build_pair_universal(_values_list(args.values))
-    _emit(jsonio.space_chunks(space), args.output)
+    _emit(jsonio.encode(jsonio.space_to_obj(space)), args.output)
     return 0
 
 
@@ -223,7 +223,7 @@ def _cmd_universal_funiv(args) -> int:
     result = build_funiv_approx(
         args.n, jsonio.parse_scalar(args.delta), args.copies
     )
-    _emit(jsonio.funiv_chunks(result), args.output)
+    _emit(jsonio.encode(jsonio.funiv_to_obj(result)), args.output)
     return 0
 
 
@@ -231,7 +231,7 @@ def _cmd_fragility(args) -> int:
     report = fragility_experiment(
         _values_list(args.values), jsonio.parse_scalar(args.epsilon)
     )
-    _emit(jsonio.fragility_chunks(report), args.output)
+    _emit(jsonio.encode(jsonio.fragility_to_obj(report)), args.output)
     return 0
 
 
@@ -250,7 +250,7 @@ def _cmd_plot_range(args) -> int:
 
 def _emit_space(space, path=None) -> None:
     """``_emit`` a generated space, refused if the reader would refuse it."""
-    chunks = jsonio.space_chunks(space)
+    chunks = jsonio.encode(jsonio.space_to_obj(space))
     size = sum(map(len, chunks))  # the encoder writes ASCII only
     if size > _MAX_INPUT_BYTES:
         raise ValueError(

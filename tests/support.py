@@ -18,12 +18,14 @@ import numpy as np
 from metric_forge import (
     ApproximationResult,
     FiniteMetricSpace,
+    FragilityReport,
     FUnivApprox,
     Nebula,
     PartitionPlan,
     RangeCertificate,
     RangeParams,
     RoundUpTo,
+    ValidationReport,
     amalgamate,
     as_scalar,
     geometric_levels,
@@ -36,7 +38,7 @@ from metric_forge import (
     transform_metric,
     validate_metric,
 )
-from metric_forge import core
+from metric_forge import core, jsonio
 from metric_forge.core import _GEN_MAX_POINTS
 from metric_forge.jsonio import parse_scalar
 from metric_forge.nebula import MAX_Q, _Q_TOO_LARGE, NebulaValidation, _interval_index
@@ -609,6 +611,92 @@ def reference_space_from_obj(obj) -> FiniteMetricSpace:
             j = next(j for j in range(i + 1, space.n) if row[j] != col[j])
             raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
     return space
+
+
+# --- the JSON builders the writers are tested against -------------------------
+#
+# Plain dicts of strings and lists: ``json.dumps(obj, indent=2,
+# sort_keys=True) + "\n"`` of each is the text ``jsonio.encode`` must write
+# for the matching ``jsonio.*_to_obj``.
+
+
+def encoded(obj) -> str:
+    """The text ``jsonio.encode`` writes for a builder's object."""
+    return "".join(jsonio.encode(obj))
+
+
+def reference_space_obj(space: FiniteMetricSpace) -> dict:
+    return {
+        "points": list(space.points),
+        "dist": [[str(v) for v in row] for row in space.dist],
+    }
+
+
+def reference_validation_obj(report: ValidationReport) -> dict:
+    return {
+        "is_metric": report.is_metric,
+        "is_ultrametric": report.is_ultrametric,
+        "violations": [
+            {
+                "kind": v.kind,
+                "witness": list(v.witness),
+                "lhs": str(v.lhs),
+                "rhs": str(v.rhs),
+            }
+            for v in report.violations
+        ],
+    }
+
+
+def reference_plan_obj(plan: PartitionPlan) -> dict:
+    return {
+        "clusters": [list(c) for c in plan.clusters],
+        "reps": list(plan.reps),
+        "radius": str(plan.radius),
+    }
+
+
+def reference_certificate_obj(i: int, j: int, cert: RangeCertificate) -> dict:
+    return {"i": i, "j": j, "l": cert.l, "n": cert.n, "m": cert.m}
+
+
+def reference_approximation_obj(result: ApproximationResult) -> dict:
+    return {
+        "eta": str(result.eta),
+        "r": str(result.r),
+        "plan": reference_plan_obj(result.plan),
+        "certificates": [
+            reference_certificate_obj(i, j, cert) for i, j, cert in result.certificates
+        ],
+        "D": reference_space_obj(result.D),
+    }
+
+
+def reference_fragility_obj(report: FragilityReport) -> dict:
+    return {
+        "values": [str(v) for v in report.values],
+        "epsilon": str(report.epsilon),
+        "eta": str(report.eta),
+        "r": str(report.r),
+        "sup_distance": str(report.sup_distance),
+        "max_value": str(report.max_value),
+        "missed_interval": {
+            "lo": str(report.gap_lo),
+            "hi": str(report.gap_hi),
+            "length": str(report.gap_length),
+        },
+        "lost_values": [str(v) for v in report.lost_values],
+        "kept_values": [str(v) for v in report.kept_values],
+        "D": reference_space_obj(report.approximation.D),
+    }
+
+
+def reference_funiv_obj(result: FUnivApprox) -> dict:
+    return {
+        "space": reference_space_obj(result.space),
+        "net_points": [[str(c) for c in p] for p in result.net.points],
+        "copies": result.copies,
+    }
 
 
 def reference_cantor_approx(k: int) -> FiniteMetricSpace:

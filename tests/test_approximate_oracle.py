@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from metric_forge import FiniteMetricSpace, approximate, jsonio, random_metric
 from metric_forge.core import _from_int_matrix
 
-from support import reference_approximate, triple_loop_is_metric
+from support import encoded, reference_approximate, triple_loop_is_metric
 
 EPSILONS = [F(1, 2), F(5), F(1), F(3, 7), F(1, 10), F(20)]
 RATIOS = [None, F(1, 4), F(1, 8), F(1, 3), F(2, 7), F(1, 40)]
@@ -177,7 +177,7 @@ def test_one_point_has_an_empty_table():
     got = approximate(space, F(1, 2))
     rows, index = got.table
     assert rows == () and index.shape == (0,)
-    text = "".join(jsonio.approximation_chunks(got))
+    text = encoded(jsonio.approximation_to_obj(got))
     assert '\n  "certificates": [],\n' in text
     assert json.loads(text)["certificates"] == []
     assert got.certificates == reference_approximate(space, F(1, 2)).certificates == ()

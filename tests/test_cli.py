@@ -12,18 +12,20 @@ from hypothesis import strategies as st
 from metric_forge import (
     FiniteMetricSpace,
     Nebula,
+    NebulaValidation,
     Violation,
     cantor_approx,
     cli,
     core,
     cover,
     jsonio,
+    nebula,
     quantize,
     random_metric,
     validate_metric,
 )
 
-from support import first_primes, raw_weights
+from support import encoded, first_primes, raw_weights, reference_validation_obj
 from test_console_checks import run_limited
 
 EQUILATERAL = {
@@ -102,16 +104,14 @@ def test_space_roundtrip():
     space = FiniteMetricSpace.from_rows(
         ["a", "b"], [[F(0), F(13, 10)], [F(13, 10), F(0)]]
     )
-    assert jsonio.space_from_obj(jsonio.space_to_obj(space)) == space
+    text = encoded(jsonio.space_to_obj(space))
+    assert jsonio.space_from_obj(json.loads(text)) == space
 
 
-def test_nebula_and_plan_roundtrip():
-    from metric_forge import cover, greedy_clopen_partition, random_metric
-
+def test_nebula_roundtrip():
     neb = cover([F(0), F(3, 10), F(17, 10)], 1)
-    assert jsonio.nebula_from_obj(jsonio.nebula_to_obj(neb)) == neb
-    plan = greedy_clopen_partition(random_metric(6, 10, seed=3), F(1, 2))
-    assert jsonio.plan_from_obj(jsonio.plan_to_obj(plan)) == plan
+    text = encoded(jsonio.nebula_to_obj(neb))
+    assert jsonio.nebula_from_obj(json.loads(text)) == neb
 
 
 def test_nebula_reader_rejects_non_integer_q():
@@ -122,17 +122,6 @@ def test_nebula_reader_rejects_non_integer_q():
             jsonio.nebula_from_obj({"q": bad, **rest})
         with pytest.raises(ValueError, match="q must be an integer"):
             Nebula.make(bad, [(0, 0)], 2)
-
-
-def test_plan_reader_rejects_non_integer_indices():
-    good = {"clusters": [[0, 1], [2]], "reps": [0, 2], "radius": "1/2"}
-    plan = jsonio.plan_from_obj(good)
-    assert plan.clusters == ((0, 1), (2,)) and plan.reps == (0, 2)
-    for bad in (0.7, True, "0"):
-        with pytest.raises(ValueError, match="must be an integer"):
-            jsonio.plan_from_obj({**good, "clusters": [[bad, 1], [2]]})
-        with pytest.raises(ValueError, match="must be an integer"):
-            jsonio.plan_from_obj({**good, "reps": [bad, 2]})
 
 
 def test_nebula_check_float_q_exit_two(tmp_path, capsys):
@@ -224,7 +213,7 @@ def test_validate_builds_no_violation_objects(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", path)
     assert (code, len(built)) == (1, 0)
     report = validate_metric(jsonio.space_from_obj(obj))
-    want = jsonio.validation_to_obj(report)
+    want = reference_validation_obj(report)
     assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
     # the view is built once, on the first read
     assert len(built) == len(report.violations) > 60_000
@@ -421,7 +410,7 @@ def test_nebula_cover_reads_json_ints_as_their_strings(tmp_path, capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     want = cover([jsonio.parse_scalar(v) for v in values], 2)
-    assert json.loads(outs[0]) == jsonio.nebula_to_obj(want)
+    assert outs[0] == encoded(jsonio.nebula_to_obj(want))
 
 
 @pytest.mark.parametrize(
@@ -677,13 +666,51 @@ def test_failed_self_check_on_a_metric_exit_three(tmp_path, capsys, monkeypatch)
     assert err == "internal error: internal: approximation moved too far\n"
 
 
+# what a broken validate_nebula returns in the two tests below
+BAD_CHECK = NebulaValidation(False, ("interval [0, 1] has width 1 >= 2^-1",))
+
+
+def test_invalid_cover_exit_three(tmp_path, capsys, monkeypatch):
+    # cover checks the nebula it built before it returns it
+    monkeypatch.setattr(nebula, "validate_nebula", lambda candidate: BAD_CHECK)
+    message = f"internal: cover built an invalid nebula: {BAD_CHECK.violations}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        cover([F(0), F(1)], 1)
+    path = write_json(tmp_path / "v.json", ["0", "1"])
+    got = run(capsys, "nebula", "cover", path, "--q", "1")
+    assert got == (3, "", f"internal error: {message}\n")
+
+
+def test_invalid_fattened_nebula_exit_three(tmp_path, capsys, monkeypatch):
+    # margin checks its input, then the nebula it fattened; only the second
+    # check fails, so the first must have passed the input on
+    space, neb = jsonio.space_from_obj(EQUILATERAL), cover([F(0), F(1)], 1)
+    sp = write_json(tmp_path / "s.json", EQUILATERAL)
+    nb = tmp_path / "n.json"
+    nb.write_text(encoded(jsonio.nebula_to_obj(neb)), encoding="utf-8")
+    real, calls = nebula.validate_nebula, []
+
+    def second_fails(candidate):
+        calls.append(candidate)
+        return BAD_CHECK if len(calls) == 2 else real(candidate)
+
+    monkeypatch.setattr(nebula, "validate_nebula", second_fails)
+    message = f"internal: fattened nebula invalid: {BAD_CHECK.violations}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        nebula.margin(space, neb)
+    assert calls[0] == neb and len(calls) == 2
+    calls.clear()
+    got = run(capsys, "nebula", "margin", sp, str(nb))
+    assert got == (3, "", f"internal error: {message}\n")
+    assert calls[0] == neb and len(calls) == 2
+
 def test_failed_encode_leaves_output_file(tmp_path, capsys, monkeypatch):
     # the output is built in full before its file is opened, so a failure
     # while encoding leaves an existing -o file as it was
     def broken(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(jsonio, "approximation_chunks", broken)
+    monkeypatch.setattr(jsonio, "_certificates", broken)
     sp = write_json(tmp_path / "s.json", EQUILATERAL)
     out_path = tmp_path / "out.json"
     out_path.write_text("previous\n", encoding="utf-8")
@@ -857,11 +884,8 @@ def test_plot_refuses_an_invalid_nebula(tmp_path, capsys):
 def test_plot_with_a_valid_nebula_keeps_its_bytes(tmp_path, capsys):
     space = wide_space()
     sp, neb, svg = (tmp_path / name for name in ("sp.json", "neb.json", "out.svg"))
-    sp.write_text("".join(jsonio.space_chunks(space)), encoding="utf-8")
-    neb.write_text(
-        "".join(jsonio.encode(jsonio.nebula_to_obj(cover(space.values(), 3)))),
-        encoding="utf-8",
-    )
+    sp.write_text(encoded(jsonio.space_to_obj(space)), encoding="utf-8")
+    neb.write_text(encoded(jsonio.nebula_to_obj(cover(space.values(), 3))), encoding="utf-8")
     code, _, _ = run(capsys, "plot", "range", str(sp), "--nebula", str(neb), "-o", str(svg))
     assert code == 0
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == WIDE_SVG_DIGESTS[1]
@@ -1022,7 +1046,7 @@ def test_loading_a_small_space_allocates_about_its_size(tmp_path):
     import tracemalloc
 
     path = tmp_path / "sp.json"
-    path.write_text("".join(jsonio.space_chunks(random_metric(300, seed=1))))
+    path.write_text(encoded(jsonio.space_to_obj(random_metric(300, seed=1))))
     assert 10**6 < os.stat(path).st_size < 2 * 10**6
     tracemalloc.start()
     try:
@@ -1065,7 +1089,7 @@ def test_space_chunks_are_ascii_so_their_length_is_the_file_size(tmp_path):
     space = FiniteMetricSpace(
         ["a", "\u00e9", "\U0001d4b3"], [[0, 1, F(1, 2)], [1, 0, 1], [F(1, 2), 1, 0]]
     )
-    chunks = jsonio.space_chunks(space)
+    chunks = jsonio.encode(jsonio.space_to_obj(space))
     assert all(chunk.isascii() for chunk in chunks)
     path = tmp_path / "sp.json"
     cli._emit(chunks, path)

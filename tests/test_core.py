@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
@@ -122,6 +123,16 @@ def test_restrict_refuses_what_the_constructor_refuses():
         m.restrict([])
     with pytest.raises(ValueError, match="^point labels must be distinct$"):
         m.restrict([0, 0])
+    # integers in 0 .. n - 1 only: no negative index counts from the end,
+    # and a bool or a float is not an index
+    for bad, message in (
+        ([-1], "point index -1 out of range for 4 points"),
+        ([4], "point index 4 out of range for 4 points"),
+        ([True, False], "point index must be an integer, got True"),
+        ([1.0], "point index must be an integer, got 1.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            m.restrict(bad)
 
 
 ODD_ENTRIES = [F(-1), F(0), F(1, 3), F(1), F(5), F(7, 2**70), F(2**65 + 1, 3)]

@@ -390,7 +390,7 @@ def test_approximate_holds_one_index_per_pair_not_a_tuple():
     # an (i, j, cert) tuple per pair held 21.4 MB
     assert held < 8 * 2**20
     assert len(result.table[0]) < 10
-    jsonio.approximation_chunks(result)
+    jsonio.encode(jsonio.approximation_to_obj(result))
     assert "certificates" not in vars(result)
 
 

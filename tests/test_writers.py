@@ -1,9 +1,10 @@
-"""The JSON writers against ``json.dumps`` of the dict builders.
+"""The JSON writers against ``json.dumps`` of the string builders.
 
-The chunks of each writer must join to exactly ``json.dumps(obj,
-indent=2, sort_keys=True) + "\\n"`` of the matching ``jsonio.*_to_obj`` builder,
-the shared encoder must match ``json.dumps`` on any JSON tree, and the
-CLI's outputs must keep the digests they had before the writers existed.
+``"".join(encode(X_to_obj(x)))`` for each ``jsonio.*_to_obj`` builder must
+be exactly ``json.dumps(support.reference_X_obj(x), indent=2,
+sort_keys=True) + "\\n"``, the shared encoder must match ``json.dumps`` on
+any JSON tree, and the CLI's outputs must keep the digests they had before
+the writers existed.
 """
 
 import contextlib
@@ -31,7 +32,17 @@ from metric_forge import (
 )
 from metric_forge.core import ValidationReport
 
-from support import SLAB_BUDGETS, all_kinds, raw_weights
+from support import (
+    SLAB_BUDGETS,
+    all_kinds,
+    encoded,
+    raw_weights,
+    reference_approximation_obj,
+    reference_fragility_obj,
+    reference_funiv_obj,
+    reference_space_obj,
+    reference_validation_obj,
+)
 
 # a symmetric matrix with diagonal, positivity and triangle violations; the
 # reader refuses asymmetric input, so symmetry ones cannot come from a file
@@ -157,8 +168,8 @@ def oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def written(writer, value) -> str:
-    return "".join(writer(value))
+def written(builder, value) -> str:
+    return encoded(builder(value))
 
 
 # quotes, backslashes, control characters, non-ASCII and lone surrogates
@@ -201,7 +212,7 @@ ALL_KINDS = FiniteMetricSpace.from_rows(
 
 @given(st.one_of(metrics(), raw_matrices()))
 def test_space_writer(space):
-    assert written(jsonio.space_chunks, space) == oracle(jsonio.space_to_obj(space))
+    assert written(jsonio.space_to_obj, space) == oracle(reference_space_obj(space))
 
 
 # ALL_KINDS on the object path, with negative sides
@@ -215,16 +226,16 @@ ONE_DIAGONAL = FiniteMetricSpace.from_rows("ab", [[1, 1], [1, 0]])
 JOIN_ROWS = [jsonio._JOIN_ROWS, 1, 2, 3]
 
 
-def written_in_groups(writer, value, rows: int, key: str) -> str:
-    """The writer's text; no chunk holds more than ``rows`` rows of ``key``."""
-    chunks = writer(value)
+def written_in_groups(builder, value, rows: int, key: str) -> str:
+    """The written text; no chunk holds more than ``rows`` rows of ``key``."""
+    chunks = jsonio.encode(builder(value))
     assert max(chunk.count(key) for chunk in chunks) <= rows
     return "".join(chunks)
 
 
 def validation_written(report: ValidationReport, rows: int) -> str:
     with patch.object(jsonio, "_JOIN_ROWS", rows):
-        return written_in_groups(jsonio.validation_chunks, report, rows, '"kind": ')
+        return written_in_groups(jsonio.validation_to_obj, report, rows, '"kind": ')
 
 
 @given(st.one_of(metrics(), raw_matrices()))
@@ -233,7 +244,7 @@ def validation_written(report: ValidationReport, rows: int) -> str:
 @example(ONE_DIAGONAL)
 def test_validation_writer(space):
     report = validate_metric(space)
-    want = oracle(jsonio.validation_to_obj(report))
+    want = oracle(reference_validation_obj(report))
     for rows in JOIN_ROWS:
         assert validation_written(report, rows) == want, rows
 
@@ -252,7 +263,7 @@ def test_validation_writer_at_a_group_boundary(extra):
     groups = jsonio._violations(*report.table, "\n  ")
     assert [c.count('"kind": ') for c in groups] == ([rows, 1] if extra > 0 else [m])
     got = validation_written(report, rows)
-    assert got == oracle(jsonio.validation_to_obj(report))
+    assert got == oracle(reference_validation_obj(report))
 
 
 def many_blocks(corner) -> FiniteMetricSpace:
@@ -280,7 +291,7 @@ def test_validation_writer_over_many_blocks(rows, corner):
     assert kinds.count("triangle") >= 4 and len({len(b[1]) for b in blocks}) > 2
     assert (space.scaled[0].dtype == object) == (corner != 1)
     got = validation_written(report, rows)
-    assert got == oracle(jsonio.validation_to_obj(report))
+    assert got == oracle(reference_validation_obj(report))
 
 
 def test_validation_writer_memory_at_n96():
@@ -290,7 +301,7 @@ def test_validation_writer_memory_at_n96():
     report = validate_metric(jsonio.space_from_obj(raw_weights(96, 1)))
     tracemalloc.start()
     try:
-        chunks = jsonio.validation_chunks(report)
+        chunks = jsonio.encode(jsonio.validation_to_obj(report))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,7 +344,7 @@ def test_validate_output_is_the_same_for_every_slab_budget(tmp_path, cells):
         report = validate_metric(jsonio.space_from_obj(obj))
         with patch.object(core, "_SLAB_CELLS", cells):
             got = _run(["validate", str(path)])
-        assert got == (1, oracle(jsonio.validation_to_obj(report)).encode(), b""), name
+        assert got == (1, oracle(reference_validation_obj(report)).encode(), b""), name
 
 
 def line_space(labels, positions) -> FiniteMetricSpace:
@@ -349,7 +360,7 @@ CLUSTERED = line_space("abcde", [0, F(3, 2**6), F(1, 2**9), 20, 20 + F(1, 2**70)
 
 def approximation_written(result, rows: int) -> str:
     with patch.object(jsonio, "_JOIN_ROWS", rows):
-        return written_in_groups(jsonio.approximation_chunks, result, rows, '"i": ')
+        return written_in_groups(jsonio.approximation_to_obj, result, rows, '"i": ')
 
 
 @given(
@@ -361,7 +372,7 @@ def approximation_written(result, rows: int) -> str:
 @example(CLUSTERED, F(5), None)
 def test_approximation_writer(space, eps, r):
     result = approximate(space, eps, r=r)
-    want = oracle(jsonio.approximation_to_obj(result))
+    want = oracle(reference_approximation_obj(result))
     for rows in JOIN_ROWS:
         assert approximation_written(result, rows) == want, rows
 
@@ -374,7 +385,7 @@ def test_certificates_at_a_group_boundary(extra):
         chunks = jsonio._certificates(result, "\n  ")
     assert [c.count('"i": ') for c in chunks] == ([10] if extra < 1 else [9, 1])
     got = approximation_written(result, 10 - extra)
-    assert got == oracle(jsonio.approximation_to_obj(result))
+    assert got == oracle(reference_approximation_obj(result))
 
 
 def test_approximation_writer_edges():
@@ -388,8 +399,8 @@ def test_approximation_writer_edges():
     assert slots == {(True, True), (True, False), (False, True), (False, False)}
     odd = approximate(jsonio.space_from_obj(ODD_LABELS), F(1, 3))
     for result in (one, clustered, odd):
-        got = written(jsonio.approximation_chunks, result)
-        assert got == oracle(jsonio.approximation_to_obj(result))
+        got = written(jsonio.approximation_to_obj, result)
+        assert got == oracle(reference_approximation_obj(result))
 
 
 @given(
@@ -399,8 +410,8 @@ def test_approximation_writer_edges():
 )
 def test_fragility_writer(values, eps):
     report = fragility_experiment(values, eps)
-    got = written(jsonio.fragility_chunks, report)
-    assert got == oracle(jsonio.fragility_to_obj(report))
+    got = written(jsonio.fragility_to_obj, report)
+    assert got == oracle(reference_fragility_obj(report))
 
 
 @pytest.mark.parametrize(
@@ -408,7 +419,7 @@ def test_fragility_writer(values, eps):
 )
 def test_funiv_writer(n, delta, copies):
     result = build_funiv_approx(n, delta, copies)
-    assert written(jsonio.funiv_chunks, result) == oracle(jsonio.funiv_to_obj(result))
+    assert written(jsonio.funiv_to_obj, result) == oracle(reference_funiv_obj(result))
 
 
 # --- the shared encoder against json.dumps on any JSON tree ----------------------
