@@ -136,11 +136,11 @@ class FiniteMetricSpace:
         """Sorted distinct entries of ``scaled``, 0 included, as Python ints.
 
         A space that ``_int_matrix`` scaled sorts its table, used once;
-        any other reads the entries off ``scaled``.
+        any other reads them off ``scaled`` with one ``_factorize``.
         """
         table = self.__dict__.pop("_table", None)
         if table is None:
-            table = set().union(*self.scaled[0].tolist())
+            table = _factorize(self.scaled[0].ravel())[0].tolist()
         return tuple(sorted({0, *table}))
 
     def __eq__(self, other):
@@ -350,7 +350,7 @@ def _factorize(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of the 1-D ``flat`` and each entry's index in them.
 
     The result of ``np.unique(flat, return_inverse=True)``, the index array
-    1-D and of dtype intp, by one of two paths:
+    1-D and of dtype intp, by one of three paths:
 
     - a counting pass, for an integer array that intp holds, nonempty, whose
       span max - min is at most ``_COUNT_SPAN`` times its length: it marks
@@ -359,10 +359,14 @@ def _factorize(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       number the entries, in O(len) time and memory with no sort.  The
       offsets are taken in intp: in the input's own dtype max - min can
       wrap (an int16 -32768 and 32000 are 64768 apart);
-    - ``np.unique`` for everything else: object arrays (Python ints, which
-      index no table), sparse spans (a table that would outgrow the input)
-      and empty arrays.  Its index array is raveled, since its shape has
-      differed across numpy releases.
+    - a hash pass, for a nonempty object array (Python ints, which index no
+      table): one dict numbers each distinct value as it is first seen,
+      then only the distinct values are sorted and the numbers remapped to
+      their ranks, where ``np.unique`` would sort every entry by Python
+      comparisons;
+    - ``np.unique`` for everything else: sparse integer spans (a table that
+      would outgrow the input) and empty arrays.  Its index array is
+      raveled, since its shape has differed across numpy releases.
     """
     if flat.dtype.kind in "iu" and np.can_cast(flat.dtype, np.intp) and flat.size:
         lo, hi = int(flat.min()), int(flat.max())
@@ -375,6 +379,14 @@ def _factorize(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rank = np.empty(len(seen), dtype=np.intp)  # read only where seen
             rank[at] = np.arange(len(at))
             return (at + lo).astype(flat.dtype, copy=False), rank[off]
+    if flat.dtype == object and flat.size:
+        seen = defaultdict(count().__next__)
+        first = np.fromiter(map(seen.__getitem__, flat), np.intp, flat.size)
+        keys = list(seen)  # in order of first sight
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return np.array(keys, dtype=object)[order], rank[first]
     values, inverse = np.unique(flat, return_inverse=True)
     return values, inverse.reshape(-1)
 

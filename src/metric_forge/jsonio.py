@@ -9,13 +9,16 @@ one encoder, ``encode``.  It writes what the stdlib encoder writes with
 ``indent=2`` and ``sort_keys=True``, plus a trailing newline, and a
 ``Fraction`` as its quoted string.  The builders hand it exact values:
 ``Fraction``s, tuples, and for the three large arrays callables that
-encode each repeated part once.  The distance rows quote each distinct
-value once.  The certificates (from the result's index array) and the
-violations (from the report's integer table) encode each distinct tail or
-side and each point index once; ``_joined`` gathers the pieces column by
-column, one chunk per group of ``_JOIN_ROWS`` rows, so no ``(i, j, cert)``
-tuple, ``Violation`` or per-row string is built.  The string builders the
-writers are tested against live in ``tests/support.py``.
+encode each repeated part once.  The distance rows are gathered from
+``_factorize`` codes, as the certificates and violations are: each
+distinct value is quoted once and each row joined from the quoted cells,
+so no Python int is built per entry.  The certificates (from the result's
+index array) and the violations (from the report's integer table) encode
+each distinct tail or side and each point index once; ``_joined`` gathers
+the pieces column by column, one chunk per group of ``_JOIN_ROWS`` rows,
+so no ``(i, j, cert)`` tuple, ``Violation`` or per-row string is built.
+The string builders the writers are tested against live in
+``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ def nebula_from_obj(obj) -> Nebula:
         not isinstance(item, list) or len(item) != 2 for item in bounded
     ):
         raise ValueError("nebula JSON 'bounded' must be an array of [lo, hi] arrays")
-    return Nebula.make(
+    return Nebula(
         obj["q"],
         [(parse_scalar(a), parse_scalar(b)) for a, b in bounded],
         parse_scalar(obj["tail_start"]),
@@ -256,14 +259,34 @@ def _encode(value, level: int, out: list[str]) -> None:
             out.append(nl[:-2] + brackets[1])
 
 
+def _cells(values: np.ndarray, denom: int) -> np.ndarray:
+    """Each of the scaled ``values``, written as its quoted rational."""
+    return np.array([f'"{_rational(v, denom)}"' for v in values.tolist()], dtype=object)
+
+
+# cells per gathered block of distance rows: a block's index and object
+# arrays (8 bytes a cell) stay under glibc's 128 KiB mmap threshold
+_GATHER_CELLS = 16_000
+
+
 def _dist(space: FiniteMetricSpace, nl: str) -> list[str]:
-    """One chunk per row; each distinct value is quoted once."""
+    """One chunk per row, gathered from ``_factorize`` codes.
+
+    Each distinct value is quoted once, and rows are gathered from those
+    cells a block of about ``_GATHER_CELLS`` cells at a time, so no Python
+    int is built per entry.
+    """
     arr, denom = space.scaled
-    rows = arr.tolist()
-    cells = {v: f'"{_rational(v, denom)}"' for v in set().union(*rows)}
+    values, at = _factorize(arr.ravel())
+    cells, at = _cells(values, denom), at.reshape(arr.shape)
     cell = nl + "  "
-    sep = "," + cell
-    return [f",{nl}[{cell}{sep.join(map(cells.__getitem__, row))}{nl}]" for row in rows]
+    head, sep, tail = f",{nl}[{cell}", "," + cell, nl + "]"
+    step = max(1, _GATHER_CELLS // len(arr))
+    return [
+        f"{head}{sep.join(row)}{tail}"
+        for a in range(0, len(arr), step)
+        for row in cells[at[a : a + step]].tolist()
+    ]
 
 
 # rows per chunk of a large array: a group of triangle rows (about 150
@@ -322,7 +345,7 @@ def _violations(blocks, denom: int, nl: str) -> list[str]:
     inner, deep = nl + "  ", nl + "    "
     sides = [lhs for *_, lhs, _ in blocks] + [rhs for *_, rhs in blocks]
     values, at = _factorize(np.concatenate(sides))
-    cells = np.array([f'"{_rational(v, denom)}"' for v in values.tolist()], dtype=object)
+    cells = _cells(values, denom)
     rhss = f',{inner}"rhs": ' + cells
     top = max(int(w.max()) for _, w, *_ in blocks)
     names = np.array(list(map(str, range(top + 1))), dtype=object)

@@ -34,16 +34,22 @@ _Q_TOO_LARGE = f"q must be at most {MAX_Q}"
 
 @dataclass(frozen=True)
 class Nebula:
-    """Candidate q-nebula: sorted closed intervals plus a tail [tail_start, oo)."""
+    """Candidate q-nebula: sorted closed intervals plus a tail [tail_start, oo).
+
+    Construction coerces: each end goes through ``as_scalar`` (an int
+    becomes a Fraction, a float or bool is a TypeError), then q through
+    ``_as_int``, then the tail start, so every nebula holds Fraction ends.
+    """
 
     q: int
     bounded: tuple[tuple[Fraction, Fraction], ...]
     tail_start: Fraction
 
-    @classmethod
-    def make(cls, q, bounded, tail_start) -> "Nebula":
-        ivs = tuple((as_scalar(a), as_scalar(b)) for a, b in bounded)
-        return cls(_as_int(q, "q"), ivs, as_scalar(tail_start))
+    def __post_init__(self):
+        ivs = tuple((as_scalar(a), as_scalar(b)) for a, b in self.bounded)
+        object.__setattr__(self, "bounded", ivs)
+        object.__setattr__(self, "q", _as_int(self.q, "q"))
+        object.__setattr__(self, "tail_start", as_scalar(self.tail_start))
 
 
 @dataclass(frozen=True)

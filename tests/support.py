@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count, permutations, repeat, takewhile
 
 import numpy as np
@@ -34,6 +35,7 @@ from metric_forge import (
     metric_repair,
     pair_points,
     quantize_discrete,
+    random_metric,
     subdominant_ultrametric,
     transform_metric,
     validate_metric,
@@ -149,6 +151,16 @@ def raw_weights(n: int, seed: int) -> dict:
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = str(Fraction(rng.randint(1, 1024), 1024))
     return {"points": [f"p{i}" for i in range(n)], "dist": rows}
+
+
+@cache
+def metric_1024() -> FiniteMetricSpace:
+    """``random_metric(1024, 10**6)``: int64 entries up to 93750, past 256.
+
+    So each entry read into a list would be a Python int of its own, 32
+    MiB of them; built once for the memory tests that share it.
+    """
+    return random_metric(1024, 10**6)
 
 
 def plain_repair_error(space) -> str | None:

@@ -121,7 +121,7 @@ def test_nebula_reader_rejects_non_integer_q():
         with pytest.raises(ValueError, match="q must be an integer"):
             jsonio.nebula_from_obj({"q": bad, **rest})
         with pytest.raises(ValueError, match="q must be an integer"):
-            Nebula.make(bad, [(0, 0)], 2)
+            Nebula(bad, [(0, 0)], 2)
 
 
 def test_nebula_check_float_q_exit_two(tmp_path, capsys):

@@ -176,14 +176,14 @@ def test_quantize_input_checks(call, exc, message):
     refused(call, exc, message)
 
 
-VALID_NEBULA = Nebula.make(1, [(0, 0)], 2)
+VALID_NEBULA = Nebula(1, [(0, 0)], 2)
 
 NEBULA = [
     (lambda: nebula_contains(VALID_NEBULA, -1), "values live in [0, oo)"),
     (lambda: cover([0, 1], -1), "q must be a nonnegative integer"),
     (lambda: cover_family([0, 1], -1), "q_max must be nonnegative"),
     (
-        lambda: margin(PAIR, Nebula.make(1, [(0, 0), (1, 1)], 1)),
+        lambda: margin(PAIR, Nebula(1, [(0, 0), (1, 1)], 1)),
         "margin needs a valid nebula: ('tail not in (1, oo): starts at 1',"
         " 'tail overlaps the last bounded interval')",
     ),
@@ -191,7 +191,7 @@ NEBULA = [
     (lambda: cover([0, 1], 10**12), "q must be at most 12900"),
     (lambda: cover_family([0, 1], MAX_Q + 1), "q must be at most 12900"),
     (
-        lambda: margin(PAIR, Nebula.make(10**12, [(0, 0), (1, 1)], 10**12 + 1)),
+        lambda: margin(PAIR, Nebula(10**12, [(0, 0), (1, 1)], 10**12 + 1)),
         "margin needs a valid nebula: ('q must be at most 12900',)",
     ),
 ]
@@ -230,7 +230,7 @@ def test_nebula_input_checks(call, message):
     ],
 )
 def test_validate_nebula_problems(q, bounded, tail, problems):
-    check = validate_nebula(Nebula.make(q, bounded, tail))
+    check = validate_nebula(Nebula(q, bounded, tail))
     assert not check.is_valid
     assert check.violations == problems
 

@@ -15,6 +15,7 @@ from metric_forge import (
     cover,
     cover_family,
     intersect,
+    jsonio,
     margin,
     nebula_contains,
     nebula_to_intervals,
@@ -39,7 +40,7 @@ from support import (
 
 
 def neb(q, bounded, tail):
-    return Nebula.make(q, bounded, tail)
+    return Nebula(q, bounded, tail)
 
 
 EXAMPLE = neb(1, [(0, 0), (F(3, 10), F(3, 10)), (F(17, 10), F(17, 10))], 2)
@@ -80,7 +81,7 @@ def nebula_candidates(draw):
     # reversed ends, widths of exactly 2^-q and one unit of 1/(3 2^q) or
     # 1/2^(q+70) below it, ends that touch the previous interval, and a
     # tail at q, at the last end or near either; sometimes sorted, and
-    # sometimes with int ends that Nebula.make would have made Fractions
+    # sometimes with int ends, which the constructor makes Fractions
     q = draw(st.sampled_from([0, 0, 1, 2, 3, 6, MAX_Q, -1, MAX_Q + 1]))
     cap = F(1, 2 ** max(q, 0))
 
@@ -127,6 +128,32 @@ def as_int(x):
 @example(Nebula(1, ((F(-1, 3), -1), (F(1, 2), F(1, 5))), 1))
 def test_validate_matches_the_fraction_checks(candidate):
     assert validate_nebula(candidate) == reference_validate_nebula(candidate)
+
+
+def test_constructor_stores_fraction_ends():
+    # int ends written as the CLI writes them, as strings, not as [0, 0]
+    nebula = Nebula(0, ((0, 0),), 2)
+    assert nebula.bounded == ((F(0), F(0)),) and type(nebula.tail_start) is F
+    text = "".join(jsonio.encode(jsonio.nebula_to_obj(nebula)))
+    assert text == '{\n  "bounded": [\n    [\n      "0",\n      "0"\n    ]\n  ],\n' \
+        '  "q": 0,\n  "tail_start": "2"\n}\n'
+
+
+@pytest.mark.parametrize(
+    "q, bounded, tail, exc, message",
+    [
+        (0, [(0, 0.5)], 2, TypeError, "expected an exact rational, got float"),
+        (0, [(0, 0)], 2.0, TypeError, "expected an exact rational, got float"),
+        (0, [(True, 0)], 2, TypeError, "expected an exact rational, got bool"),
+        (1.0, [(0, 0)], 2, ValueError, "q must be an integer, got 1.0"),
+        # the ends are checked first, then q, then the tail
+        (1.0, [(0, 0.5)], 2, TypeError, "got float"),
+        (1.0, [(0, 0)], 2.0, ValueError, "q must be an integer"),
+    ],
+)
+def test_constructor_refuses_inexact_input(q, bounded, tail, exc, message):
+    with pytest.raises(exc, match=message):
+        Nebula(q, bounded, tail)
 
 
 # --- membership ----------------------------------------------------------------
@@ -649,7 +676,7 @@ def scan_inputs(draw):
     if draw(st.booleans()):
         pieces.sort()
     tail = near() + nudge()
-    return space, Nebula.make(draw(st.integers(0, 3)), pieces, tail)
+    return space, Nebula(draw(st.integers(0, 3)), pieces, tail)
 
 
 def scan_outcome(scan, nebula, values):

@@ -48,6 +48,7 @@ from metric_forge.nebula import _covering_intervals
 
 from support import (
     encoded,
+    metric_1024,
     plain_max_value,
     plain_min_positive,
     plain_values,
@@ -447,16 +448,36 @@ def test_levels_of_every_build(space):
     assert_levels(sub)
 
 
+def test_levels_of_a_computed_space_build_no_int_per_entry():
+    # 10^6 entries above 256: set().union of the rows peaked at 40 MiB;
+    # _factorize holds the offsets and the codes, one intp a cell each
+    import tracemalloc
+
+    arr, denom = metric_1024().scaled
+    space = _from_int_matrix(metric_1024().points, arr, denom)  # levels unread
+    assert "_table" not in vars(space) and int(arr.max()) > 256
+    tracemalloc.start()
+    try:
+        levels = space.levels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(levels) == plain_levels(space)
+    assert peak < 2.5 * arr.nbytes
+
+
 # --- factorizing and writing scaled ints --------------------------------------
 
 
 @st.composite
 def factor_inputs(draw):
     # int16 to int64 with spans on both sides of the counting rule, up to
-    # the whole dtype, and Python ints past 2^64 in object arrays
+    # the whole dtype, and Python ints past 2^64 in object arrays, some
+    # repeated, for the hash pass
     size = draw(st.integers(0, 30))
     if draw(st.integers(0, 3)) == 0:
-        vals = draw(st.lists(st.integers(-(2**80), 2**80), min_size=size, max_size=size))
+        entry = st.integers(-(2**80), 2**80) | st.sampled_from([0, 1, 2**64, -(2**70)])
+        vals = draw(st.lists(entry, min_size=size, max_size=size))
         return np.array(vals, dtype=object)
     info = np.iinfo(draw(st.sampled_from([np.int16, np.int32, np.int64])))
     low, full = int(info.min), int(info.max) - int(info.min)
@@ -479,6 +500,13 @@ def factor_inputs(draw):
 @example(np.array([2**63 - 1, 2**63 - 3, 2**63 - 1], dtype=np.int64))
 @example(np.array([-(2**63) + 2, -(2**63), -(2**63) + 2], dtype=np.int64))
 @example(np.array([2**64 + 1, -(2**65), 2**64 + 1, 0], dtype=object))
+# the hash pass: repeated values, ints past 2^64, a single entry, all
+# entries equal, and huge and small values mixed
+@example(np.array([5, 3, 5, 3, 5, 9], dtype=object))
+@example(np.array([2**64 + 3, 2**64, 2**65, 2**64, 2**64 + 3], dtype=object))
+@example(np.array([2**70], dtype=object))
+@example(np.array([2**66 + 1] * 20, dtype=object))
+@example(np.array([2**90, 1, -(2**90), 0, 1, 2**90, -1, 2**62], dtype=object))
 def test_factorize_matches_unique(flat):
     values, at = _factorize(flat)
     want, want_at = np.unique(flat, return_inverse=True)
@@ -491,13 +519,13 @@ def test_factorize_matches_unique(flat):
 @pytest.mark.parametrize("past", [0, 1], ids=["at-rule", "past-rule"])
 def test_factorize_counts_up_to_the_span_rule(dtype, past):
     # a span of _COUNT_SPAN * len counts, one more sorts; uint64, which intp
-    # does not hold, and object arrays always sort
+    # does not hold, always sorts, and object arrays take the hash pass
     m = 50
     lo = 0 if dtype is np.uint64 else -(2**15)
     flat = np.array([lo + 7] * (m - 2) + [lo, lo + _COUNT_SPAN * m + past], dtype=dtype)
     with patch.object(np, "unique", wraps=np.unique) as spy:
         values, at = _factorize(flat)
-    assert spy.called == (dtype in (np.uint64, object) or bool(past))
+    assert spy.called == (dtype is np.uint64 or (bool(past) and dtype is not object))
     assert values.tolist() == [lo, lo + 7, lo + _COUNT_SPAN * m + past]
     assert at.tolist() == [1] * (m - 2) + [0, 2]
 

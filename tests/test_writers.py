@@ -36,6 +36,7 @@ from support import (
     SLAB_BUDGETS,
     all_kinds,
     encoded,
+    metric_1024,
     raw_weights,
     reference_approximation_obj,
     reference_fragility_obj,
@@ -213,6 +214,62 @@ ALL_KINDS = FiniteMetricSpace.from_rows(
 @given(st.one_of(metrics(), raw_matrices()))
 def test_space_writer(space):
     assert written(jsonio.space_to_obj, space) == oracle(reference_space_obj(space))
+
+
+def grid_space(n: int, entry) -> FiniteMetricSpace:
+    """n points with d(i, j) = entry(|i - j|) off the diagonal."""
+    rows = [[entry(abs(i - j)) if i != j else 0 for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows)
+
+
+# int64 entries up to 256 and past it (an int of its own each), Python
+# ints past 2^62, one point, coprime denominators, and 200 rows, which
+# the default block of cells gathers in three blocks
+GATHERED = {
+    "small-ints": grid_space(9, lambda k: 31 * k),
+    "large-ints": grid_space(9, lambda k: 1000 * k + 7),
+    "object": grid_space(9, lambda k: 2**62 + k),
+    "one-point": grid_space(1, None),
+    "coprime": grid_space(9, lambda k: 1 + F(1, [2, 3, 5, 7, 11, 13, 17, 19][k - 1])),
+    "blocks": grid_space(200, lambda k: F(k % 37, 4)),
+}
+
+
+def test_gathered_examples_reach_each_case():
+    peaks = {name: int(space.scaled[0].max()) for name, space in GATHERED.items()}
+    assert peaks["small-ints"] <= 256 < peaks["large-ints"] < 2**62 <= peaks["object"]
+    assert GATHERED["object"].scaled[0].dtype == object
+    assert GATHERED["coprime"].scaled[1] == 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+    assert GATHERED["blocks"].n ** 2 > 2 * jsonio._GATHER_CELLS
+
+
+@pytest.mark.parametrize("cells", [jsonio._GATHER_CELLS, 1, 5, 100])
+@pytest.mark.parametrize("name", list(GATHERED))
+def test_space_writer_gathers_rows(name, cells):
+    # one chunk per row, whatever the block of cells; 1 and 5 cells give
+    # one row per block, 100 several rows of 9 and a remainder
+    space = GATHERED[name]
+    with patch.object(jsonio, "_GATHER_CELLS", cells):
+        assert len(jsonio._dist(space, "\n  ")) == space.n
+        got = written(jsonio.space_to_obj, space)
+    assert got == oracle(reference_space_obj(space))
+
+
+def test_space_writer_memory_at_n1024():
+    # 10^6 entries above 256: a list of the rows peaked at 3.7 times the
+    # text; the gather holds the text and the codes, one intp a cell
+    space = metric_1024()
+    arr = space.scaled[0]
+    assert arr.dtype == np.int64 and int(arr.max()) > 256
+    tracemalloc.start()
+    try:
+        chunks = jsonio.encode(jsonio.space_to_obj(space))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = sum(map(len, chunks))
+    assert len(chunks) > space.n and text > 14 * 2**20
+    assert peak < text + 2 * arr.nbytes
 
 
 # ALL_KINDS on the object path, with negative sides
