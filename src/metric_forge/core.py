@@ -4,14 +4,14 @@ Every distance is exact, so inequalities such as ``diameter <= 2 * radius``
 are zero-tolerance assertions rather than floating-point approximations.  A
 space stores one matrix, ``FiniteMetricSpace.scaled``: its distances over a
 common denominator, int64 when the values fit and Python ints otherwise.
-Every kernel reads it; ``dist`` is the exact ``Fraction`` view and
-``levels`` the sorted distinct entries, both built on use.  Validation
-decides the triangle inequality on integer floors of that matrix: in O(n^2)
-when each d(i,j) is at most the sum of the least off-diagonal entries of
-rows i and j (the nearest-neighbour certificate, which a metric with
-entries in some [a, 2a] meets, always below 2^60), and otherwise by an
-O(n^3) min-plus loop.  The ultrametric inequality is decided on Prim's
-tree, in O(n^2) comparisons.
+Every kernel reads it; ``dist`` is the exact ``Fraction`` view, gathered
+from ``_factorize`` codes, and ``levels`` the sorted distinct entries, both
+built on use.  Validation decides the triangle inequality on integer floors
+of that matrix: in O(n^2) when each d(i,j) is at most the sum of the least
+off-diagonal entries of rows i and j (the nearest-neighbour certificate,
+which a metric with entries in some [a, 2a] meets, always below 2^60), and
+otherwise by an O(n^3) min-plus loop.  The ultrametric inequality is
+decided on Prim's tree, in O(n^2) comparisons.
 """
 
 from __future__ import annotations
@@ -125,11 +125,11 @@ class FiniteMetricSpace:
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Fraction rows of ``scaled``, one Fraction per distinct value; built once."""
+        """Fraction rows of ``scaled``, gathered by ``_factorize`` codes; built once."""
         arr, denom = self.scaled
-        rows = arr.tolist()
-        table = {v: Fraction(v, denom) for v in set().union(*rows)}
-        return tuple(tuple(map(table.__getitem__, row)) for row in rows)
+        values, at = _factorize(arr.ravel())
+        table = np.array([Fraction(v, denom) for v in values.tolist()], dtype=object)
+        return tuple(map(tuple, table[at.reshape(arr.shape)].tolist()))
 
     @cached_property
     def levels(self) -> tuple[int, ...]:

@@ -283,13 +283,7 @@ class IntervalSet:
     def restrict(self, lo, hi) -> "IntervalSet":
         """Intersection with the closed interval [lo, hi]; tail becomes bounded."""
         lo, hi = as_scalar(lo), as_scalar(hi)
-        pieces = []
-        for a, b in self.bounded:
-            if b >= lo and a <= hi:
-                pieces.append((max(a, lo), min(b, hi)))
-        if self.tail_start is not None and self.tail_start <= hi:
-            pieces.append((max(self.tail_start, lo), hi))
-        return IntervalSet.make(pieces, None)
+        return _intersect_two(self, IntervalSet(((lo, hi),), None))
 
     def largest_length_below(self, bound) -> Fraction:
         """Length of the longest component that starts below ``bound``."""

@@ -25,10 +25,12 @@ from .core import (
     _factorize,
     _from_int_matrix,
     _glue,
+    _int_matrix,
     _partition,
     _path_closure,
     _peak,
     _rescale,
+    _store,
     _sup_gap,
     _witnesses,
     _widen,
@@ -53,27 +55,12 @@ def ceil_ratio(x, eta) -> int:
 def quantize_discrete(space: FiniteMetricSpace, eta) -> FiniteMetricSpace:
     """Round every positive distance up to the grid eta * Z.
 
+    This is ``transform_metric`` with the ``ScaledCeil(eta)`` transform.
     The result stays within eta of the input, every positive output is at
     least eta, and metricity is preserved because the scaled ceiling is
     increasing and subadditive.
     """
-    eta = ScaledCeil(eta).eta
-    scaled = _rescale(_grid_steps(*space.scaled, eta), eta.numerator)
-    return _from_int_matrix(space.points, scaled, eta.denominator)
-
-
-def _grid_steps(arr: np.ndarray, denom: int, eta: Fraction) -> np.ndarray:
-    """ceil(x / eta) for each off-diagonal x = arr / denom; zero diagonal.
-
-    The same integer division as ``ceil_ratio``, over a whole matrix.
-    """
-    off = ~np.eye(len(arr), dtype=bool)
-    if (arr[off] < 0).any():
-        raise ValueError("transforms are defined on nonnegative values")
-    div = denom * eta.numerator
-    steps = -(-_widen(_rescale(arr, eta.denominator), div) // div)
-    np.fill_diagonal(steps, 0)
-    return steps
+    return transform_metric(space, ScaledCeil(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +257,10 @@ class Compose(Transform):
 def transform_metric(space: FiniteMetricSpace, f: Transform) -> FiniteMetricSpace:
     """Apply a family transform to every off-diagonal distance.
 
+    ``f`` runs once per distinct off-diagonal value, in increasing order,
+    so a refusal names the least value refused (such as the least one
+    above a ``RoundUpTo`` set's top); the images are gathered back from
+    ``_factorize`` codes.  The diagonal is 0 and is never passed to ``f``.
     When ``f.is_subadditive()`` the output is again a metric; otherwise
     the returned candidate may fail validation, which is exactly what the
     counterexample construction exploits.
@@ -278,11 +269,17 @@ def transform_metric(space: FiniteMetricSpace, f: Transform) -> FiniteMetricSpac
         raise UnsupportedTransformError(
             "transform must come from the closed descriptor family"
         )
-    rows = [
-        [Fraction(0) if i == j else f.apply(v) for j, v in enumerate(row)]
-        for i, row in enumerate(space.dist)
-    ]
-    return FiniteMetricSpace(space.points, rows)
+    arr, denom = space.scaled
+    off = ~np.eye(space.n, dtype=bool)
+    values, at = _factorize(arr[off])
+    # as_scalar refuses an image that is not an exact rational
+    images, scale, table = _int_matrix(
+        (values.tolist(),),
+        lambda v: as_scalar(f.apply(Fraction(v, denom))).as_integer_ratio(),
+    )
+    out = np.zeros(arr.shape, dtype=images.dtype)
+    out[off] = images[at]
+    return _store(space.points, out, scale, table)
 
 
 def subadditivity_counterexample(f: Transform, x, y) -> FiniteMetricSpace:
@@ -524,10 +521,13 @@ def approximate(
     home = np.empty(n, dtype=np.intp)
     # level exponent of each pair inside a cluster, -1 everywhere else
     expo = np.full((n, n), -1, dtype=np.intp)
+    # ceil(x / eta) per hub entry, as in ceil_ratio: _glue overwrites the
+    # diagonal, and _check_hub refuses a negative entry's step
+    div = den * eta.numerator
+    steps = -(-_widen(_rescale(arr[np.ix_(reps, reps)], eta.denominator), div) // div)
     # on a metric neither the hub nor the level rounding refuses, so a
     # refusal there names the input's first violation
     try:
-        steps = _grid_steps(arr[np.ix_(reps, reps)], den, eta)
         _check_hub(steps)
     except ValueError as err:
         raise failure(str(err)) from None

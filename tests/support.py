@@ -26,6 +26,8 @@ from metric_forge import (
     RangeCertificate,
     RangeParams,
     RoundUpTo,
+    Transform,
+    UnsupportedTransformError,
     ValidationReport,
     amalgamate,
     as_scalar,
@@ -151,6 +153,12 @@ def raw_weights(n: int, seed: int) -> dict:
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = str(Fraction(rng.randint(1, 1024), 1024))
     return {"points": [f"p{i}" for i in range(n)], "dist": rows}
+
+
+def grid_space(n: int, entry) -> FiniteMetricSpace:
+    """n points with d(i, j) = entry(|i - j|) off the diagonal."""
+    rows = [[entry(abs(i - j)) if i != j else 0 for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows)
 
 
 @cache
@@ -343,6 +351,24 @@ def random_cn_space(rng: random.Random, n: int) -> FiniteMetricSpace:
             rows[j][i] = v
     labels = tuple(f"c{i}" for i in range(k))
     return FiniteMetricSpace(labels, tuple(tuple(r) for r in rows))
+
+
+def reference_transform_metric(space: FiniteMetricSpace, f: Transform):
+    """``transform_metric`` entry by entry, before it mapped each distinct value.
+
+    Every off-diagonal entry of ``scaled`` becomes a Fraction and goes
+    through ``f`` in row-major order; the constructor parses the rows.
+    """
+    if not isinstance(f, Transform):
+        raise UnsupportedTransformError(
+            "transform must come from the closed descriptor family"
+        )
+    arr, denom = space.scaled
+    rows = [
+        [0 if i == j else f.apply(Fraction(x, denom)) for j, x in enumerate(row)]
+        for i, row in enumerate(arr.tolist())
+    ]
+    return FiniteMetricSpace(space.points, rows)
 
 
 # The Fraction implementation of ``quantize.approximate`` from before it ran

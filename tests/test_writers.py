@@ -36,6 +36,7 @@ from support import (
     SLAB_BUDGETS,
     all_kinds,
     encoded,
+    grid_space,
     metric_1024,
     raw_weights,
     reference_approximation_obj,
@@ -216,12 +217,6 @@ def test_space_writer(space):
     assert written(jsonio.space_to_obj, space) == oracle(reference_space_obj(space))
 
 
-def grid_space(n: int, entry) -> FiniteMetricSpace:
-    """n points with d(i, j) = entry(|i - j|) off the diagonal."""
-    rows = [[entry(abs(i - j)) if i != j else 0 for j in range(n)] for i in range(n)]
-    return FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows)
-
-
 # int64 entries up to 256 and past it (an int of its own each), Python
 # ints past 2^62, one point, coprime denominators, and 200 rows, which
 # the default block of cells gathers in three blocks
@@ -270,6 +265,28 @@ def test_space_writer_memory_at_n1024():
     text = sum(map(len, chunks))
     assert len(chunks) > space.n and text > 14 * 2**20
     assert peak < text + 2 * arr.nbytes
+
+
+@pytest.mark.parametrize("n", [1024, 3])
+def test_space_writer_blocks_hold_at_most_the_cell_budget(n):
+    # the quoted cells record the shape of each block of codes they gather
+    # by; a block of a few rows stays under _GATHER_CELLS, one row past it
+    shapes, real = [], jsonio._cells
+
+    class Cells(np.ndarray):
+        def __getitem__(self, index):
+            shapes.append(np.shape(index))
+            return super().__getitem__(index)
+
+    def cells(values, denom):
+        return real(values, denom).view(Cells)
+
+    space = metric_1024() if n == 1024 else metric_1024().restrict(range(n))
+    with patch.object(jsonio, "_cells", cells):
+        chunks = jsonio._dist(space, "\n  ")
+    assert len(chunks) == n and sum(rows for rows, _ in shapes) == n
+    assert all(cols == n for _, cols in shapes)
+    assert all(rows * n <= max(n, jsonio._GATHER_CELLS) for rows, _ in shapes)
 
 
 # ALL_KINDS on the object path, with negative sides
