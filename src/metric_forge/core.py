@@ -2,15 +2,15 @@
 
 Every distance is exact, so inequalities such as ``diameter <= 2 * radius``
 are zero-tolerance assertions rather than floating-point approximations.  A
-space stores one matrix, ``FiniteMetricSpace.scaled``: its distances over a
-common denominator, int64 when the values fit and Python ints otherwise.
-Every kernel reads it; ``dist`` is the exact ``Fraction`` view, gathered
-from ``_factorize`` codes, and ``levels`` the sorted distinct entries, both
-built on use.  Validation decides the triangle inequality on integer floors
-of that matrix: in O(n^2) when each d(i,j) is at most the sum of the least
+space holds only ``points`` and ``FiniteMetricSpace.scaled``, its distances
+over a common denominator (int64 when they fit, else Python ints), which
+every kernel reads; for every space, ``dist`` (the exact ``Fraction`` view,
+gathered from ``_factorize`` codes) and ``levels`` are built on use.
+Validation decides the triangle inequality on integer floors of that
+matrix: in O(n^2) when each d(i,j) is at most the sum of the least
 off-diagonal entries of rows i and j (the nearest-neighbour certificate,
-which a metric with entries in some [a, 2a] meets, always below 2^60), and
-otherwise by an O(n^3) min-plus loop.  The ultrametric inequality is
+which a metric with entries in some [a, 2a] meets, always below 2^60),
+and otherwise by an O(n^3) min-plus loop.  The ultrametric inequality is
 decided on Prim's tree, in O(n^2) comparisons.
 """
 
@@ -96,9 +96,9 @@ def _int_matrix(rows, ratio) -> tuple[np.ndarray, int, list[int]]:
 class FiniteMetricSpace:
     """Ordered point labels plus a square matrix of exact distances.
 
-    The matrix is stored once, as ``scaled``, and may violate the metric
-    axioms; ``validate_metric`` is the exhaustive checker.  ``dist`` is
-    its exact Fraction view, and ``levels`` its sorted distinct ints.
+    A space holds only ``points`` and ``scaled``, which may violate the
+    metric axioms (``validate_metric`` checks them); ``dist``, gathered for
+    every space, is its exact Fraction view, ``levels`` its distinct ints.
     Instances are immutable and safe to share across threads.
     """
 
@@ -108,16 +108,14 @@ class FiniteMetricSpace:
     scaled: tuple[np.ndarray, int]
 
     def __init__(self, points, dist):
-        """Converts the rows once; as tuples they are already the view."""
+        """Scales the rows straight into ``scaled``; no Fraction row is kept."""
         points, rows = tuple(points), tuple(map(tuple, dist))
         _check_shape(points, rows)
-        # as_scalar refuses floats and bools, and keeps a Fraction as it is
-        rows = tuple(tuple(map(as_scalar, row)) for row in rows)
-        # keyed by (p, q) pairs, which hash far faster than Fractions do
-        pairs = [list(map(Fraction.as_integer_ratio, row)) for row in rows]
+        # as_scalar refuses floats and bools; (p, q) hash faster than Fractions
+        pairs = [list(map(Fraction.as_integer_ratio, map(as_scalar, r))) for r in rows]
         arr, denom, table = _int_matrix(pairs, tuple)  # a pair is its own ratio
         arr = arr.reshape(len(rows), -1)
-        self.__dict__.update(_store(points, arr, denom, table).__dict__, dist=rows)
+        self.__dict__.update(_store(points, arr, denom, table).__dict__)
 
     @classmethod
     def from_rows(cls, points, rows) -> "FiniteMetricSpace":
@@ -554,8 +552,8 @@ def _triangles(arr: np.ndarray):
     cells and at least one row, on a copy in ``_narrow(2 * peak)`` with a
     zero diagonal (which enters only k in {i, j}) and, where j <= i, a
     left side that no sum is below.  The verdicts overwrite the slab's sums;
-    one ``argwhere`` per slab, row-major over (i, k, j) and slab by slab in
-    i order, is the witness order and the block's only index array.
+    their nonzero bytes (a bool view; ``argwhere`` on an object slab), row-major
+    over (i, k, j) and slab by slab in i order, give the witness order.
     """
     n = len(arr)
     work = arr.astype(_narrow(2 * _peak(arr)))
@@ -567,7 +565,12 @@ def _triangles(arr: np.ndarray):
         # lhs[i,k,j] = d(i,j) > rhs[i,k,j] = d(i,k) + d(k,j)
         rhs = np.add(slab[:, :, None], work[None, :, :])
         bad = np.greater(lhs[start : start + rows, None, :], rhs, out=rhs)
-        if len(ikj := np.argwhere(bad)):
+        if bad.dtype == object:  # Python ints have no bool view
+            ikj = np.argwhere(bad)
+        else:  # a verdict is 0 or 1: exactly one byte of a true cell is nonzero
+            at = np.flatnonzero(bad.view(np.bool_)) // bad.itemsize
+            ikj = np.stack(np.unravel_index(at, bad.shape), axis=1)
+        if len(ikj):
             ikj[:, 0] += start
             i, k, j = ikj.T
             yield "triangle", ikj, arr[i, j], arr[i, k] + arr[k, j]

@@ -2,7 +2,8 @@
 
 Readers are strict: decimals, negatives, non-integer counts and indices,
 and asymmetric distance matrices are rejected at parse time so exactness
-survives round-trips.  The space reader builds no Fraction.
+survives round-trips.  ``_pair`` is the one rule for a JSON scalar ("p/q",
+"n" or a JSON int >= 0); the space reader builds no Fraction.
 
 Each output is defined once, by its ``*_to_obj`` builder, and written by
 one encoder, ``encode``.  It writes what the stdlib encoder writes with
@@ -50,29 +51,27 @@ def _ratio(text: str) -> tuple[int, int]:
     return p // (g := gcd(p, q)), q // g
 
 
+def _pair(value) -> tuple[int, int]:
+    """(p, q) in lowest terms of a "p/q" or integer string, or of a JSON int >= 0."""
+    if isinstance(value, str):
+        return _ratio(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected a rational string, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"negative value: {value}")
+    return value, 1
+
+
 def parse_scalar(text) -> Fraction:
-    """Parse a nonnegative rational written as "p/q" or an integer string."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        if text < 0:
-            raise ValueError(f"negative value: {text}")
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    return Fraction(*_ratio(text))
+    """The nonnegative rational of a "p/q" or integer string, or of a JSON int."""
+    return Fraction(*_pair(text))
 
 
 def values_from_obj(obj) -> list[tuple[int, int]]:
-    """Strict reader for a values array; (p, q) in lowest terms per entry.
-
-    A string is parsed straight to its pair; any other entry goes through
-    ``parse_scalar``, which takes a JSON integer and refuses the rest.
-    """
+    """Strict reader for a values array; (p, q) in lowest terms per entry."""
     if not isinstance(obj, list):
         raise ValueError("values file must hold a JSON array of rationals")
-    return [
-        _ratio(v) if isinstance(v, str) else parse_scalar(v).as_integer_ratio()
-        for v in obj
-    ]
+    return list(map(_pair, obj))
 
 
 # --- distance matrices ------------------------------------------------------
@@ -85,7 +84,7 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 def space_from_obj(obj) -> FiniteMetricSpace:
     """Strict reader for a space; each distinct string is parsed once, to (p, q).
 
-    An entry that is not a string sends every entry through ``parse_scalar``.
+    An entry that is not a string sends every entry through ``_pair``.
     """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError("space JSON needs 'points' and 'dist'")
@@ -98,10 +97,8 @@ def space_from_obj(obj) -> FiniteMetricSpace:
         arr, denom, table = _int_matrix(dist, _ratio)
     except (TypeError, ValueError):  # True shares 1's code, so check each entry
         for v in chain.from_iterable(dist):
-            parse_scalar(v)  # raises at the first bad entry in row-major order
-        arr, denom, table = _int_matrix(
-            dist, lambda v: parse_scalar(v).as_integer_ratio()
-        )
+            _pair(v)  # raises at the first bad entry in row-major order
+        arr, denom, table = _int_matrix(dist, _pair)
     _check_shape(tuple(points), dist)
     arr = arr.reshape(len(dist), -1)
     asym = np.triu(arr != arr.T, 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import chain, count, permutations, repeat, takewhile
@@ -44,7 +45,6 @@ from metric_forge import (
 )
 from metric_forge import core, jsonio
 from metric_forge.core import _GEN_MAX_POINTS
-from metric_forge.jsonio import parse_scalar
 from metric_forge.nebula import MAX_Q, _Q_TOO_LARGE, NebulaValidation, _interval_index
 from metric_forge.universal import _net_side
 
@@ -618,11 +618,49 @@ def reference_build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
     return FUnivApprox(glued, net, copies)
 
 
+def reference_from_rows(points, dist) -> FiniteMetricSpace:
+    """A reference constructor that also keeps its ``Fraction`` rows as ``dist``.
+
+    The shape is checked first, then every entry goes through ``as_scalar``
+    in row-major order.  ``scaled`` is computed apart from the library: the
+    lcm of the reduced denominators, each entry times it, int64 below 2^62
+    and Python ints from there.
+    """
+    points, rows = tuple(points), tuple(map(tuple, dist))
+    core._check_shape(points, rows)
+    rows = tuple(tuple(map(as_scalar, row)) for row in rows)
+    denom = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[int(v * denom) for v in row] for row in rows]
+    peak = max(abs(v) for row in ints for v in row)
+    arr = np.array(ints, dtype=object if peak >= 2**62 else np.int64)
+    space = core._store(points, arr, denom)
+    space.__dict__["dist"] = rows
+    return space
+
+
+_SCALAR = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
+
+
+def reference_parse_scalar(text) -> Fraction:
+    """``jsonio.parse_scalar`` with its own dispatch: a JSON int >= 0 or a
+    "p/q" or integer string of ASCII digits, anything else refused."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        if text < 0:
+            raise ValueError(f"negative value: {text}")
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    if not (m := _SCALAR.fullmatch(text)):
+        raise ValueError(f"malformed rational {text!r} (want \"p/q\" or \"n\")")
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
 def reference_space_from_obj(obj) -> FiniteMetricSpace:
     """Strict reader for a space; equal entry strings share one Fraction.
 
     Each distinct string is parsed once per call.  Other entries go through
-    ``parse_scalar`` one by one, so bools and floats are still rejected.
+    ``reference_parse_scalar`` one by one, so bools and floats are still
+    rejected.
     """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError("space JSON needs 'points' and 'dist'")
@@ -635,13 +673,13 @@ def reference_space_from_obj(obj) -> FiniteMetricSpace:
 
     def parse(v) -> Fraction:
         if not isinstance(v, str):
-            return parse_scalar(v)
+            return reference_parse_scalar(v)
         if v not in parsed:
-            parsed[v] = parse_scalar(v)
+            parsed[v] = reference_parse_scalar(v)
         return parsed[v]
 
     rows = [[parse(v) for v in row] for row in dist]
-    space = FiniteMetricSpace.from_rows(points, rows)
+    space = reference_from_rows(points, rows)
     # a row equals its column unless some pair (i, j) differs; the first row
     # that differs has its first difference at some j > i
     for i, (row, col) in enumerate(zip(space.dist, zip(*space.dist))):
