@@ -4,7 +4,9 @@ Exit codes: 0 success or valid, 1 validation failure (JSON report on
 stdout), 2 usage or domain errors (an input file over ``_MAX_INPUT_BYTES``,
 or a generated space that would be one, among them), 3 internal errors (a
 failed self-check or running out of memory).  Outputs carry no timestamps,
-so a rerun with the same inputs is byte-identical.
+so a rerun with the same inputs is byte-identical.  A command that fails
+while writing stdout may leave part of its output there; an ``-o`` file
+is written only when complete.
 
 The argument parser is built once per process, on the first ``main``
 call; ``build_parser`` still returns a fresh one.
@@ -66,13 +68,14 @@ def _load_json(path):
         raise ValueError(f"JSON in {path} is nested too deep") from None
 
 
-def _emit(chunks: list[str], path=None) -> None:
-    """Write an output built in full to its file, or to stdout."""
-    if path is not None:
+def _emit(chunks, path=None) -> None:
+    """Write an output to stdout as its chunks come, or to its file built in full."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+    else:
+        chunks = list(chunks)  # a failure while encoding leaves the file as it was
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
 
 
 def _values_list(text):
@@ -250,7 +253,7 @@ def _cmd_plot_range(args) -> int:
 
 def _emit_space(space, path=None) -> None:
     """``_emit`` a generated space, refused if the reader would refuse it."""
-    chunks = jsonio.encode(jsonio.space_to_obj(space))
+    chunks = list(jsonio.encode(jsonio.space_to_obj(space)))
     size = sum(map(len, chunks))  # the encoder writes ASCII only
     if size > _MAX_INPUT_BYTES:
         raise ValueError(

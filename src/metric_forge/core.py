@@ -9,9 +9,9 @@ gathered from ``_factorize`` codes) and ``levels`` are built on use.
 Validation decides the triangle inequality on integer floors of that
 matrix: in O(n^2) when each d(i,j) is at most the sum of the least
 off-diagonal entries of rows i and j (the nearest-neighbour certificate,
-which a metric with entries in some [a, 2a] meets, always below 2^60),
-and otherwise by an O(n^3) min-plus loop.  The ultrametric inequality is
-decided on Prim's tree, in O(n^2) comparisons.
+which a metric with entries in some [a, 2a] meets, always below 2^60)
+or an ultrametric, and otherwise by an O(n^3) min-plus loop.  The
+ultrametric inequality is decided on Prim's tree, in O(n^2) comparisons.
 """
 
 from __future__ import annotations
@@ -459,7 +459,8 @@ def _holds(arr: np.ndarray) -> bool:
     when s > 0, and with s = 0 ``a_ij <= near_i + near_j`` is the same
     bound exactly.  If every pair passes, as every pair of entries in some
     [a, 2a] does when s = 0, the answer is yes with no k-loop and no
-    closure.  Otherwise the k-loop decides:
+    closure, as on an ultrametric (``_is_ultrametric``, exact, O(n^2)),
+    whose max never passes the sum.  Otherwise the k-loop decides:
 
     - ``two[i,j]`` is the least ``lo[i,k] + lo[k,j]`` over k not in
       {i, j}; a diagonal of ``mask`` keeps k = i and k = j out of it;
@@ -489,7 +490,7 @@ def _holds(arr: np.ndarray) -> bool:
     near = off.min(axis=1)  # the diagonal's mask is above every floor
     via = np.add(near[:, None], near)
     np.fill_diagonal(via, mask + slack)  # i = j is no pair
-    if np.subtract(via, off, out=via).min() >= slack:
+    if np.subtract(via, off, out=via).min() >= slack or _is_ultrametric(arr):
         return True
     two = np.full_like(off, 2 * mask)
     for k in range(len(off)):
@@ -551,8 +552,8 @@ def _triangles(arr: np.ndarray):
     dtype.  Rows i are compared a slab at a time, at most ``_SLAB_CELLS``
     cells and at least one row, on a copy in ``_narrow(2 * peak)`` with a
     zero diagonal (which enters only k in {i, j}) and, where j <= i, a
-    left side that no sum is below.  The verdicts overwrite the slab's sums;
-    their nonzero bytes (a bool view; ``argwhere`` on an object slab), row-major
+    left side that no sum is below.  The verdicts overwrite the slab's sums
+    (an object slab's are a new bool array); their nonzero bytes, row-major
     over (i, k, j) and slab by slab in i order, give the witness order.
     """
     n = len(arr)
@@ -564,12 +565,12 @@ def _triangles(arr: np.ndarray):
         slab = work[start : start + rows]
         # lhs[i,k,j] = d(i,j) > rhs[i,k,j] = d(i,k) + d(k,j)
         rhs = np.add(slab[:, :, None], work[None, :, :])
-        bad = np.greater(lhs[start : start + rows, None, :], rhs, out=rhs)
-        if bad.dtype == object:  # Python ints have no bool view
-            ikj = np.argwhere(bad)
-        else:  # a verdict is 0 or 1: exactly one byte of a true cell is nonzero
-            at = np.flatnonzero(bad.view(np.bool_)) // bad.itemsize
-            ikj = np.stack(np.unravel_index(at, bad.shape), axis=1)
+        # int sums take their verdicts; Python ints compare into a new bool array
+        out = None if rhs.dtype == object else rhs
+        bad = np.greater(lhs[start : start + rows, None, :], rhs, out=out)
+        # a verdict is 0 or 1: exactly one byte of a true cell is nonzero
+        at = np.flatnonzero(bad.view(np.bool_)) // bad.itemsize
+        ikj = np.stack(np.unravel_index(at, bad.shape), axis=1)
         if len(ikj):
             ikj[:, 0] += start
             i, k, j = ikj.T
@@ -589,14 +590,14 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     decision on integer floors of ``scaled`` (int16 to int64, as their
     sums need).  It returns yes in O(n^2) when every d(i,j) is at most
     the sum of the least entries of rows i and j (by one floor step, past
-    2^60), as on entries in some [a, 2a]; otherwise an O(n^3) min-plus
-    loop runs, which stops after its first step on a clear "no" and falls
-    back to the path closure only where a triangle of a matrix past 2^60
-    is tight to within one floor step.  Triangle witnesses are enumerated
-    in slabs only on a "no", so memory stays O(n^2).  ``is_ultrametric``
-    (the max-triangle inequality) is only evaluated when all four axioms
-    hold, by ``_is_ultrametric``: Prim's tree in O(n^2) comparisons, with
-    no floors and no closure.
+    2^60), as on entries in some [a, 2a], or on an ultrametric; otherwise
+    an O(n^3) min-plus loop runs, which stops after its first step on a
+    clear "no" and falls back to the path closure only where a triangle
+    of a matrix past 2^60 is tight to within one floor step.  Triangle
+    witnesses are enumerated in slabs only on a "no", so memory stays
+    O(n^2).  ``is_ultrametric`` (the max-triangle inequality) is only
+    evaluated when all four axioms hold, by ``_is_ultrametric``: Prim's
+    tree in O(n^2) comparisons, with no floors and no closure.
     """
     arr, denom = space.scaled
     blocks = tuple(_witnesses(arr))

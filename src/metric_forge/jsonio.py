@@ -10,21 +10,24 @@ one encoder, ``encode``.  It writes what the stdlib encoder writes with
 ``indent=2`` and ``sort_keys=True``, plus a trailing newline, and a
 ``Fraction`` as its quoted string.  The builders hand it exact values:
 ``Fraction``s, tuples, and for the three large arrays callables that
-encode each repeated part once.  The distance rows are gathered from
-``_factorize`` codes, as the certificates and violations are: each
-distinct value is quoted once and each row joined from the quoted cells,
-so no Python int is built per entry.  The certificates (from the result's
-index array) and the violations (from the report's integer table) encode
-each distinct tail or side and each point index once; ``_joined`` gathers
-the pieces column by column, one chunk per group of ``_JOIN_ROWS`` rows,
-so no ``(i, j, cert)`` tuple, ``Violation`` or per-row string is built.
-The string builders the writers are tested against live in
-``tests/support.py``.
+encode each repeated part once; ``encode`` returns an iterator, which
+builds an array's chunks past its first as they are written.  The
+distance rows are gathered from ``_factorize`` codes, as the certificates
+and violations are: each distinct value is quoted once and each row
+joined from the quoted cells, so no Python int is built per entry.  The
+certificates (from the result's index array) and the violations (from
+the report's integer table, one block and one ``_factorize`` at a time)
+encode each distinct tail or side and each point index once; ``_joined``
+gathers the pieces column by column, one chunk per group of
+``_JOIN_ROWS`` rows, so no ``(i, j, cert)`` tuple, ``Violation`` or
+per-row string is built.  The string builders the writers are tested
+against live in ``tests/support.py``.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -82,9 +85,9 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
-    """Strict reader for a space; each distinct string is parsed once, to (p, q).
+    """Strict reader for a space; each distinct entry is parsed once, to (p, q).
 
-    An entry that is not a string sends every entry through ``_pair``.
+    Any entry not a string or JSON int sends every entry through ``_pair`` first.
     """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError("space JSON needs 'points' and 'dist'")
@@ -95,9 +98,10 @@ def space_from_obj(obj) -> FiniteMetricSpace:
         raise ValueError("space JSON 'dist' must be an array of arrays")
     try:  # _ratio raises a TypeError on a key that is not a string
         arr, denom, table = _int_matrix(dist, _ratio)
-    except (TypeError, ValueError):  # True shares 1's code, so check each entry
-        for v in chain.from_iterable(dist):
-            _pair(v)  # raises at the first bad entry in row-major order
+    except (TypeError, ValueError):  # a str never equals an int, but True equals 1
+        if not set(map(type, chain.from_iterable(dist))) <= {str, int}:
+            for v in chain.from_iterable(dist):
+                _pair(v)  # raises at the first bad entry in row-major order
         arr, denom, table = _int_matrix(dist, _pair)
     _check_shape(tuple(points), dist)
     arr = arr.reshape(len(dist), -1)
@@ -210,19 +214,20 @@ def funiv_to_obj(result: FUnivApprox) -> dict:
 # and it encodes its repeated parts once.
 
 
-def encode(obj) -> list[str]:
+def encode(obj) -> Iterator[str]:
     """Chunks of ``obj`` as indented, key-sorted JSON plus a trailing newline.
 
     They join to what the stdlib encoder writes with ``indent=2`` and
     ``sort_keys=True``; a ``Fraction`` is written as its quoted string.
+    A large array's chunks after its first are built as they are taken.
     """
-    out: list[str] = []
+    out: list = []
     _encode(obj, 0, out)
     out.append("\n")
-    return out
+    return chain.from_iterable((p,) if isinstance(p, str) else p for p in out)
 
 
-def _encode(value, level: int, out: list[str]) -> None:
+def _encode(value, level: int, out: list) -> None:
     if isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, bool):
@@ -246,7 +251,9 @@ def _encode(value, level: int, out: list[str]) -> None:
                 out.append(sep)
                 _encode(item, level + 1, out)
         elif callable(value):
-            out += value(nl)
+            chunks = iter(value(nl))
+            if (head := next(chunks, None)) is not None:  # opens the array
+                out += (head, chunks)
         else:
             raise TypeError(f"cannot encode {type(value).__name__}")
         if len(out) == first:
@@ -328,34 +335,23 @@ def _certificates(result: ApproximationResult, nl: str) -> list[str]:
     return _joined(tables, (*np.triu_indices(n, 1), index))
 
 
-def _violations(blocks, denom: int, nl: str) -> list[str]:
-    """The report's integer blocks in row groups, from cached pieces.
+def _violations(blocks, denom: int, nl: str) -> Iterator[str]:
+    """The report's integer blocks one at a time, each in row groups.
 
-    One ``_factorize`` over every side quotes each distinct side once, as
-    ``_dist`` does, behind each kind's head and behind the ``"rhs"`` key.
-    Each point index is written once after the witness's bracket and once
-    after a separator, the last index with the row's closing brackets, so
-    a row of width w is 2 + w pieces and no per-row string is built.
+    A block's one ``_factorize`` over its sides quotes each distinct side
+    once, as ``_dist`` does, behind the kind's head and behind the
+    ``"rhs"`` key.  Each point index is written once after the witness's
+    bracket and once after a separator, the last with the row's closing
+    brackets, so a row of width w is 2 + w pieces, with no per-row string.
     """
-    if not blocks:
-        return []
     inner, deep = nl + "  ", nl + "    "
-    sides = [lhs for *_, lhs, _ in blocks] + [rhs for *_, rhs in blocks]
-    values, at = _factorize(np.concatenate(sides))
-    cells = _cells(values, denom)
-    rhss = f',{inner}"rhs": ' + cells
-    top = max(int(w.max()) for _, w, *_ in blocks)
-    names = np.array(list(map(str, range(top + 1))), dtype=object)
-    first, rest = f',{inner}"witness": [{deep}' + names, f",{deep}" + names
-    tables: dict[str, list] = {}  # per kind: head and lhs, rhs, one per index
-    lhs_at, rhs_at = at.reshape(2, -1)  # every lhs, then every rhs, block by block
-    out, lo = [], 0
-    for kind, witness, *_ in blocks:
-        if kind not in tables:
-            ids = [first] + [rest] * (witness.shape[1] - 1)
-            head = f',{nl}{{{inner}"kind": {_quote(kind)},{inner}"lhs": '
-            tables[kind] = [head + cells, rhss, *ids[:-1], ids[-1] + f"{inner}]{nl}}}"]
-        hi = lo + len(witness)
-        out += _joined(tables[kind], (lhs_at[lo:hi], rhs_at[lo:hi], *witness.T))
-        lo = hi
-    return out
+    for kind, witness, lhs, rhs in blocks:
+        values, at = _factorize(np.concatenate((lhs, rhs)))
+        cells = _cells(values, denom)
+        names = np.array(list(map(str, range(int(witness.max()) + 1))), dtype=object)
+        first, rest = f',{inner}"witness": [{deep}' + names, f",{deep}" + names
+        ids = [first] + [rest] * (witness.shape[1] - 1)
+        head = f',{nl}{{{inner}"kind": {_quote(kind)},{inner}"lhs": '
+        rhss = f',{inner}"rhs": ' + cells
+        tables = [head + cells, rhss, *ids[:-1], ids[-1] + f"{inner}]{nl}}}"]
+        yield from _joined(tables, (*at.reshape(2, -1), *witness.T))

@@ -722,6 +722,26 @@ def test_failed_encode_leaves_output_file(tmp_path, capsys, monkeypatch):
     assert out_path.read_text(encoding="utf-8") == "previous\n"
 
 
+def test_failure_part_way_through_a_report_leaves_a_prefix(tmp_path, capsys, monkeypatch):
+    # stdout takes each block of the report as it is written: a failure at
+    # the second block (the triangle) exits 3 after the first (the diagonal)
+    rows = [["1", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]
+    sp = write_json(tmp_path / "s.json", {"points": ["a", "b", "c"], "dist": rows})
+    full = run(capsys, "validate", sp)[1]
+    joined, blocks = jsonio._joined, []
+
+    def failing(tables, columns):
+        blocks.append(len(columns[0]))
+        if len(blocks) == 2:
+            raise MemoryError()
+        return joined(tables, columns)
+
+    monkeypatch.setattr(jsonio, "_joined", failing)
+    code, out, err = run(capsys, "validate", sp)
+    assert (code, err, blocks) == (3, "internal error: out of memory\n", [1, 1])
+    assert full.startswith(out) and '"diagonal"' in out and '"triangle"' not in out
+
+
 def test_fragility_command(capsys):
     code, out, _ = run(
         capsys, "fragility", "--values", "1/8,1/4,3/8,1/2", "--epsilon", "1/2"
@@ -1089,7 +1109,7 @@ def test_space_chunks_are_ascii_so_their_length_is_the_file_size(tmp_path):
     space = FiniteMetricSpace(
         ["a", "\u00e9", "\U0001d4b3"], [[0, 1, F(1, 2)], [1, 0, 1], [F(1, 2), 1, 0]]
     )
-    chunks = jsonio.encode(jsonio.space_to_obj(space))
+    chunks = list(jsonio.encode(jsonio.space_to_obj(space)))
     assert all(chunk.isascii() for chunk in chunks)
     path = tmp_path / "sp.json"
     cli._emit(chunks, path)

@@ -15,8 +15,9 @@ exit codes and the outputs against a plain oracle.  They cover:
   ``cover``, ``margin`` and ``plot`` on a space whose lcm passes 2^62,
   against the plot's ticks;
 - bounded memory: ``margin`` and ``plot`` on a 20,000-end coprime nebula,
-  and the refusal of ``universal pairs`` on 500 coprime values, each in a
-  child under a 1 GiB address-space limit (``run_limited``).
+  ``validate``'s 725 MB report on 400 raw points, and the refusal of
+  ``universal pairs`` on 500 coprime values, each in a child under a 1 GiB
+  address-space limit (``run_limited``).
 
 A command runs through ``cli.main`` in this process, unless the environment
 variable ``METRIC_FORGE_EXE`` names an executable: then it runs that, in
@@ -53,12 +54,14 @@ def run(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_limited(*argv) -> tuple[int, str, str]:
+def run_limited(*argv, discard_stdout=False) -> tuple[int, str, str]:
     """``run`` in a child under a 1 GiB address-space limit.
 
     The child is ``METRIC_FORGE_EXE`` when it is set, else ``python -m
     metric_forge.cli`` on the package this process imports.  numpy's
     thread pools get one thread each, so their stacks stay out of the limit.
+    With ``discard_stdout`` the child writes its stdout to ``os.devnull``,
+    which this process never holds, and "" stands for it.
     """
     import resource
 
@@ -78,12 +81,13 @@ def run_limited(*argv) -> tuple[int, str, str]:
         [*cmd, *map(str, argv)],
         env=env,
         preexec_fn=limit,
-        capture_output=True,
+        stdout=subprocess.DEVNULL if discard_stdout else subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
         check=False,
     )
-    return done.returncode, done.stdout, done.stderr
+    return done.returncode, done.stdout or "", done.stderr
 
 
 def write_json(path, obj):
@@ -321,6 +325,19 @@ def test_margin_and_plot_of_20000_coprime_ends_in_1_gib(tmp_path):
     ):
         code, _, err = run_limited(*argv)
         assert code == 0, err
+
+
+def test_validate_writes_a_725_mb_report_in_1_gib(tmp_path):
+    # 400 raw points, weights 1..100 (631 KB): about five million triangle
+    # rows, 725,546,236 bytes of report.  Written as it is made, stdout
+    # holds one block at a time; held whole, the text ran out of memory
+    rng = random.Random(400)
+    rows = [[0] * 400 for _ in range(400)]
+    for i in range(400):
+        for j in range(i + 1, 400):
+            rows[i][j] = rows[j][i] = rng.randint(1, 100)
+    space = write_space(tmp_path / "raw400.json", [f"p{i}" for i in range(400)], rows)
+    assert run_limited("validate", space, discard_stdout=True) == (1, "", "")
 
 
 def test_500_coprime_pair_values_refused_in_1_gib():

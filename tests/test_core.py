@@ -785,10 +785,12 @@ def floors_apart(step, r01):
         ([[0, 5, 2], [5, 0, 2], [2, 2, 0]], False, True, 0),
         # near_0 and near_1 attained at the pair (0, 1) itself
         ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], True, False, 0),
-        # the same past 2^62: near_0's floor is 0 there, one step short, so
-        # the loop runs, and d(0,2) within a floor step of d(0,1) + d(1,2)
-        # sends it on to the closure
-        ([[0, 1, 2**70], [1, 0, 2**70], [2**70, 2**70, 0]], True, True, 1),
+        # the same past 2^62: near_0's floor is 0 there, one step short, but
+        # the matrix is an ultrametric, which Prim's tree settles
+        ([[0, 1, 2**70], [1, 0, 2**70], [2**70, 2**70, 0]], True, False, 0),
+        # its twin, d(1,2) one more, is no ultrametric: the loop runs, and d(1,2)
+        # within a floor step of d(1,0) + d(0,2) sends it on to the closure
+        ([[0, 1, 2**70], [1, 0, 2**70 + 1], [2**70, 2**70 + 1, 0]], True, True, 1),
         # no third point: every pair holds
         ([[0]], True, False, 0),
         ([[0, 3], [3, 0]], True, False, 0),
@@ -801,8 +803,8 @@ def floors_apart(step, r01):
     ],
     ids=[
         "at-the-bound", "one-past-held", "one-past-broken", "near-at-j",
-        "near-at-j-zero-floor", "n1", "n2", "n2-object", "last-floor",
-        "floor-past-tight", "floor-past-broken",
+        "near-at-j-zero-floor", "near-at-j-zero-floor-twin", "n1", "n2",
+        "n2-object", "last-floor", "floor-past-tight", "floor-past-broken",
     ],
 )
 def test_holds_at_the_nearest_neighbour_bound(rows, verdict, loop, closures):
@@ -848,14 +850,25 @@ def test_certified_metrics_run_no_loop():
         assert (spy.minimum_calls, spy.closures) == (0, 0)
 
 
+def cantor_twin():
+    # cantor_approx(5) with d(0,2) = 3/32 > max(d(0,1), d(1,2)) = 2/32: a
+    # metric (3/32 = d(0,1) + d(1,2)) that is no ultrametric
+    arr = cantor_approx(5).scaled[0].copy()
+    arr[0, 2] = arr[2, 0] = 3
+    return core._from_int_matrix(cantor_approx(5).points, arr, 32)
+
+
 @pytest.mark.parametrize(
-    "m", [cantor_approx(5), random_metric(24, 10)], ids=["cantor5", "random24"]
+    "m, steps",
+    [(cantor_approx(5), 0), (cantor_twin(), 32), (random_metric(24, 10), 24)],
+    ids=["cantor5", "cantor5-twin", "random24"],
 )
-def test_uncertified_metrics_run_every_step(m):
-    # ratios past two leave pairs uncertified: the loop's n steps decide
+def test_uncertified_metrics_run_every_step(m, steps):
+    # ratios past two leave pairs uncertified: Prim's tree settles an
+    # ultrametric, and elsewhere the loop's n steps decide
     with kernel_calls() as spy:
         assert core._holds(m.scaled[0])
-    assert (spy.minimum_calls, spy.closures) == (m.n, 0)
+    assert (spy.minimum_calls, spy.closures) == (steps, 0)
 
 
 def test_certified_verdict_memory_at_n1024():

@@ -245,3 +245,36 @@ def two(a, b):
 @example({"points": ["a", "b"], "dist": [[0, 1.5, 2], [1, 0]]})  # parse error first
 def test_space_reader_matches_its_reference(obj):
     assert read(jsonio.space_from_obj, obj) == read(reference_space_from_obj, obj)
+
+
+def three(a, b, c):
+    return {"points": ["a", "b", "c"], "dist": [["0", a, b], [a, "0", c], [b, c, "0"]]}
+
+
+# one bad entry before the JSON ints 1 and 2 or after them, on a diagonal of
+# strings, and a malformed string beside a negative int, each one first
+BAD_AMONG_INTS = [
+    case
+    for bad in ["x", "1/0", -1, True, 1.0, None]
+    for case in (three(bad, 1, 2), three(1, 2, bad))
+] + [three("x", -1, 2), three(-1, "x", 2), three(1, "1.5", -2), three(1, -2, "1.5")]
+
+
+@pytest.mark.parametrize(
+    "obj", BAD_AMONG_INTS, ids=lambda o: repr([*o["dist"][0][1:], o["dist"][1][2]])
+)
+def test_space_reader_names_the_first_bad_entry_among_json_ints(obj):
+    want = read(reference_space_from_obj, obj)
+    assert want[0] is ValueError and read(jsonio.space_from_obj, obj) == want
+
+
+def test_space_reader_parses_json_ints_once_each(monkeypatch):
+    # strings and JSON ints only: each distinct entry goes through _pair
+    # once, with no per-entry pass first
+    n, calls, pair = 40, [], jsonio._pair
+    rows = [[0 if i == j else 1 + (i + j) % 3 for j in range(n)] for i in range(n)]
+    rows[0][1] = rows[1][0] = "2/2"
+    monkeypatch.setattr(jsonio, "_pair", lambda v: calls.append(v) or pair(v))
+    space = jsonio.space_from_obj({"points": labels(n), "dist": rows})
+    assert len(calls) == 5 and set(calls) == {0, 1, 2, 3, "2/2"}
+    assert space == reference_space_from_obj({"points": labels(n), "dist": rows})

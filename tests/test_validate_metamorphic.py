@@ -80,7 +80,7 @@ def raw(n, seed):
 INPUTS = {
     # the k-loop: a path-repaired metric, tight along its shortest paths
     "random-200": (lambda: random_metric(200, 10, seed=1).scaled[0], HOLDS),
-    # an ultrametric, on which _holds runs the k-loop at n = 1024
+    # an ultrametric, which _holds settles on Prim's tree at n = 1024
     "cantor-10": (lambda: cantor_approx(10).scaled[0], ()),
     # entries in [a, 2a]: the nearest-neighbour certificate settles it
     "bounded-300": (lambda: bounded(300, 1, 512, 1024), HOLDS + OBJECT),
@@ -91,7 +91,7 @@ INPUTS = {
     "tight-200-wide": (wide, HOLDS[2:]),
     # raw weights: about 168k witnesses in two slabs, through the bool view
     "raw-128": (lambda: raw(128, 1), TRIANGLES),
-    # and through argwhere on an object slab
+    # and through an object slab's bool verdicts
     "raw-64": (lambda: raw(64, 3), OBJECT),
 }
 

@@ -258,7 +258,7 @@ def test_space_writer_memory_at_n1024():
     assert arr.dtype == np.int64 and int(arr.max()) > 256
     tracemalloc.start()
     try:
-        chunks = jsonio.encode(jsonio.space_to_obj(space))
+        chunks = list(jsonio.encode(jsonio.space_to_obj(space)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -302,7 +302,7 @@ JOIN_ROWS = [jsonio._JOIN_ROWS, 1, 2, 3]
 
 def written_in_groups(builder, value, rows: int, key: str) -> str:
     """The written text; no chunk holds more than ``rows`` rows of ``key``."""
-    chunks = jsonio.encode(builder(value))
+    chunks = list(jsonio.encode(builder(value)))
     assert max(chunk.count(key) for chunk in chunks) <= rows
     return "".join(chunks)
 
@@ -419,6 +419,55 @@ def test_validate_output_is_the_same_for_every_slab_budget(tmp_path, cells):
         with patch.object(core, "_SLAB_CELLS", cells):
             got = _run(["validate", str(path)])
         assert got == (1, oracle(reference_validation_obj(report)).encode(), b""), name
+
+
+def kinds_file(n: int, seed: int) -> dict:
+    """``raw_weights`` with three diagonal and two positivity witnesses."""
+    obj = raw_weights(n, seed)
+    rows = obj["dist"]
+    for i in (0, 5, n - 1):
+        rows[i][i] = "1/3"
+    for i, j in ((1, 2), (3, n - 2)):
+        rows[i][j] = rows[j][i] = "0"
+    return obj
+
+
+@pytest.mark.parametrize("name", ["raw-128", "kinds-40"])
+def test_validate_writes_each_block_from_its_own_sides(tmp_path, name):
+    # raw-128 has two triangle slabs; kinds-40, at one row per slab, has
+    # two cheap blocks and then a triangle block for nearly every row:
+    # each block is written from its own table of sides
+    obj, cells = {
+        "raw-128": (raw_weights(128, 2), core._SLAB_CELLS),
+        "kinds-40": (kinds_file(40, 4), 40 * 40),
+    }[name]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with patch.object(core, "_SLAB_CELLS", cells):
+        report = validate_metric(jsonio.space_from_obj(obj))
+        got = _run(["validate", str(path)])
+    kinds = [kind for kind, *_ in report.table[0]]
+    if name == "raw-128":
+        assert kinds == ["triangle"] * 2
+    else:
+        assert kinds[:2] == ["diagonal", "positivity"] and len(kinds) > 30
+    assert got == (1, oracle(reference_validation_obj(report)).encode(), b"")
+
+
+def test_validation_writer_holds_one_block_at_a_time_at_n160():
+    # four triangle slabs, 50 MB of text, the first slab's block 42% of it:
+    # written as it is taken, the writer holds that block's chunks and
+    # codes (0.50 of the text), where the list of every chunk and one
+    # table over every side peaked at 1.12 times the text
+    report = validate_metric(jsonio.space_from_obj(raw_weights(160, 1)))
+    assert len(report.table[0]) == 4
+    tracemalloc.start()
+    try:
+        text = sum(map(len, jsonio.encode(jsonio.validation_to_obj(report))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text > 40 * 2**20 and peak < 0.6 * text
 
 
 def line_space(labels, positions) -> FiniteMetricSpace:
