@@ -76,18 +76,20 @@ def _check_shape(points: tuple, rows) -> None:
         raise ValueError("shape error: distance matrix must be square")
 
 
-def _int_matrix(rows, ratio) -> tuple[np.ndarray, int, list[int]]:
-    """Flat ``rows`` on the lcm L of each distinct entry's ``ratio`` (p, q); L; table.
+def _int_matrix(rows, ratios) -> tuple[np.ndarray, int, list[int]]:
+    """Flat ``rows`` on the lcm L of the distinct entries' (p, q); L; table.
 
-    L is the lcm of the distinct q, and the table holds each distinct
-    entry's p * L / q, the ints the flat matrix is gathered from.
+    ``ratios`` maps the list of distinct entries, in first-seen order, to
+    their (p, q) in one call.  L is the lcm of the distinct q, and the
+    table holds each distinct entry's p * L / q, the ints the flat matrix
+    is gathered from.
     """
     seen = defaultdict(count().__next__)
     at = map(seen.__getitem__, chain.from_iterable(rows))
     codes = np.fromiter(at, np.intp, sum(map(len, rows)))
-    ratios = list(map(ratio, seen))
-    denom = lcm(*{q for _, q in ratios})
-    ints = [p * (denom // q) for p, q in ratios]
+    pairs = ratios(list(seen))
+    denom = lcm(*{q for _, q in pairs})
+    ints = [p * (denom // q) for p, q in pairs]
     dtype = _dtype_for(max(map(abs, ints), default=0))
     return np.array(ints, dtype=dtype)[codes], denom, ints
 
@@ -113,7 +115,7 @@ class FiniteMetricSpace:
         _check_shape(points, rows)
         # as_scalar refuses floats and bools; (p, q) hash faster than Fractions
         pairs = [list(map(Fraction.as_integer_ratio, map(as_scalar, r))) for r in rows]
-        arr, denom, table = _int_matrix(pairs, tuple)  # a pair is its own ratio
+        arr, denom, table = _int_matrix(pairs, list)  # a pair is its own ratio
         arr = arr.reshape(len(rows), -1)
         self.__dict__.update(_store(points, arr, denom, table).__dict__)
 

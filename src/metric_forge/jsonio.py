@@ -3,7 +3,11 @@
 Readers are strict: decimals, negatives, non-integer counts and indices,
 and asymmetric distance matrices are rejected at parse time so exactness
 survives round-trips.  ``_pair`` is the one rule for a JSON scalar ("p/q",
-"n" or a JSON int >= 0); the space reader builds no Fraction.
+"n" or a JSON int >= 0).  A reader parses all its strings in one batch,
+``_ratios``: one check over their join, then a ``partition`` and a
+``gcd`` per text.  If the check fails, ``_ratio`` parses each text in
+order, so the first bad one raises its error; if a value is not a string,
+``_pair`` takes each value.  The space reader builds no Fraction.
 
 Each output is defined once, by its ``*_to_obj`` builder, and written by
 one encoder, ``encode``.  It writes what the stdlib encoder writes with
@@ -54,6 +58,40 @@ def _ratio(text: str) -> tuple[int, int]:
     return p // (g := gcd(p, q)), q // g
 
 
+# deletes everything a join of well-formed texts may hold
+_DIGITS_SLASH_COMMA = str.maketrans("", "", "0123456789/,")
+
+
+def _ratios(texts) -> list[tuple[int, int]]:
+    """``[_ratio(t) for t in texts]``, checked in one pass over their join.
+
+    The comma-joined texts may hold only ASCII digits, "/" and ",", with
+    no "/" before a "0", a "," or the end; ``int`` then refuses an empty
+    side, a second "/" and a "," inside a text.  The check comes before
+    any ``int``, which also takes " 1", "1_0", "+1" and "١".  On any
+    failure ``_ratio`` parses each text in order, so the first bad text
+    raises its own error.
+    """
+    try:
+        joined = ",".join(texts)  # a TypeError on a text that is not a str
+        if (
+            not joined.translate(_DIGITS_SLASH_COMMA)
+            and "/0" not in joined
+            and "/," not in joined
+            and not joined.endswith("/")
+        ):
+            out = []
+            for text in texts:
+                p, _, q = text.partition("/")
+                p, q = int(p), int(q or 1)
+                g = gcd(p, q)
+                out.append((p // g, q // g))
+            return out
+    except (TypeError, ValueError):
+        pass
+    return list(map(_ratio, texts))
+
+
 def _pair(value) -> tuple[int, int]:
     """(p, q) in lowest terms of a "p/q" or integer string, or of a JSON int >= 0."""
     if isinstance(value, str):
@@ -70,11 +108,18 @@ def parse_scalar(text) -> Fraction:
     return Fraction(*_pair(text))
 
 
+def _scalars(values) -> list[tuple[int, int]]:
+    """``[_pair(v) for v in values]``, in one ``_ratios`` call if all are strings."""
+    if set(map(type, values)) <= {str}:
+        return _ratios(values)
+    return list(map(_pair, values))
+
+
 def values_from_obj(obj) -> list[tuple[int, int]]:
     """Strict reader for a values array; (p, q) in lowest terms per entry."""
     if not isinstance(obj, list):
         raise ValueError("values file must hold a JSON array of rationals")
-    return list(map(_pair, obj))
+    return _scalars(obj)
 
 
 # --- distance matrices ------------------------------------------------------
@@ -85,7 +130,7 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
-    """Strict reader for a space; each distinct entry is parsed once, to (p, q).
+    """Strict reader for a space; the distinct entries are parsed once, to (p, q).
 
     Any entry not a string or JSON int sends every entry through ``_pair`` first.
     """
@@ -96,13 +141,13 @@ def space_from_obj(obj) -> FiniteMetricSpace:
         raise ValueError("space JSON 'points' must be an array of strings")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise ValueError("space JSON 'dist' must be an array of arrays")
-    try:  # _ratio raises a TypeError on a key that is not a string
-        arr, denom, table = _int_matrix(dist, _ratio)
+    try:  # _ratios raises a TypeError on a key that is not a string
+        arr, denom, table = _int_matrix(dist, _ratios)
     except (TypeError, ValueError):  # a str never equals an int, but True equals 1
         if not set(map(type, chain.from_iterable(dist))) <= {str, int}:
             for v in chain.from_iterable(dist):
                 _pair(v)  # raises at the first bad entry in row-major order
-        arr, denom, table = _int_matrix(dist, _pair)
+        arr, denom, table = _int_matrix(dist, _scalars)
     _check_shape(tuple(points), dist)
     arr = arr.reshape(len(dist), -1)
     asym = np.triu(arr != arr.T, 1)
@@ -153,11 +198,9 @@ def nebula_from_obj(obj) -> Nebula:
         not isinstance(item, list) or len(item) != 2 for item in bounded
     ):
         raise ValueError("nebula JSON 'bounded' must be an array of [lo, hi] arrays")
-    return Nebula(
-        obj["q"],
-        [(parse_scalar(a), parse_scalar(b)) for a, b in bounded],
-        parse_scalar(obj["tail_start"]),
-    )
+    scalars = _scalars([*chain.from_iterable(bounded), obj["tail_start"]])
+    ends = [Fraction(p, q) for p, q in scalars]
+    return Nebula(obj["q"], list(zip(ends[:-1:2], ends[1::2])), ends[-1])
 
 
 def nebula_validation_to_obj(check: NebulaValidation) -> dict:
@@ -224,7 +267,16 @@ def encode(obj) -> Iterator[str]:
     out: list = []
     _encode(obj, 0, out)
     out.append("\n")
-    return chain.from_iterable((p,) if isinstance(p, str) else p for p in out)
+    return _flat(out)
+
+
+def _flat(parts: list) -> Iterator[str]:
+    """Each string part as it is, and each large array's chunks in turn."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from part
 
 
 def _encode(value, level: int, out: list) -> None:

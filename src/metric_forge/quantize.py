@@ -275,7 +275,9 @@ def transform_metric(space: FiniteMetricSpace, f: Transform) -> FiniteMetricSpac
     # as_scalar refuses an image that is not an exact rational
     images, scale, table = _int_matrix(
         (values.tolist(),),
-        lambda v: as_scalar(f.apply(Fraction(v, denom))).as_integer_ratio(),
+        lambda vs: [
+            as_scalar(f.apply(Fraction(v, denom))).as_integer_ratio() for v in vs
+        ],
     )
     out = np.zeros(arr.shape, dtype=images.dtype)
     out[off] = images[at]

@@ -261,12 +261,13 @@ def test_int_matrix_is_already_reduced(rows):
     # _int_matrix leaves what _from_int_matrix would keep: the gcd of the
     # denominator and every entry is 1, and the dtype follows the 2^62 rule,
     # so the readers store its result as it is, and its table holds every
-    # entry
-    for ratio, cells in (
-        (jsonio._ratio, rows),
-        (tuple, [[F(*jsonio._ratio(v)).as_integer_ratio() for v in r] for r in rows]),
+    # entry; on strings (the reader's batch parse) and on (p, q) pairs (the
+    # constructor's, each pair its own ratio)
+    for ratios, cells in (
+        (jsonio._ratios, rows),
+        (list, [[F(*jsonio._ratio(v)).as_integer_ratio() for v in r] for r in rows]),
     ):
-        arr, denom, table = _int_matrix(cells, ratio)
+        arr, denom, table = _int_matrix(cells, ratios)
         ints = arr.tolist()
         assert gcd(denom, *ints) == 1
         wide = max(map(abs, ints)) >= 2**62

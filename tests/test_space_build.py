@@ -6,20 +6,23 @@ that also kept its ``Fraction`` rows: the same points, ``scaled`` values,
 dtype, denominator, ``levels``, ``dist`` and ``repr``, or the same
 exception with the same message.  ``parse_scalar``, ``values_from_obj``
 and ``space_from_obj`` run against ``support.reference_parse_scalar``,
-which dispatches on int and str by itself.  A ``tracemalloc`` test shows
-that construction keeps no second copy.
+which dispatches on int and str by itself.  The readers' batch parse,
+``jsonio._ratios``, runs against ``_ratio`` on each text, and a valid
+space, values or nebula file is read without a per-text ``_ratio`` call.
+A ``tracemalloc`` test shows that construction keeps no second copy.
 """
 
 import gc
+import json
 import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metric_forge import FiniteMetricSpace, jsonio
+from metric_forge import FiniteMetricSpace, cover, jsonio, random_metric
 
 from support import reference_from_rows, reference_parse_scalar, reference_space_from_obj
 
@@ -278,3 +281,65 @@ def test_space_reader_parses_json_ints_once_each(monkeypatch):
     space = jsonio.space_from_obj({"points": labels(n), "dist": rows})
     assert len(calls) == 5 and set(calls) == {0, 1, 2, 3, "2/2"}
     assert space == reference_space_from_obj({"points": labels(n), "dist": rows})
+
+
+
+# --- the batch parse ----------------------------------------------------------
+
+
+def each(texts):
+    """``_ratio`` on each text in order: the pairs, or the first error."""
+    return result(lambda ts: list(map(jsonio._ratio, ts)), texts)
+
+
+# texts the batch check must refuse: an empty side, a second "/", a
+# denominator with a leading 0 or equal to 0, texts int() would take (" 1",
+# "1_0", "+1", an Arabic-Indic digit) and texts that hold the join's ","
+ODD_TEXTS = ["5/", "/5", "", "1//2", "1/2/3", "01/02", "1/05", "1/0", "/", " 1"]
+ODD_TEXTS += ["1_0", "+1", "١", "1\n", "1,2", "1\x00", ",", "1/2,", 1, None]
+TEXTS = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 10**30), st.integers(1, 10**30)),
+    st.integers(0, 2**70).map(str),
+    st.sampled_from(["0", "01", "00/7", "6/4", f"{2**64}/{2**70}", *ODD_TEXTS]),
+    st.text("0123456789/, +_\n", max_size=5),
+)
+
+
+@settings(max_examples=30)
+@given(st.lists(TEXTS, max_size=8))
+def test_ratios_matches_ratio_on_each_text(texts):
+    assert result(jsonio._ratios, texts) == each(texts)
+
+
+@pytest.mark.parametrize("text", ODD_TEXTS, ids=repr)
+def test_ratios_refuses_as_ratio_on_each_text(text):
+    # the same first error wherever the odd text sits, and before a later one
+    for texts in ([text], ["1/2", text, "0"], ["7/3", text, "x"], [text, 1]):
+        want = each(texts)
+        assert isinstance(want, tuple) and result(jsonio._ratios, texts) == want
+
+
+def test_ratios_reports_a_bad_text_after_many_good_ones():
+    texts = [f"{i}/{i % 7 + 1}" for i in range(10**5)] + ["1/05"]
+    assert result(jsonio._ratios, texts) == each(texts)
+    assert jsonio._ratios(texts[:-1]) == each(texts[:-1])
+
+
+def test_valid_files_make_no_per_text_parse(monkeypatch):
+    # a space, a values file and a nebula of strings parse in one batch
+    # each; a fallback to _ratio on valid input would show here
+    space = random_metric(24, F(10, 7), seed=3)
+    values = space.values()
+    texts = [str(v) for v in values]
+    nebula = cover(values, 4)
+    space_obj, nebula_obj = (
+        json.loads("".join(jsonio.encode(obj)))
+        for obj in (jsonio.space_to_obj(space), jsonio.nebula_to_obj(nebula))
+    )
+    assert any("/" in t for t in texts) and any("/" in t for t in nebula_obj["bounded"][1])
+    calls, ratio = [], jsonio._ratio
+    monkeypatch.setattr(jsonio, "_ratio", lambda t: calls.append(t) or ratio(t))
+    assert jsonio.space_from_obj(space_obj) == space
+    assert jsonio.values_from_obj(texts) == [v.as_integer_ratio() for v in values]
+    assert jsonio.nebula_from_obj(nebula_obj) == nebula
+    assert calls == []
