@@ -60,10 +60,14 @@ def _load_json(path):
             chunks.append(chunk)
             size += len(chunk)
         data = b"".join(chunks)
+        del chunks  # a pipe's chunks, copied by the join
     if size > _MAX_INPUT_BYTES:
         raise ValueError(f"{path} has more than {_MAX_INPUT_BYTES} bytes, the cap")
+    # the bytes go before the parse, so they never share its peak
+    text = data.decode("utf-8")
+    del data
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(text)
     except RecursionError:  # malformed input, not an internal error
         raise ValueError(f"JSON in {path} is nested too deep") from None
 

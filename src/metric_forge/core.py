@@ -26,8 +26,6 @@ from math import gcd, lcm
 
 import numpy as np
 
-Scalar = Fraction
-
 # one addition of two scaled entries must not overflow int64
 _INT64_SAFE = 2**62
 
@@ -76,6 +74,12 @@ def _check_shape(points: tuple, rows) -> None:
         raise ValueError("shape error: distance matrix must be square")
 
 
+def _first_seen(items, size: int) -> tuple[np.ndarray, list]:
+    """Each of the ``size`` items' code, and the distinct items in first-seen order."""
+    seen = defaultdict(count().__next__)  # an item's code is its place in seen
+    return np.fromiter(map(seen.__getitem__, items), np.intp, size), list(seen)
+
+
 def _int_matrix(rows, ratios) -> tuple[np.ndarray, int, list[int]]:
     """Flat ``rows`` on the lcm L of the distinct entries' (p, q); L; table.
 
@@ -84,10 +88,8 @@ def _int_matrix(rows, ratios) -> tuple[np.ndarray, int, list[int]]:
     table holds each distinct entry's p * L / q, the ints the flat matrix
     is gathered from.
     """
-    seen = defaultdict(count().__next__)
-    at = map(seen.__getitem__, chain.from_iterable(rows))
-    codes = np.fromiter(at, np.intp, sum(map(len, rows)))
-    pairs = ratios(list(seen))
+    codes, keys = _first_seen(chain.from_iterable(rows), sum(map(len, rows)))
+    pairs = ratios(keys)
     denom = lcm(*{q for _, q in pairs})
     ints = [p * (denom // q) for p, q in pairs]
     dtype = _dtype_for(max(map(abs, ints), default=0))
@@ -196,8 +198,33 @@ class Violation:
     rhs: Fraction
 
 
+class _ViewKeyed:
+    """``==``, ``hash`` and ``repr`` of a plain dataclass of ``_fields``.
+
+    A result that stores a compact table names here the fields and views
+    that it compares, hashes and shows, in order.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class ValidationReport:
+class ValidationReport(_ViewKeyed):
     """The verdicts of ``validate_metric`` and every violation it found.
 
     The violations are stored once, as ``table``: the integer blocks of
@@ -213,6 +240,8 @@ class ValidationReport:
     # _witnesses, in report order, their sides over denom
     table: tuple[tuple, int]
 
+    _fields = ("is_metric", "is_ultrametric", "violations")
+
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """One Violation per table row, one Fraction per distinct side; built once."""
@@ -226,23 +255,6 @@ class ValidationReport:
             Violation(kind, tuple(w), sides[lhs], sides[rhs])
             for kind, ws, lhss, rhss in rows
             for w, lhs, rhs in zip(ws, lhss, rhss)
-        )
-
-    def _key(self):
-        return self.is_metric, self.is_ultrametric, self.violations
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"{type(self).__qualname__}(is_metric={self.is_metric!r}, "
-            f"is_ultrametric={self.is_ultrametric!r}, violations={self.violations!r})"
         )
 
 
@@ -380,9 +392,7 @@ def _factorize(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rank[at] = np.arange(len(at))
             return (at + lo).astype(flat.dtype, copy=False), rank[off]
     if flat.dtype == object and flat.size:
-        seen = defaultdict(count().__next__)
-        first = np.fromiter(map(seen.__getitem__, flat), np.intp, flat.size)
-        keys = list(seen)  # in order of first sight
+        first, keys = _first_seen(flat, flat.size)
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))

@@ -150,9 +150,11 @@ def space_from_obj(obj) -> FiniteMetricSpace:
         arr, denom, table = _int_matrix(dist, _scalars)
     _check_shape(tuple(points), dist)
     arr = arr.reshape(len(dist), -1)
-    asym = np.triu(arr != arr.T, 1)
-    if asym.any():  # the first pair in row-major order
-        i, j = np.argwhere(asym)[0].tolist()
+    # the first asymmetric cell in row-major order: the mask is symmetric, so
+    # it lies above the diagonal, and cell 0, on the diagonal, means none
+    first = int(np.argmax(arr != arr.T))
+    if first:
+        i, j = divmod(first, len(arr))
         raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
     return _store(points, arr, denom, table)
 

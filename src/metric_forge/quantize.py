@@ -32,6 +32,7 @@ from .core import (
     _rescale,
     _store,
     _sup_gap,
+    _ViewKeyed,
     _witnesses,
     _widen,
     as_scalar,
@@ -393,7 +394,7 @@ def range_membership(t, params: RangeParams) -> RangeCertificate | None:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ApproximationResult:
+class ApproximationResult(_ViewKeyed):
     """Quantized metric D plus the plan and per-pair certificates.
 
     Every off-diagonal pair (i, j) with i < j has a RangeCertificate valid
@@ -413,6 +414,8 @@ class ApproximationResult:
     eta: Fraction
     r: Fraction
 
+    _fields = ("D", "plan", "certificates", "eta", "r")
+
     @cached_property
     def certificates(self) -> tuple[tuple[int, int, RangeCertificate], ...]:
         """One (i, j, cert) per pair i < j, in row-major order; built once."""
@@ -429,23 +432,6 @@ class ApproximationResult:
             rows, index = self.table
             return rows[index[i * (2 * n - i - 1) // 2 + j - i - 1]]
         raise KeyError((i, j))
-
-    def _key(self):
-        return self.D, self.plan, self.certificates, self.eta, self.r
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"{type(self).__qualname__}(D={self.D!r}, plan={self.plan!r}, "
-            f"certificates={self.certificates!r}, eta={self.eta!r}, r={self.r!r})"
-        )
 
 
 def geometric_levels(eta: Fraction, u: Fraction, floor: Fraction) -> dict:

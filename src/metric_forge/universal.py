@@ -11,7 +11,6 @@ exact universality.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -111,21 +110,15 @@ def pullback_universal(
     return _from_int_matrix(dX.points, upper + upper.T, denom)
 
 
-def canonical_section(f: dict, labels) -> dict:
-    """For each target label, the lexicographically smallest preimage."""
-    out: dict[str, str] = {}
-    for x in sorted(f):
-        y = f[x]
-        if y in labels and y not in out:
-            out[y] = x
-    return out
-
-
 def _glue_through_firsts(pieces, far: int) -> FiniteMetricSpace:
     """Amalgamate the pieces, in order, through their first points.
 
-    Every two first points sit ``far`` apart in the hub.
+    Every two first points sit ``far`` apart in the hub.  A lone piece is
+    returned as it is: gluing it through a 1 x 1 hub rebuilds its labels
+    and its reduced, read-only matrix.
     """
+    if len(pieces) == 1:
+        return pieces[0]
     starts = np.cumsum([0] + [p.n for p in pieces]).tolist()
     plan = PartitionPlan(
         clusters=tuple(tuple(range(s, e)) for s, e in zip(starts, starts[1:])),
@@ -178,26 +171,6 @@ class NetSpace:
     delta: Fraction
     points: tuple[tuple[Fraction, ...], ...]
     space: FiniteMetricSpace
-
-    def index_of(self, coords) -> int:
-        coords = tuple(as_scalar(c) for c in coords)
-        i = bisect_left(self.points, coords)
-        if i < len(self.points) and self.points[i] == coords:
-            return i
-        raise KeyError(f"{coords} is not a net point")
-
-    def round_to_net(self, coords) -> tuple[Fraction, ...]:
-        """Nearest net point coordinatewise, ties rounded up, clamped to [0, n]."""
-        out = []
-        for c in coords:
-            c = as_scalar(c)
-            steps = (c / self.delta).__floor__()
-            lo = steps * self.delta
-            hi = lo + self.delta
-            pick = lo if c - lo < hi - c else hi
-            pick = min(max(pick, Fraction(0)), Fraction(self.n))
-            out.append(pick)
-        return tuple(out)
 
 
 def _coord_label(coords) -> str:

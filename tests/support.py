@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import chain, count, permutations, repeat, takewhile
@@ -23,6 +24,7 @@ from metric_forge import (
     FragilityReport,
     FUnivApprox,
     Nebula,
+    NetSpace,
     PartitionPlan,
     RangeCertificate,
     RangeParams,
@@ -539,6 +541,16 @@ def reference_pullback_universal(
     return FiniteMetricSpace(dX.points, tuple(tuple(row) for row in rows))
 
 
+def canonical_section(f: dict, labels) -> dict:
+    """For each target label, the lexicographically smallest preimage."""
+    out: dict[str, str] = {}
+    for x in sorted(f):
+        y = f[x]
+        if y in labels and y not in out:
+            out[y] = x
+    return out
+
+
 def reference_build_pair_universal(values) -> FiniteMetricSpace:
     """Space containing a pair at every prescribed distance.
 
@@ -616,6 +628,29 @@ def reference_build_funiv_approx(n: int, delta, copies: int = 1) -> FUnivApprox:
     hub = FiniteMetricSpace(tuple(p.points[0] for p in pieces), hub_rows)
     glued = amalgamate(plan, pieces, hub)
     return FUnivApprox(glued, net, copies)
+
+
+def net_index_of(net: NetSpace, coords) -> int:
+    """The index of a net point, found by bisection; KeyError off the grid."""
+    coords = tuple(as_scalar(c) for c in coords)
+    i = bisect_left(net.points, coords)
+    if i < len(net.points) and net.points[i] == coords:
+        return i
+    raise KeyError(f"{coords} is not a net point")
+
+
+def round_to_net(net: NetSpace, coords) -> tuple[Fraction, ...]:
+    """Nearest net point coordinatewise, ties rounded up, clamped to [0, n]."""
+    out = []
+    for c in coords:
+        c = as_scalar(c)
+        steps = (c / net.delta).__floor__()
+        lo = steps * net.delta
+        hi = lo + net.delta
+        pick = lo if c - lo < hi - c else hi
+        pick = min(max(pick, Fraction(0)), Fraction(net.n))
+        out.append(pick)
+    return tuple(out)
 
 
 def reference_from_rows(points, dist) -> FiniteMetricSpace:

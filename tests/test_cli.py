@@ -83,6 +83,20 @@ def test_space_reader_names_first_asymmetric_pair():
     assert jsonio.space_from_obj(obj).dist[2][1] == F(1, 2)
 
 
+@pytest.mark.parametrize("other", ["2", str(2**70)], ids=["int64", "object"])
+def test_space_reader_names_first_of_many_asymmetric_pairs(other):
+    # rows 0 and 1 are symmetric; every pair (i, j) with 2 <= i < j differs
+    # from its mirror, and the first of them in row-major order is (2, 3)
+    n = 40
+    dist = [
+        ["0" if i == j else other if 2 <= j < i else "1" for j in range(n)]
+        for i in range(n)
+    ]
+    obj = {"points": [f"p{i}" for i in range(n)], "dist": dist}
+    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(p2, p3\)$"):
+        jsonio.space_from_obj(obj)
+
+
 @pytest.mark.parametrize("odd", [True, 1.0])
 def test_space_reader_rejects_bool_and_float_equal_to_an_int(odd):
     obj = {"points": ["a", "b"], "dist": [["0", 1], [odd, "0"]]}
@@ -1076,6 +1090,46 @@ def test_loading_a_small_space_allocates_about_its_size(tmp_path):
         tracemalloc.stop()
     assert space.n == 300
     assert peak < 2**24
+
+
+def traced_peak(fn) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_loading_frees_the_bytes_before_the_parse(tmp_path, pipe):
+    # the bytes read (and a pipe's chunks) are dropped once decoded, so the
+    # load peaks at the parse of its text, not at that plus the bytes
+    import threading
+
+    raw = json.dumps([[(i * j) % 10 for j in range(600)] for i in range(600)]).encode()
+    want = traced_peak(lambda: json.loads(raw.decode("utf-8")))
+    if pipe:
+        r, w = os.pipe()
+
+        def write():
+            os.write(w, raw)  # blocks until the reader has taken it all
+            os.close(w)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            peak = traced_peak(lambda: cli._load_json(f"/dev/fd/{r}"))
+        finally:
+            writer.join()
+            os.close(r)
+    else:
+        path = tmp_path / "m.json"
+        path.write_bytes(raw)
+        peak = traced_peak(lambda: cli._load_json(str(path)))
+    assert peak - want < len(raw) / 2
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from metric_forge import (
     SearchCapExceeded,
     build_funiv_approx,
     build_pair_universal,
-    canonical_section,
     class_Cn_check,
     find_isometric_embedding,
     fragility_experiment,
@@ -29,11 +28,14 @@ from metric_forge import (
 
 from support import (
     brute_first_embedding,
+    canonical_section,
     first_primes,
+    net_index_of,
     random_cn_space,
     reference_build_funiv_approx,
     reference_build_pair_universal,
     reference_pullback_universal,
+    round_to_net,
 )
 
 
@@ -380,11 +382,11 @@ def test_net_of_729_points_builds_in_a_few_matrices():
 def test_net_index_of_matches_list_index(n, delta):
     net = make_net(n, delta)
     for p in net.points:
-        assert net.index_of(p) == net.points.index(p)
+        assert net_index_of(net, p) == net.points.index(p)
     # between two grid points, before the first and past the last
     for off in ((delta / 2,) * n, (-delta,) * n, (n + delta,) * n):
         with pytest.raises(KeyError):
-            net.index_of(off)
+            net_index_of(net, off)
 
 
 @pytest.mark.parametrize("n, delta", small_nets())
@@ -412,7 +414,7 @@ def test_funiv_distortion_via_net_rounding():
     result = build_funiv_approx(1, F(1, 2))
     pattern = two_point(F(1, 3))
     # nearest-net oracle: the rounded coordinates stay within delta/2 each
-    rounded = result.net.round_to_net((F(1, 3),))
+    rounded = round_to_net(result.net, (F(1, 3),))
     assert abs(rounded[0] - F(1, 3)) <= F(1, 4)
     found = find_isometric_embedding(pattern, result.space, distortion=F(1, 2))
     assert found is not None and not found.exact
@@ -434,7 +436,7 @@ def test_funiv_grid_valued_patterns_embed_exactly():
         ):
             continue
         rows = frechet_embed(snapped, 2)
-        hosts = [result.net.index_of(r) for r in rows]
+        hosts = [net_index_of(result.net, r) for r in rows]
         for i in range(snapped.n):
             for j in range(snapped.n):
                 hi, hj = hosts[i], hosts[j]
@@ -458,12 +460,15 @@ def test_funiv_copies_are_far_apart():
         [F(1, 2), 3, F(7, 4)],
         [F(k, 24) for k in range(1, 25)],
         [F(2**70 + 1, 3), F(1, 2**65), 9],
+        [F(2**70 + 1, 3)],
     ],
 )
 def test_pair_universal_matches_the_fraction_build(values):
     got, want = build_pair_universal(values), reference_build_pair_universal(values)
     assert got.points == want.points
     assert got.dist == want.dist
+    assert_same_scaled(got, want)
+    assert not got.scaled[0].flags.writeable
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -476,6 +481,9 @@ def test_funiv_matches_the_fraction_build(n, delta, copies):
     assert got.space.points == want.space.points
     assert got.space.dist == want.space.dist
     assert_same_scaled(got.space, want.space)
+    assert not got.space.scaled[0].flags.writeable
+    if copies == 1:  # a lone copy is not glued again
+        assert got.space.scaled[0] is got.net.space.scaled[0]
 
 
 # --- embedding search ---------------------------------------------------------------
