@@ -41,13 +41,18 @@ class SearchCapExceeded(ValueError):
     """Raised when a combinatorial search refuses to run (cap exceeded)."""
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce an int or Fraction to an exact scalar; floats and bools are rejected."""
+def _exact(value) -> tuple[int, int]:
+    """(p, q) in lowest terms of an int or Fraction; floats and bools are rejected."""
     if isinstance(value, Fraction):
-        return value
+        return value.as_integer_ratio()
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     raise TypeError(f"expected an exact rational, got {type(value).__name__!s}")
+
+
+def as_scalar(value) -> Fraction:
+    """Coerce an int or Fraction to an exact scalar by ``_exact``'s rule."""
+    return value if isinstance(value, Fraction) else Fraction(*_exact(value))
 
 
 def _as_int(value, what: str) -> int:
@@ -80,20 +85,20 @@ def _first_seen(items, size: int) -> tuple[np.ndarray, list]:
     return np.fromiter(map(seen.__getitem__, items), np.intp, size), list(seen)
 
 
-def _int_matrix(rows, ratios) -> tuple[np.ndarray, int, list[int]]:
-    """Flat ``rows`` on the lcm L of the distinct entries' (p, q); L; table.
+def _build(points, codes: np.ndarray, pairs) -> FiniteMetricSpace:
+    """The space whose flat n x n matrix holds ``pairs[codes[k]]`` at cell k.
 
-    ``ratios`` maps the list of distinct entries, in first-seen order, to
-    their (p, q) in one call.  L is the lcm of the distinct q, and the
-    table holds each distinct entry's p * L / q, the ints the flat matrix
-    is gathered from.
+    Each distinct (p, q), in lowest terms, goes on the lcm L of the q as
+    p * L / q; those ints are kept for ``levels``.  ``scaled`` is then
+    reduced: if r^e exactly divides L it exactly divides some q, and r
+    divides neither p nor L / q.
     """
-    codes, keys = _first_seen(chain.from_iterable(rows), sum(map(len, rows)))
-    pairs = ratios(keys)
     denom = lcm(*{q for _, q in pairs})
     ints = [p * (denom // q) for p, q in pairs]
-    dtype = _dtype_for(max(map(abs, ints), default=0))
-    return np.array(ints, dtype=dtype)[codes], denom, ints
+    arr = np.array(ints, dtype=_dtype_for(max(map(abs, ints), default=0)))[codes]
+    space = _store(points, arr.reshape(len(points), -1), denom)
+    space.__dict__["_table"] = ints
+    return space
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -115,11 +120,10 @@ class FiniteMetricSpace:
         """Scales the rows straight into ``scaled``; no Fraction row is kept."""
         points, rows = tuple(points), tuple(map(tuple, dist))
         _check_shape(points, rows)
-        # as_scalar refuses floats and bools; (p, q) hash faster than Fractions
-        pairs = [list(map(Fraction.as_integer_ratio, map(as_scalar, r))) for r in rows]
-        arr, denom, table = _int_matrix(pairs, list)  # a pair is its own ratio
-        arr = arr.reshape(len(rows), -1)
-        self.__dict__.update(_store(points, arr, denom, table).__dict__)
+        # _exact refuses floats and bools; (p, q) hash faster than Fractions
+        entries = map(_exact, chain.from_iterable(rows))
+        codes, pairs = _first_seen(entries, len(points) ** 2)
+        self.__dict__.update(_build(points, codes, pairs).__dict__)
 
     @classmethod
     def from_rows(cls, points, rows) -> "FiniteMetricSpace":
@@ -137,7 +141,7 @@ class FiniteMetricSpace:
     def levels(self) -> tuple[int, ...]:
         """Sorted distinct entries of ``scaled``, 0 included, as Python ints.
 
-        A space that ``_int_matrix`` scaled sorts its table, used once;
+        A space that ``_build`` made sorts the ints it kept, used once;
         any other reads them off ``scaled`` with one ``_factorize``.
         """
         table = self.__dict__.pop("_table", None)
@@ -289,18 +293,11 @@ def _from_int_matrix(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
     return _store(points, arr, denom)
 
 
-def _store(points, arr: np.ndarray, denom: int, table=None) -> FiniteMetricSpace:
-    """The space of ``arr / denom``, reduced and on the 2^62 dtype rule; read-only.
-
-    ``_int_matrix`` leaves it so from (p, q) in lowest terms: if r^e exactly
-    divides L it exactly divides some q, and r divides neither p nor L / q.
-    Its ``table``, when given, is kept for ``FiniteMetricSpace.levels``.
-    """
+def _store(points, arr: np.ndarray, denom: int) -> FiniteMetricSpace:
+    """The read-only space of ``arr / denom``, reduced and on the 2^62 rule."""
     arr.flags.writeable = False
     space = object.__new__(FiniteMetricSpace)
     space.__dict__.update(points=tuple(points), scaled=(arr, denom))
-    if table is not None:
-        space.__dict__["_table"] = table
     return space
 
 

@@ -7,7 +7,8 @@ survives round-trips.  ``_pair`` is the one rule for a JSON scalar ("p/q",
 ``_ratios``: one check over their join, then a ``partition`` and a
 ``gcd`` per text.  If the check fails, ``_ratio`` parses each text in
 order, so the first bad one raises its error; if a value is not a string,
-``_pair`` takes each value.  The space reader builds no Fraction.
+``_pair`` takes each value (a space's distinct ones).  The space reader
+codes its entries once and builds no Fraction.
 
 Each output is defined once, by its ``*_to_obj`` builder, and written by
 one encoder, ``encode``.  It writes what the stdlib encoder writes with
@@ -40,8 +41,8 @@ from math import gcd
 
 import numpy as np
 
-from .core import FiniteMetricSpace, ValidationReport, _check_shape, _factorize
-from .core import _int_matrix, _rational, _store
+from .core import FiniteMetricSpace, ValidationReport, _build, _check_shape
+from .core import _factorize, _first_seen, _rational
 from .nebula import Nebula, NebulaValidation
 from .quantize import ApproximationResult
 from .universal import Embedding, FragilityReport, FUnivApprox
@@ -130,10 +131,7 @@ def space_to_obj(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
-    """Strict reader for a space; the distinct entries are parsed once, to (p, q).
-
-    Any entry not a string or JSON int sends every entry through ``_pair`` first.
-    """
+    """Strict reader for a space; entries coded once, distinct ones parsed once."""
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise ValueError("space JSON needs 'points' and 'dist'")
     points, dist = obj["points"], obj["dist"]
@@ -141,22 +139,25 @@ def space_from_obj(obj) -> FiniteMetricSpace:
         raise ValueError("space JSON 'points' must be an array of strings")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise ValueError("space JSON 'dist' must be an array of arrays")
-    try:  # _ratios raises a TypeError on a key that is not a string
-        arr, denom, table = _int_matrix(dist, _ratios)
-    except (TypeError, ValueError):  # a str never equals an int, but True equals 1
+    try:  # _first_seen's TypeError on an unhashable entry, _ratios' on a non-string key
+        codes, keys = _first_seen(chain.from_iterable(dist), sum(map(len, dist)))
+        pairs = _ratios(keys)
+    except TypeError:  # a str never equals an int, but True equals 1
         if not set(map(type, chain.from_iterable(dist))) <= {str, int}:
             for v in chain.from_iterable(dist):
                 _pair(v)  # raises at the first bad entry in row-major order
-        arr, denom, table = _int_matrix(dist, _scalars)
+        pairs = list(map(_pair, keys))
     _check_shape(tuple(points), dist)
-    arr = arr.reshape(len(dist), -1)
+    space = _build(points, codes, pairs)
+    del codes  # n^2 intp, not to be held beside the symmetry mask
+    arr = space.scaled[0]
     # the first asymmetric cell in row-major order: the mask is symmetric, so
     # it lies above the diagonal, and cell 0, on the diagonal, means none
     first = int(np.argmax(arr != arr.T))
     if first:
         i, j = divmod(first, len(arr))
         raise ValueError(f"matrix not symmetric at ({points[i]}, {points[j]})")
-    return _store(points, arr, denom, table)
+    return space
 
 
 def validation_to_obj(report: ValidationReport) -> dict:

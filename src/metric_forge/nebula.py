@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, as_scalar
+from .core import _MAX_SCALE_DIGITS, FiniteMetricSpace, _as_int, _exact, as_scalar
 
 # the largest q accepted, checked before any 2^q is built: 2^3 < 10, so
 # 2^MAX_Q has 3884 digits, and about 1380 bits are left under the cap for
@@ -178,8 +178,8 @@ def cover(values, q: int) -> Nebula:
     2 bit_length(D) for the largest d, D.  Distinct values differ by at least
     1/D^2 > 2^-s, so their keys p 2^s / d differ by more than 1, in order.
     """
-    # as_scalar on every value refuses a bool before True == 1 could dedup it
-    return _cover(map(Fraction.as_integer_ratio, map(as_scalar, values)), q)
+    # _exact on every value refuses a bool before True == 1 could dedup it
+    return _cover(map(_exact, values), q)
 
 
 def _cover(ratios, q: int) -> Nebula:

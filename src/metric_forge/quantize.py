@@ -20,17 +20,17 @@ from .core import (
     _MAX_SCALE_DIGITS,
     FiniteMetricSpace,
     PartitionPlan,
+    _build,
     _check_hub,
     _dtype_for,
+    _exact,
     _factorize,
     _from_int_matrix,
     _glue,
-    _int_matrix,
     _partition,
     _path_closure,
     _peak,
     _rescale,
-    _store,
     _sup_gap,
     _ViewKeyed,
     _witnesses,
@@ -273,16 +273,11 @@ def transform_metric(space: FiniteMetricSpace, f: Transform) -> FiniteMetricSpac
     arr, denom = space.scaled
     off = ~np.eye(space.n, dtype=bool)
     values, at = _factorize(arr[off])
-    # as_scalar refuses an image that is not an exact rational
-    images, scale, table = _int_matrix(
-        (values.tolist(),),
-        lambda vs: [
-            as_scalar(f.apply(Fraction(v, denom))).as_integer_ratio() for v in vs
-        ],
-    )
-    out = np.zeros(arr.shape, dtype=images.dtype)
-    out[off] = images[at]
-    return _store(space.points, out, scale, table)
+    # _exact refuses an image that is not an exact rational
+    pairs = [_exact(f.apply(Fraction(v, denom))) for v in values.tolist()]
+    codes = np.full(arr.shape, len(pairs), dtype=np.intp)  # the diagonal's 0
+    codes[off] = at
+    return _build(space.points, codes, [*pairs, (0, 1)])
 
 
 def subadditivity_counterexample(f: Transform, x, y) -> FiniteMetricSpace:

@@ -42,8 +42,8 @@ from metric_forge import (
     validate_metric,
 )
 from metric_forge.cli import render_range_svg
-from metric_forge.core import _COUNT_SPAN, _factorize, _from_int_matrix, _int_matrix
-from metric_forge.core import _rational
+from metric_forge.core import _COUNT_SPAN, _build, _exact, _factorize, _first_seen
+from metric_forge.core import _from_int_matrix, _rational
 from metric_forge.nebula import _covering_intervals
 
 from support import (
@@ -253,26 +253,38 @@ RATIO_TEXTS = ["0", "0/5", "6/4", "2/6", "4/12", "12", "9/3", f"{2**64}", f"6/{2
 
 
 @given(
-    st.lists(st.lists(st.sampled_from(RATIO_TEXTS), min_size=1, max_size=4), min_size=1)
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from(RATIO_TEXTS), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
 )
 @example([["0/5", "6/4"], ["12", "0"]])  # lcm 2, every entry even but one
 @example([["0", f"{2**64}"], ["0", "0"]])  # denom 1, past 2^62
 def test_int_matrix_is_already_reduced(rows):
-    # _int_matrix leaves what _from_int_matrix would keep: the gcd of the
+    # _build leaves what _from_int_matrix would keep: the gcd of the
     # denominator and every entry is 1, and the dtype follows the 2^62 rule,
-    # so the readers store its result as it is, and its table holds every
-    # entry; on strings (the reader's batch parse) and on (p, q) pairs (the
-    # constructor's, each pair its own ratio)
-    for ratios, cells in (
-        (jsonio._ratios, rows),
-        (list, [[F(*jsonio._ratio(v)).as_integer_ratio() for v in r] for r in rows]),
+    # so the builders store its result as it is, and its table holds every
+    # entry; on strings (the reader's batch parse of its distinct keys) and
+    # on (p, q) pairs (the constructor's, coded as they come)
+    points = [f"p{i}" for i in range(len(rows))]
+    texts = [v for row in rows for v in row]
+    codes, keys = _first_seen(texts, len(texts))
+    fractions = [F(*jsonio._ratio(v)) for v in texts]
+    for codes, pairs in (
+        (codes, jsonio._ratios(keys)),
+        _first_seen(map(_exact, fractions), len(texts)),
     ):
-        arr, denom, table = _int_matrix(cells, ratios)
-        ints = arr.tolist()
+        space = _build(points, codes, pairs)
+        arr, denom = space.scaled
+        ints = arr.ravel().tolist()
+        assert arr.shape == (len(rows), len(rows))
         assert gcd(denom, *ints) == 1
         wide = max(map(abs, ints)) >= 2**62
         assert arr.dtype == (object if wide else np.int64)
-        assert set(table) == set(ints)
+        assert set(vars(space)["_table"]) == set(ints)
 
 
 # --- the space reader against its Fraction implementation ---------------------

@@ -9,7 +9,8 @@ and ``space_from_obj`` run against ``support.reference_parse_scalar``,
 which dispatches on int and str by itself.  The readers' batch parse,
 ``jsonio._ratios``, runs against ``_ratio`` on each text, and a valid
 space, values or nebula file is read without a per-text ``_ratio`` call.
-A ``tracemalloc`` test shows that construction keeps no second copy.
+``tracemalloc`` tests show that construction keeps no second copy, and
+that the reader and the constructor code a matrix once.
 """
 
 import gc
@@ -282,6 +283,92 @@ def test_space_reader_parses_json_ints_once_each(monkeypatch):
     assert len(calls) == 5 and set(calls) == {0, 1, 2, 3, "2/2"}
     assert space == reference_space_from_obj({"points": labels(n), "dist": rows})
 
+
+
+# unhashable entries, which no key dict can hold, among strings and JSON ints
+UNHASHABLE = [
+    case
+    for bad in ([1], {})
+    for case in (three(bad, "1", "2"), three("1", "2", bad), three(1, bad, 2))
+]
+
+
+@pytest.mark.parametrize("obj", UNHASHABLE, ids=lambda o: repr(o["dist"][0][1:]))
+def test_space_reader_refuses_an_unhashable_entry_as_its_reference(obj):
+    want = read(reference_space_from_obj, obj)
+    assert want[0] is ValueError and want[1].startswith("expected a rational string")
+    assert read(jsonio.space_from_obj, obj) == want
+
+
+SPY_FILES = {
+    "strings": [["0", "1/2"], ["1/2", "0"]],
+    "json-ints": [[0, 3], [3, 0]],
+    "mixed": [[0, "3"], ["3", 0]],
+}
+
+
+@pytest.mark.parametrize("rows", SPY_FILES.values(), ids=list(SPY_FILES))
+def test_space_reader_codes_its_entries_once(monkeypatch, rows):
+    calls, first_seen = [], jsonio._first_seen
+    monkeypatch.setattr(
+        jsonio, "_first_seen", lambda *a: calls.append(a) or first_seen(*a)
+    )
+    obj = {"points": ["a", "b"], "dist": rows}
+    assert jsonio.space_from_obj(obj) == reference_space_from_obj(obj)
+    assert len(calls) == 1
+
+
+def test_space_reader_holds_two_arrays_on_json_ints():
+    # the codes and the gathered matrix, one n^2 array each; coding the
+    # entries a second time, with the first codes alive, peaked at 3.0
+    n = 1000
+    upper = np.triu(np.random.default_rng(4).integers(1, 10, (n, n)), 1)
+    obj = {"points": labels(n), "dist": (upper + upper.T).tolist()}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        space = jsonio.space_from_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.scaled[0].dtype == np.int64
+    assert peak < 2.2 * n * n * 8
+
+
+def test_constructor_peak_from_fraction_rows():
+    # the n^2 row tuples, the codes and the matrix; a list of n^2 (p, q)
+    # tuples built first peaked at 88.7 MiB
+    n = 1024
+    ends = [F(k, 7) for k in range(161)]
+    picks = np.random.default_rng(5).integers(0, 161, (n, n)).tolist()
+    rows = [[ends[k] for k in row] for row in picks]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        space = FiniteMetricSpace(labels(n), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.scaled[1] == 7
+    assert peak < 4 * n * n * 8
+
+
+# a well-formed text past Python's 4300-digit limit on int(): int's own error
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "reader, obj",
+    [
+        (jsonio.space_from_obj, two(LONG, LONG)),
+        (jsonio.values_from_obj, ["1/2", LONG]),
+        (jsonio.nebula_from_obj, {"q": 1, "bounded": [["0", LONG]], "tail_start": "2"}),
+    ],
+    ids=["space", "values", "nebula"],
+)
+def test_a_long_text_keeps_ints_own_error(reader, obj):
+    with pytest.raises(ValueError, match=r"Exceeds the limit \(4300 digits\)"):
+        reader(obj)
 
 
 # --- the batch parse ----------------------------------------------------------
