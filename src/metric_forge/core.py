@@ -229,30 +229,33 @@ class _ViewKeyed:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ValidationReport(_ViewKeyed):
-    """The verdicts of ``validate_metric`` and every violation it found.
+    """The verdicts of ``validate_metric`` and the matrix they decide.
 
-    The violations are stored once, as ``table``: the integer blocks of
-    ``_witnesses`` and the denominator of their sides.  ``violations`` is
-    their ``Violation`` view, built the first time it is read.  ``==``,
-    ``hash`` and ``repr`` go through the view, as for a plain dataclass of
-    the two verdicts and ``violations``.
+    No violation is stored: ``_blocks`` lists them from the matrix when
+    read, and ``violations`` is their ``Violation`` view, built once.
+    ``==``, ``hash`` and ``repr`` go through the view, as for a plain
+    dataclass of the two verdicts and ``violations``.
     """
 
     is_metric: bool
     is_ultrametric: bool
-    # (blocks, denom): the read-only (kind, witness, lhs, rhs) blocks of
-    # _witnesses, in report order, their sides over denom
-    table: tuple[tuple, int]
+    # the space's own read-only (arr, denom), not a copy
+    table: tuple[np.ndarray, int]
 
     _fields = ("is_metric", "is_ultrametric", "violations")
 
+    def _blocks(self):
+        """``_witnesses``' blocks, listed as read; the verdict is not decided again."""
+        arr = self.table[0]
+        return () if self.is_metric else chain(_cheap(arr), _triangles(arr))
+
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
-        """One Violation per table row, one Fraction per distinct side; built once."""
-        blocks, denom = self.table
+        """One Violation per listed row, one Fraction per distinct side; built once."""
+        denom = self.table[1]
         rows = [
             (kind, witness.tolist(), lhs.tolist(), rhs.tolist())
-            for kind, witness, lhs, rhs in blocks
+            for kind, witness, lhs, rhs in self._blocks()
         ]
         sides = {v: Fraction(v, denom) for *_, lhs, rhs in rows for v in {*lhs, *rhs}}
         return tuple(
@@ -407,34 +410,12 @@ def _factorize(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SLAB_CELLS = 2**20
 
 
-def _witnesses(arr: np.ndarray):
-    """Every axiom violation of a scaled-integer matrix, as blocks in report order.
-
-    Yields ``(kind, witness, lhs, rhs)`` blocks: ``witness`` an m x w
-    integer array (w = 1 for diagonal, 2 for symmetry and positivity, 3
-    for triangle), ``lhs`` and ``rhs`` length-m arrays of the sides on
-    ``arr``'s scale and of its dtype (see ``validate_metric``).  Blocks
-    come by kind, rows within a block by witness, and no block is empty,
-    so nothing yielded means the matrix is a metric.  No per-violation
-    object is built.  Memory stays O(n^2):
-
-    - one block per cheap kind that has a witness (diagonal, symmetry,
-      positivity) comes first, from O(n^2) masks read in row-major order;
-    - if there are none, the triangle verdict is ``_holds(arr)``,
-      which decides every d(i,j) <= d(i,k) + d(k,j) on integer floors
-      of the entries, in O(n^2) where each row's nearest neighbour
-      certifies every pair and by the O(n^3) loop elsewhere.  It needs
-      the symmetry, the zero diagonal and the nonnegative entries that
-      the cheap checks have just established; on a matrix with a cheap
-      witness its sums could wrap, so it never runs there;
-    - only on a "no" (a failed triangle verdict or a failed cheap check)
-      does ``_triangles`` enumerate the triangle blocks, slab by slab.
-    """
+def _cheap(arr: np.ndarray):
+    """The diagonal, symmetry and positivity blocks, from O(n^2) row-major masks."""
     # one read-only zero of arr's dtype, broadcast: no n x n array of zeros
     diag, zero = np.diagonal(arr), np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
     above = ~np.tri(len(arr), dtype=bool)  # the pairs i < j
     asym = arr != arr.T
-    cheap = False
     # a pair below the diagonal is a positivity witness only where it
     # differs from its mirror, which is already reported
     for kind, mask, lhs, rhs in (
@@ -443,13 +424,27 @@ def _witnesses(arr: np.ndarray):
         ("positivity", (arr <= 0) & (above | asym), arr, zero),
     ):
         if mask.any():
-            cheap = True
             yield kind, np.argwhere(mask), lhs[mask], rhs[mask]
-    if cheap or not _holds(arr):
-        yield from _triangles(arr)
 
 
-def _holds(arr: np.ndarray) -> bool:
+def _is_metric(arr: np.ndarray) -> bool:
+    """No ``_cheap`` witness, then ``_holds``, whose sums could wrap beside one."""
+    return next(_cheap(arr), None) is None and _holds(arr)
+
+
+def _witnesses(arr: np.ndarray):
+    """Every axiom violation of a scaled-integer matrix, as blocks in report order.
+
+    ``()`` on a metric, else a lazy listing of ``(kind, witness, lhs,
+    rhs)`` blocks: ``witness`` an m x w integer array (w = 1 for diagonal,
+    2 for symmetry and positivity, 3 for triangle), the sides length-m
+    arrays on ``arr``'s scale and of its dtype.  The ``_cheap`` blocks
+    come first, then ``_triangles``' slabs; rows by witness, none empty.
+    """
+    return () if _is_metric(arr) else chain(_cheap(arr), _triangles(arr))
+
+
+def _holds(arr: np.ndarray, tree: bool = True) -> bool:
     """Whether ``arr[i,j] <= arr[i,k] + arr[k,j]`` for i != j, k not in {i, j}.
 
     ``arr`` is symmetric with a zero diagonal and nonnegative entries
@@ -469,7 +464,8 @@ def _holds(arr: np.ndarray) -> bool:
     bound exactly.  If every pair passes, as every pair of entries in some
     [a, 2a] does when s = 0, the answer is yes with no k-loop and no
     closure, as on an ultrametric (``_is_ultrametric``, exact, O(n^2)),
-    whose max never passes the sum.  Otherwise the k-loop decides:
+    whose max never passes the sum (a caller that knows it is none passes
+    ``tree=False``).  Otherwise the k-loop decides:
 
     - ``two[i,j]`` is the least ``lo[i,k] + lo[k,j]`` over k not in
       {i, j}; a diagonal of ``mask`` keeps k = i and k = j out of it;
@@ -499,7 +495,7 @@ def _holds(arr: np.ndarray) -> bool:
     near = off.min(axis=1)  # the diagonal's mask is above every floor
     via = np.add(near[:, None], near)
     np.fill_diagonal(via, mask + slack)  # i = j is no pair
-    if np.subtract(via, off, out=via).min() >= slack or _is_ultrametric(arr):
+    if np.subtract(via, off, out=via).min() >= slack or tree and _is_ultrametric(arr):
         return True
     two = np.full_like(off, 2 * mask)
     for k in range(len(off)):
@@ -580,6 +576,7 @@ def _triangles(arr: np.ndarray):
         # a verdict is 0 or 1: exactly one byte of a true cell is nonzero
         at = np.flatnonzero(bad.view(np.bool_)) // bad.itemsize
         ikj = np.stack(np.unravel_index(at, bad.shape), axis=1)
+        del rhs, out, bad, at  # a slab's sums and verdicts go before its block
         if len(ikj):
             ikj[:, 0] += start
             i, k, j = ikj.T
@@ -593,28 +590,23 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationReport:
     ``(d(i,i), 0)``, symmetry ``(d(i,j), d(j,i))``, positivity
     ``(d(i,j), 0)`` and triangle ``(d(i,j), d(i,k) + d(k,j))`` at witness
     ``(i, k, j)``: the kernel's integers on ``scaled`` over its
-    denominator.  The report stores them as that integer table, the
-    blocks of ``_witnesses``; its ``violations`` are built from it only
-    when read.  The triangle verdict comes from ``_holds``: an exact
-    decision on integer floors of ``scaled`` (int16 to int64, as their
-    sums need).  It returns yes in O(n^2) when every d(i,j) is at most
-    the sum of the least entries of rows i and j (by one floor step, past
-    2^60), as on entries in some [a, 2a], or on an ultrametric; otherwise
-    an O(n^3) min-plus loop runs, which stops after its first step on a
-    clear "no" and falls back to the path closure only where a triangle
-    of a matrix past 2^60 is tight to within one floor step.  Triangle
-    witnesses are enumerated in slabs only on a "no", so memory stays
-    O(n^2).  ``is_ultrametric`` (the max-triangle inequality) is only
-    evaluated when all four axioms hold, by ``_is_ultrametric``: Prim's
-    tree in O(n^2) comparisons, with no floors and no closure.
+    denominator.  The report keeps the verdicts and ``scaled`` itself and
+    lists the violations when they are read; none is listed here.
+
+    A ``_cheap`` witness is a "no" to both verdicts.  Otherwise Prim's tree
+    decides ``is_ultrametric`` in O(n^2) comparisons (``_is_ultrametric``),
+    and its yes is a yes to the triangle inequality.  Otherwise ``_holds``
+    decides it exactly on integer floors of ``scaled``: in O(n^2) when
+    every d(i,j) is at most the sum of the least entries of rows i and j
+    (by one floor step, past 2^60), as on entries in some [a, 2a], else by
+    an O(n^3) min-plus loop, which stops after its first step on a clear
+    "no".  Memory stays O(n^2).
     """
-    arr, denom = space.scaled
-    blocks = tuple(_witnesses(arr))
-    for block in blocks:
-        for part in block[1:]:
-            part.flags.writeable = False
-    is_ultrametric = not blocks and _is_ultrametric(arr)
-    return ValidationReport(not blocks, is_ultrametric, (blocks, denom))
+    arr = space.scaled[0]
+    if next(_cheap(arr), None) is not None:
+        return ValidationReport(False, False, space.scaled)
+    ultra = _is_ultrametric(arr)
+    return ValidationReport(ultra or _holds(arr, tree=False), ultra, space.scaled)
 
 
 def _sup_gap(x: np.ndarray, dx: int, y: np.ndarray, dy: int) -> Fraction:

@@ -20,13 +20,13 @@ builds an array's chunks past its first as they are written.  The
 distance rows are gathered from ``_factorize`` codes, as the certificates
 and violations are: each distinct value is quoted once and each row
 joined from the quoted cells, so no Python int is built per entry.  The
-certificates (from the result's index array) and the violations (from
-the report's integer table, one block and one ``_factorize`` at a time)
-encode each distinct tail or side and each point index once; ``_joined``
-gathers the pieces column by column, one chunk per group of
-``_JOIN_ROWS`` rows, so no ``(i, j, cert)`` tuple, ``Violation`` or
-per-row string is built.  The string builders the writers are tested
-against live in ``tests/support.py``.
+certificates (from the result's index array) and the violations (listed
+from the report's matrix only on a "no", as they are written, one block
+and one ``_factorize`` at a time) encode each distinct tail or side and
+each point index once; ``_joined`` gathers the pieces column by column,
+one chunk per group of ``_JOIN_ROWS`` rows, so no ``(i, j, cert)``
+tuple, ``Violation`` or per-row string is built.  The string builders
+the writers are tested against live in ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def validation_to_obj(report: ValidationReport) -> dict:
     return {
         "is_metric": report.is_metric,
         "is_ultrametric": report.is_ultrametric,
-        "violations": partial(_violations, *report.table),
+        "violations": lambda nl: _violations(report._blocks(), report.table[1], nl),
     }
 
 
@@ -391,7 +391,7 @@ def _certificates(result: ApproximationResult, nl: str) -> list[str]:
 
 
 def _violations(blocks, denom: int, nl: str) -> Iterator[str]:
-    """The report's integer blocks one at a time, each in row groups.
+    """Any iterable of integer blocks, taken one at a time, each in row groups.
 
     A block's one ``_factorize`` over its sides quotes each distinct side
     once, as ``_dist`` does, behind the kind's head and behind the

@@ -27,6 +27,7 @@ from .core import (
     _factorize,
     _from_int_matrix,
     _glue,
+    _is_metric,
     _partition,
     _path_closure,
     _peak,
@@ -599,7 +600,7 @@ def approximate(
     if wrong.size:
         i, j = int(iu[wrong[0]]), int(ju[wrong[0]])
         raise failure(f"internal: certificate mismatch at ({i}, {j})")
-    if next(_witnesses(D), None) is not None:
+    if not _is_metric(D):
         raise failure("internal: approximation lost metricity")
     if _sup_gap(arr, den, D, denom) > epsilon:
         raise failure("internal: approximation moved too far")

@@ -12,9 +12,11 @@ import math
 import random
 import re
 from bisect import bisect_left
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import chain, count, permutations, repeat, takewhile
+from unittest.mock import patch
 
 import numpy as np
 
@@ -141,6 +143,25 @@ def all_kinds(corner) -> FiniteMetricSpace:
 # the default triangle slab budget, one row per slab and a few rows per
 # slab (for n <= 5)
 SLAB_BUDGETS = [core._SLAB_CELLS, 1, 50]
+
+
+@contextmanager
+def core_calls(*names):
+    """Counts the calls of the named ``core`` functions, which still run."""
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    calls = dict.fromkeys(names, 0)
+    with ExitStack() as stack:
+        for name in names:
+            spy = counting(name, getattr(core, name))
+            stack.enter_context(patch.object(core, name, spy))
+        yield calls
 
 
 def raw_weights(n: int, seed: int) -> dict:

@@ -36,7 +36,9 @@ from support import (
     brute_minimax_paths,
     brute_shortest_paths,
     brute_violations,
+    core_calls,
     flat_blocks,
+    grid_space,
     plain_extend,
     plain_repair_error,
     raw_weights,
@@ -179,8 +181,9 @@ REPORT_INPUTS = {
 def test_report_contract(cand):
     report = validate_metric(cand)
     arr, denom = cand.scaled
-    blocks, over = report.table
-    assert over == denom
+    kept, over = report.table
+    assert kept is arr and over == denom  # the space's matrix, not a copy
+    blocks = list(report._blocks())  # listed from the matrix when read
     sides = [side for *_, lhs, rhs in blocks for side in (lhs, rhs)]
     assert all(side.dtype == arr.dtype for side in sides)
     assert "violations" not in report.__dict__  # built on first read
@@ -205,6 +208,21 @@ def test_report_contract(cand):
     for name in ("is_metric", "violations", "table"):
         with pytest.raises(FrozenInstanceError):
             setattr(report, name, getattr(report, name))
+
+
+def test_report_keeps_no_violation_at_n320():
+    # about 2.7 million triangle rows, listed only when read: the report
+    # holds the verdicts and the space's own matrix, where a report that
+    # stored its blocks kept 102.8 MiB
+    space = jsonio.space_from_obj(raw_weights(320, 1))
+    tracemalloc.start()
+    try:
+        report = validate_metric(space)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not report.is_metric and report.table[0] is space.scaled[0]
+    assert kept < 2**20
 
 
 # --- triangle kernel: closure verdict, slabs on a "no" -----------------------
@@ -886,6 +904,23 @@ def test_certified_verdict_memory_at_n1024():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * n * n * np.dtype(np.int16).itemsize
+
+
+@pytest.mark.parametrize("name", ["cantor10", "certified"])
+def test_validate_metric_runs_the_tree_once(name):
+    # Prim's tree runs once per call: its yes settles cantor_approx(10),
+    # which the certificate leaves open, with no floor verdict, and its no
+    # is passed on to _holds, which the certificate settles at entries in
+    # [5, 10]
+    m = {
+        "cantor10": cantor_approx(10),
+        "certified": grid_space(64, lambda gap: 5 + gap % 6),
+    }[name]
+    with core_calls("_holds", "_is_ultrametric") as calls, kernel_calls() as spy:
+        report = validate_metric(m)
+    assert report.is_metric and report.is_ultrametric == (name == "cantor10")
+    assert calls == {"_holds": int(name == "certified"), "_is_ultrametric": 1}
+    assert spy.minimum_calls == spy.closures == 0
 
 
 # 2 * peak -> the dtype _triangles compares slabs in

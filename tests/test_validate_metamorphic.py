@@ -130,7 +130,7 @@ def report(arr):
 
 def triangles(space, rep):
     """The report's witnesses and sides, each witness checked against ``space``."""
-    blocks, denom = rep.table
+    blocks, denom = list(rep._blocks()), rep.table[1]
     assert denom == 1 and {kind for kind, *_ in blocks} <= {"triangle"}
     if not blocks:
         return np.empty((0, 3), dtype=np.intp), [], []
@@ -156,7 +156,7 @@ def test_inputs_reach_each_path():
     for name in ("raw-128", "raw-64"):
         arr, (space, rep) = base(name)
         assert int(arr.max()) == 1024 and len(triangles(space, rep)[0]) > 20_000
-    assert len(base("raw-128")[1][1].table[0]) > 1  # two slabs
+    assert len(list(base("raw-128")[1][1]._blocks())) > 1  # two slabs
     dtypes = {
         (name, core._narrow(2 * c * int(base(name)[0].max())))
         for name, c in CASES

@@ -24,6 +24,7 @@ from metric_forge import (
     FiniteMetricSpace,
     approximate,
     build_funiv_approx,
+    cantor_approx,
     cli,
     core,
     fragility_experiment,
@@ -35,6 +36,8 @@ from metric_forge.core import ValidationReport
 from support import (
     SLAB_BUDGETS,
     all_kinds,
+    brute_violations,
+    core_calls,
     encoded,
     grid_space,
     metric_1024,
@@ -333,11 +336,13 @@ def test_validation_writer_at_a_group_boundary(extra):
     witness = rng.integers(0, 40, size=(m, 3))
     lhs = rng.integers(-5, 60, size=m)
     block = ("triangle", witness, lhs, lhs - rng.integers(1, 9, size=m))
-    report = ValidationReport(False, False, ((block,), 3))
-    groups = jsonio._violations(*report.table, "\n  ")
+    report = ValidationReport(False, False, (np.zeros((40, 40), dtype=np.int64), 3))
+    groups = jsonio._violations((block,), 3, "\n  ")
     assert [c.count('"kind": ') for c in groups] == ([rows, 1] if extra > 0 else [m])
-    got = validation_written(report, rows)
-    assert got == oracle(reference_validation_obj(report))
+    # the report lists the synthetic block in place of its matrix's own
+    with patch.object(ValidationReport, "_blocks", lambda self: (block,)):
+        got = validation_written(report, rows)
+        assert got == oracle(reference_validation_obj(report))
 
 
 def many_blocks(corner) -> FiniteMetricSpace:
@@ -357,31 +362,32 @@ def many_blocks(corner) -> FiniteMetricSpace:
 def test_validation_writer_over_many_blocks(rows, corner):
     # the cheap kinds, then one triangle block per slab of one row
     space = many_blocks(corner)
-    with patch.object(core, "_SLAB_CELLS", 64):
+    with patch.object(core, "_SLAB_CELLS", 64):  # for the listing too
         report = validate_metric(space)
-    blocks, _ = report.table
-    kinds = [kind for kind, *_ in blocks]
-    assert kinds[:3] == ["diagonal", "symmetry", "positivity"]
-    assert kinds.count("triangle") >= 4 and len({len(b[1]) for b in blocks}) > 2
-    assert (space.scaled[0].dtype == object) == (corner != 1)
-    got = validation_written(report, rows)
+        blocks = list(report._blocks())
+        kinds = [kind for kind, *_ in blocks]
+        assert kinds[:3] == ["diagonal", "symmetry", "positivity"]
+        assert kinds.count("triangle") >= 4 and len({len(b[1]) for b in blocks}) > 2
+        assert (space.scaled[0].dtype == object) == (corner != 1)
+        got = validation_written(report, rows)
     assert got == oracle(reference_validation_obj(report))
 
 
 def test_validation_writer_memory_at_n96():
     # the benchmark's raw input: about 70k triangle rows, 10 MiB of text;
-    # row groups keep the writer's peak near the text it returns, where
-    # one string per row held 1.77 times the text
-    report = validate_metric(jsonio.space_from_obj(raw_weights(96, 1)))
+    # row groups keep the peak of validating and writing near the text:
+    # 1.42 times it (14.2 MiB), the one listed block included, as when the
+    # report stored it; one string per row held 1.77 times the text
+    space = jsonio.space_from_obj(raw_weights(96, 1))
     tracemalloc.start()
     try:
-        chunks = jsonio.encode(jsonio.validation_to_obj(report))
+        report = validate_metric(space)
+        text = sum(map(len, jsonio.encode(jsonio.validation_to_obj(report))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    text = sum(map(len, chunks))
     assert len(report.violations) > 60_000 and text > 9 * 2**20
-    assert peak < 1.3 * text
+    assert peak < 1.45 * text
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
@@ -404,7 +410,7 @@ def test_validation_example_has_every_kind():
         assert kinds == {"diagonal", "symmetry", "positivity", "triangle"}
     assert WIDE_KINDS.scaled[0].dtype == object
     assert any(v.lhs < 0 or v.rhs < 0 for v in validate_metric(WIDE_KINDS).violations)
-    (block,), _ = validate_metric(ONE_DIAGONAL).table
+    (block,) = validate_metric(ONE_DIAGONAL)._blocks()
     assert block[0] == "diagonal" and block[1].shape == (1, 1)
 
 
@@ -446,7 +452,7 @@ def test_validate_writes_each_block_from_its_own_sides(tmp_path, name):
     with patch.object(core, "_SLAB_CELLS", cells):
         report = validate_metric(jsonio.space_from_obj(obj))
         got = _run(["validate", str(path)])
-    kinds = [kind for kind, *_ in report.table[0]]
+        kinds = [kind for kind, *_ in report._blocks()]
     if name == "raw-128":
         assert kinds == ["triangle"] * 2
     else:
@@ -456,18 +462,96 @@ def test_validate_writes_each_block_from_its_own_sides(tmp_path, name):
 
 def test_validation_writer_holds_one_block_at_a_time_at_n160():
     # four triangle slabs, 50 MB of text, the first slab's block 42% of it:
-    # written as it is taken, the writer holds that block's chunks and
-    # codes (0.50 of the text), where the list of every chunk and one
-    # table over every side peaked at 1.12 times the text
-    report = validate_metric(jsonio.space_from_obj(raw_weights(160, 1)))
-    assert len(report.table[0]) == 4
+    # listed and written as it is taken, validating and writing hold that
+    # block, its chunks and codes (0.62 of the text), where a report that
+    # stored every block peaked at 0.76 (36.4 MiB), and the list of every
+    # chunk and one table over every side at 1.12 times the text
+    space = jsonio.space_from_obj(raw_weights(160, 1))
     tracemalloc.start()
     try:
+        report = validate_metric(space)
         text = sum(map(len, jsonio.encode(jsonio.validation_to_obj(report))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text > 40 * 2**20 and peak < 0.6 * text
+    assert sum(1 for _ in report._blocks()) == 4
+    assert text > 40 * 2**20 and peak < 0.7 * text
+
+
+def validated_and_written_peak(n: int) -> int:
+    space = jsonio.space_from_obj(raw_weights(n, 1))
+    tracemalloc.start()
+    try:
+        report = validate_metric(space)
+        for _ in jsonio.encode(jsonio.validation_to_obj(report)):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_peak_stays_flat_as_the_report_grows():
+    # eight times the violations (47.8 to 389.5 MiB of text), but one
+    # slab's block at a time: 29.5 and 33.4 MiB, where a report that
+    # stored every block peaked at 36.4 and 129.5 MiB
+    assert validated_and_written_peak(320) <= 1.25 * validated_and_written_peak(160)
+
+
+@pytest.mark.parametrize("name", ["raw", "metric", "ultrametric"])
+def test_validate_command_decides_once(tmp_path, name):
+    # validate_metric decides both verdicts; the writer lists a "no" from
+    # the matrix without deciding it again, and on a metric lists nothing
+    cand = {
+        "raw": jsonio.space_from_obj(raw_weights(24, 3)),
+        "metric": grid_space(24, lambda gap: 5 + gap % 6),  # certified
+        "ultrametric": cantor_approx(4),
+    }[name]
+    path = tmp_path / "in.json"
+    path.write_text("".join(jsonio.encode(jsonio.space_to_obj(cand))), encoding="utf-8")
+    with core_calls("_holds", "_is_ultrametric", "_triangles") as calls:
+        code, out, err = _run(["validate", str(path)])
+    report = validate_metric(cand)
+    assert (code, out, err) == (
+        int(not report.is_metric),
+        oracle(reference_validation_obj(report)).encode(),
+        b"",
+    )
+    assert report.is_metric == (name != "raw")
+    assert report.is_ultrametric == (name == "ultrametric")
+    # Prim's tree settles an ultrametric, so no floor verdict runs on it
+    assert calls == {
+        "_holds": int(name != "ultrametric"),
+        "_is_ultrametric": 1,
+        "_triangles": int(name == "raw"),
+    }
+
+
+@pytest.mark.parametrize("first", ["writer", "violations"])
+@pytest.mark.parametrize("name", ["i64", "obj", "one-diagonal", "metric"])
+def test_listing_reads_agree_in_either_order(first, name):
+    # each read lists the violations from the matrix anew: the writer and
+    # the view agree in either order, and a metric lists nothing
+    cand = {
+        "i64": ALL_KINDS,
+        "obj": WIDE_KINDS,
+        "one-diagonal": ONE_DIAGONAL,
+        "metric": grid_space(12, lambda gap: 5 + gap % 6),
+    }[name]
+    with core_calls("_holds", "_triangles") as calls:
+        report = validate_metric(cand)
+        decided = dict(calls)
+        write = lambda: "".join(jsonio.encode(jsonio.validation_to_obj(report)))
+        if first == "writer":
+            text, violations = write(), report.violations
+        else:
+            violations, text = report.violations, write()
+    want = brute_violations(cand)
+    assert [(v.kind, v.witness, v.lhs, v.rhs) for v in violations] == want
+    assert text == oracle(reference_validation_obj(report))
+    assert report.is_metric == (want == []) == (name == "metric")
+    assert decided["_triangles"] == 0 and calls["_holds"] == decided["_holds"] <= 1
+    # the writer and the view each list a "no" once
+    assert calls["_triangles"] == (0 if report.is_metric else 2)
 
 
 def line_space(labels, positions) -> FiniteMetricSpace:
